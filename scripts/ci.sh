@@ -14,11 +14,13 @@
 #     TSUNAMI_FORCE_SCALAR, exercising the runtime-degraded dispatch path
 #     in the full-SIMD binary;
 #  5. a ThreadSanitizer build gating the concurrency suites (work-stealing
-#     scheduler, query service, thread pool/runner) — the serving path is
-#     lock-and-deque code and must stay race-clean, not just correct. Built
-#     with -DTSUNAMI_FAULT_INJECTION=ON so the fault-injection soaks
-#     (thrown chunks, flipped checksums, injected stalls) run *under* TSan:
-#     the error paths must be as race-clean as the happy path;
+#     scheduler, query service, thread pool/runner, and the network front
+#     end, whose query completions cross from scheduler workers to the
+#     event-loop thread) — the serving path is lock-and-deque code and must
+#     stay race-clean, not just correct. Built with
+#     -DTSUNAMI_FAULT_INJECTION=ON so the fault-injection soaks (thrown
+#     chunks, flipped checksums, injected stalls, wire faults) run *under*
+#     TSan: the error paths must be as race-clean as the happy path;
 #  6. an AddressSanitizer+UBSanitizer build, also with fault injection on,
 #     over the robustness-relevant suites — corrupt-block quarantine,
 #     short-read/truncation handling, and exception unwinding through the
@@ -77,9 +79,9 @@ TSUNAMI_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure \
 cmake -B build-tsan -S . -DTSUNAMI_WERROR=ON -DTSUNAMI_SANITIZE=thread \
   -DTSUNAMI_FAULT_INJECTION=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j"$(nproc)" --target \
-  task_scheduler_test query_service_test exec_test ingest_test
+  task_scheduler_test query_service_test exec_test ingest_test net_test
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-  -R 'task_scheduler_test|query_service_test|exec_test|ingest_test'
+  -R 'task_scheduler_test|query_service_test|exec_test|ingest_test|net_test'
 
 # Sixth pass: ASan+UBSan on the robustness suites (storage integrity, file
 # error paths, scheduler exception-safety, service overload/degrade), fault

@@ -63,8 +63,11 @@ class TsunamiIndex : public MultiDimIndex {
     /// Regions whose previous plan was reused by the incremental
     /// constructor (0 for full builds).
     int regions_reused = 0;
-    double optimize_seconds = 0.0;  // Clustering + tree + grid optimization.
-    double sort_seconds = 0.0;      // Data reorganization.
+    /// Clustering + tree + grid optimization, and data reorganization.
+    /// Thread-time sums: with build_threads > 1 they add up every build
+    /// thread's share, so together they can exceed the build's wall time.
+    double optimize_seconds = 0.0;
+    double sort_seconds = 0.0;
   };
 
   TsunamiIndex(const Dataset& data, const Workload& workload)

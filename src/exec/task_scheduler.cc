@@ -30,12 +30,14 @@ TaskScheduler::~TaskScheduler() {
 }
 
 TaskScheduler::JobRef TaskScheduler::Submit(
-    int64_t num_chunks, std::function<void(int64_t, int)> fn, int priority) {
+    int64_t num_chunks, std::function<void(int64_t, int)> fn, int priority,
+    std::function<void(const Job&)> then) {
   JobRef job = std::make_shared<Job>();
   job->fn_ = std::move(fn);
+  job->then_ = std::move(then);
   jobs_.fetch_add(1, std::memory_order_relaxed);
   if (num_chunks <= 0) {
-    job->done_.store(true, std::memory_order_release);
+    Complete(job.get());
     return job;
   }
   job->remaining_.store(num_chunks, std::memory_order_relaxed);
@@ -161,11 +163,29 @@ void TaskScheduler::RunTask(const Task& task, int worker) {
   }
   chunks_.fetch_add(1, std::memory_order_relaxed);
   if (task.job->remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Last chunk: publish completion under the job mutex so a waiter
-    // cannot check finished(), sleep, and miss the notify.
-    std::unique_lock<std::mutex> lock(task.job->mu_);
-    task.job->done_.store(true, std::memory_order_release);
-    task.job->cv_.notify_all();
+    Complete(task.job.get());
+  }
+}
+
+void TaskScheduler::Complete(Job* job) {
+  {
+    // Publish completion under the job mutex so a waiter cannot check
+    // finished(), sleep, and miss the notify.
+    std::lock_guard<std::mutex> lock(job->mu_);
+    job->done_.store(true, std::memory_order_release);
+    job->cv_.notify_all();
+  }
+  // Only the thread that ended the job gets here, so the take is
+  // unsynchronized; moving the continuation out releases whatever it
+  // captured as soon as it has run.
+  if (job->then_) {
+    std::function<void(const Job&)> then = std::move(job->then_);
+    try {
+      then(*job);
+    } catch (...) {
+      // Never let it unwind a worker (or the submitter's Submit call).
+      task_failures_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 }
 

@@ -27,6 +27,14 @@
 // and still completes (Wait never hangs), and the caller decides what a
 // failed job's partials are worth — QueryService discards them and reports
 // the query as failed.
+//
+// Completion can also be pushed instead of waited for: a job submitted with
+// a continuation runs it exactly once, right after finished() is published,
+// and passes it the finished job — on the worker that ended the last chunk,
+// or on the submitting thread for inline schedulers and zero-chunk jobs (so
+// possibly before Submit returns). Failed jobs run it too. This is how the
+// network front end's event loop learns that a query is done without
+// polling every ticket.
 #ifndef TSUNAMI_EXEC_TASK_SCHEDULER_H_
 #define TSUNAMI_EXEC_TASK_SCHEDULER_H_
 
@@ -59,6 +67,7 @@ class TaskScheduler {
    private:
     friend class TaskScheduler;
     std::function<void(int64_t, int)> fn_;
+    std::function<void(const Job&)> then_;  // Taken once by Complete().
     std::atomic<int64_t> remaining_{0};
     std::atomic<bool> done_{false};
     std::atomic<bool> failed_{false};
@@ -75,7 +84,9 @@ class TaskScheduler {
     int64_t chunks = 0;
     int64_t steals = 0;
     int64_t boosts = 0;         // Jobs moved to deque fronts by Boost().
-    int64_t task_failures = 0;  // Chunks that threw (swallowed, job failed).
+    /// Chunks that threw (swallowed, job failed), plus continuations that
+    /// threw (swallowed; the job had already finished).
+    int64_t task_failures = 0;
   };
 
   /// With `threads <= 0` the scheduler degenerates to inline execution on
@@ -94,8 +105,12 @@ class TaskScheduler {
   /// scratch. Chunks with `priority > 0` are pushed to the *front* of the
   /// deques, so a latency-sensitive query's chunks run ahead of queued
   /// backlog (stealing still takes victims' backs, preserving the jump).
+  /// `then`, when set, is the job's continuation (see the file comment): it
+  /// runs exactly once, after finished() is true. It should not throw; an
+  /// exception it throws is swallowed and counted in task_failures.
   JobRef Submit(int64_t num_chunks, std::function<void(int64_t, int)> fn,
-                int priority = 0);
+                int priority = 0,
+                std::function<void(const Job&)> then = nullptr);
 
   /// Blocks until every chunk of `job` has finished.
   void Wait(const JobRef& job);
@@ -141,6 +156,8 @@ class TaskScheduler {
   /// back of another's. Returns false when every deque is empty.
   bool NextTask(int id, Task* out);
   void RunTask(const Task& task, int worker);
+  /// Publishes finished(), wakes waiters, then runs the continuation.
+  void Complete(Job* job);
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;

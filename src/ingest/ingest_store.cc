@@ -313,14 +313,17 @@ int64_t IngestStore::RetiredChunks() const {
 
 uint64_t IngestStore::CompactOnce(const Workload* reorg_workload) {
   std::lock_guard<std::mutex> heavy(compact_mu_);
-  auto base = snapshots_.Current();
   // Retired chunks (everything but the open tail) have final committed
-  // counts — only the open chunk ever receives appends. Capture the open
-  // id *after* `base`: ids are monotone, so every base chunk below it is
-  // retired and immutable.
+  // counts — only the open chunk ever receives appends. `base` and the
+  // open id are captured together under the writer lock, which every roll
+  // holds: otherwise two rolls in between would put a retired chunk in the
+  // publish-time list below `open_id` but outside `base`, and the publish
+  // would drop it unfolded.
+  std::shared_ptr<const ColumnStoreSnapshot> base;
   uint64_t open_id;
   {
     std::lock_guard<std::mutex> w(write_mu_);
+    base = snapshots_.Current();
     open_id = open_chunk_->id();
   }
   std::vector<std::shared_ptr<const DeltaChunk>> fold;

@@ -337,7 +337,11 @@ ClientResult TsunamiClient::Run(const Query& query, int priority,
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
     double remaining = 0.0;
     if (deadline_seconds > 0.0) {
-      remaining = deadline_seconds - overall.ElapsedSeconds();
+      // The first attempt carries the whole budget and the server enforces
+      // it, so even a budget shorter than this call's own overhead gets a
+      // truthful server-side outcome. Retries carry what is left.
+      remaining = attempt == 0 ? deadline_seconds
+                               : deadline_seconds - overall.ElapsedSeconds();
       if (remaining <= 0.0) {
         last.transport_ok = false;
         last.outcome = QueryOutcome::kTimedOut;

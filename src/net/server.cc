@@ -26,7 +26,52 @@ uint64_t ToTicks(double seconds, double tick_seconds) {
   return ticks < 1.0 ? 1 : static_cast<uint64_t>(ticks + 0.5);
 }
 
+/// Bumps an eventfd's counter. Async-signal-safe.
+void Wake(int fd) {
+  uint64_t one = 1;
+  [[maybe_unused]] ssize_t n = ::write(fd, &one, sizeof(one));
+}
+
 }  // namespace
+
+/// Tickets whose queries finished, appended by their continuations on
+/// scheduler workers and taken in one swap by the loop on each wake. The
+/// eventfd is written only when the list goes from empty to non-empty: the
+/// loop always takes the whole list after reading the eventfd, so a ticket
+/// pushed onto a non-empty list rides the wake already pending. Jointly
+/// owned by the server and every query's continuation, and the eventfd
+/// closes with the last owner — a late continuation never writes to a
+/// descriptor number the kernel has since handed to a client socket.
+class TsunamiServer::CompletionInbox {
+ public:
+  explicit CompletionInbox(int fd) : fd_(fd) {}
+  ~CompletionInbox() { ::close(fd_); }
+
+  CompletionInbox(const CompletionInbox&) = delete;
+  CompletionInbox& operator=(const CompletionInbox&) = delete;
+
+  void Push(QueryService::Ticket ticket) {
+    bool was_empty;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      was_empty = tickets_.empty();
+      tickets_.push_back(ticket);
+    }
+    if (was_empty) Wake(fd_);
+  }
+
+  /// Replaces `*out` with every ticket pushed since the last take.
+  void TakeAll(std::vector<QueryService::Ticket>* out) {
+    out->clear();
+    std::lock_guard<std::mutex> lock(mu_);
+    out->swap(tickets_);
+  }
+
+ private:
+  const int fd_;
+  std::mutex mu_;
+  std::vector<QueryService::Ticket> tickets_;
+};
 
 TsunamiServer::TsunamiServer(QueryService* service,
                              const ServerOptions& options)
@@ -34,7 +79,6 @@ TsunamiServer::TsunamiServer(QueryService* service,
 
 TsunamiServer::~TsunamiServer() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (wakeup_fd_ >= 0) ::close(wakeup_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
 }
 
@@ -44,8 +88,8 @@ bool TsunamiServer::Start(std::string* error) {
       *error = std::string(what) + ": " + std::strerror(errno);
     }
     if (listen_fd_ >= 0) ::close(listen_fd_);
-    if (wakeup_fd_ >= 0) ::close(wakeup_fd_);
     if (epoll_fd_ >= 0) ::close(epoll_fd_);
+    inbox_.reset();
     listen_fd_ = wakeup_fd_ = epoll_fd_ = -1;
     return false;
   };
@@ -84,6 +128,7 @@ bool TsunamiServer::Start(std::string* error) {
   if (epoll_fd_ < 0) return fail("epoll_create1");
   wakeup_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (wakeup_fd_ < 0) return fail("eventfd");
+  inbox_ = std::make_shared<CompletionInbox>(wakeup_fd_);
 
   epoll_event ev{};
   ev.events = EPOLLIN;
@@ -104,23 +149,20 @@ bool TsunamiServer::Start(std::string* error) {
 }
 
 uint64_t TsunamiServer::NowTick() const {
-  return static_cast<uint64_t>(clock_.ElapsedSeconds() / options_.tick_seconds);
+  // Ticks count from 1: Conn::stall_since_tick uses 0 for "not stalled",
+  // so a stall that began in the loop's first tick must not read as 0.
+  return 1 + static_cast<uint64_t>(clock_.ElapsedSeconds() /
+                                   options_.tick_seconds);
 }
 
 void TsunamiServer::RequestDrain() {
   drain_requested_.store(true, std::memory_order_release);
-  if (wakeup_fd_ >= 0) {
-    uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(wakeup_fd_, &one, sizeof(one));
-  }
+  if (wakeup_fd_ >= 0) Wake(wakeup_fd_);
 }
 
 void TsunamiServer::RequestStop() {
   stop_requested_.store(true, std::memory_order_release);
-  if (wakeup_fd_ >= 0) {
-    uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(wakeup_fd_, &one, sizeof(one));
-  }
+  if (wakeup_fd_ >= 0) Wake(wakeup_fd_);
 }
 
 ServerStats TsunamiServer::stats() const {
@@ -146,7 +188,7 @@ void TsunamiServer::PublishStats() {
 void TsunamiServer::Run() {
   if (!started_) return;
   clock_.Reset();
-  now_tick_ = 0;
+  now_tick_ = NowTick();
   const uint64_t drain_ticks =
       ToTicks(options_.drain_timeout_seconds, options_.tick_seconds);
   const int timeout_ms =
@@ -186,7 +228,7 @@ void TsunamiServer::Run() {
     }
 
     now_tick_ = NowTick();
-    PollInflight();
+    DeliverCompletions();
     wheel_.Advance(now_tick_, [this](uint64_t id) { OnConnTimer(id); });
 
     if (stop_requested_.load(std::memory_order_acquire)) break;
@@ -404,6 +446,12 @@ bool TsunamiServer::HandleQuery(Conn* c, const FrameHeader& header,
           : static_cast<double>(header.deadline_micros) * 1e-6;
   submit.priority = header.priority;
   submit.client_id = static_cast<int64_t>(c->id);
+  // The continuation may fire inside Submit, before the ticket is routed
+  // below. That is safe because the loop only reads the inbox on its own
+  // thread, after this handler returns.
+  submit.on_complete = [inbox = inbox_](QueryService::Ticket ticket) {
+    inbox->Push(ticket);
+  };
   const QueryService::Admission admission = service_->Submit(query, submit);
   if (!admission.admitted()) {
     WireError wire_error = WireError::kQueueFull;
@@ -450,11 +498,14 @@ bool TsunamiServer::HandleInsert(Conn* c, const FrameHeader& header,
     return SendError(c, header.request_id, WireError::kDraining,
                      "server is draining");
   }
-  // The sink runs on the loop thread: appends are a few cache-line writes
-  // per row into an open delta chunk (never an index rebuild — compaction
-  // happens on the store's own background thread), so this costs less than
-  // a query decode. A sink that rejects the batch (wrong arity, store
-  // full) returns a negative count.
+  // The sink runs on the loop thread, and every connection waits while it
+  // does. In memory that is cheap: a few cache-line writes per row into an
+  // open delta chunk (compaction runs on the store's own background
+  // thread). A durable sink (DurableIngestStore::TryInsertBatch with
+  // durable acks) returns only after the WAL fsync'd the batch, so it
+  // blocks the loop for one fsync per batch — hundreds of microseconds at
+  // the median and milliseconds in the tail on an ext4 disk. A sink that
+  // rejects the batch (wrong arity, store full) returns a negative count.
   InsertAckPayload ack;
   const int64_t accepted = options_.insert_sink(rows, &ack.store_version);
   if (accepted < 0) {
@@ -483,13 +534,11 @@ bool TsunamiServer::HandleInsert(Conn* c, const FrameHeader& header,
   return SendFrame(c, reply, EncodeInsertAckPayload(ack));
 }
 
-void TsunamiServer::PollInflight() {
-  if (routes_.empty()) return;
-  std::vector<QueryService::Ticket> ready;
-  for (const auto& [ticket, route] : routes_) {
-    if (service_->Ready(ticket)) ready.push_back(ticket);
-  }
-  for (QueryService::Ticket ticket : ready) {
+void TsunamiServer::DeliverCompletions() {
+  inbox_->TakeAll(&completed_);
+  for (QueryService::Ticket ticket : completed_) {
+    // Every inbox ticket has finished, so this Await never blocks. Only
+    // routed tickets are ours to answer; ignore anything else.
     auto rit = routes_.find(ticket);
     if (rit == routes_.end()) continue;
     const Route route = rit->second;
@@ -612,8 +661,8 @@ bool TsunamiServer::StartClose(Conn* c) {
 
 void TsunamiServer::CloseConn(Conn* c) {
   // Orphan this connection's in-flight tickets: they stay in routes_ and
-  // keep being polled/Awaited (so the service never leaks a ticket), but
-  // their answers are discarded.
+  // are still Awaited when they complete (so the service never leaks a
+  // ticket), but their answers are discarded.
   for (auto& [ticket, route] : routes_) {
     if (route.conn_id == c->id) route.conn_id = 0;
   }
@@ -690,7 +739,7 @@ void TsunamiServer::EnterDrain() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (options_.drain_service) service_->BeginDrain();
+  service_->BeginDrain();
 }
 
 void TsunamiServer::AwaitAllRemaining() {

@@ -3,10 +3,13 @@
 // One epoll event loop owns every connection: accept, frame parse, query
 // dispatch, and response flush all happen on the loop thread, while the
 // queries themselves execute on the QueryService's work-stealing scheduler.
-// The loop never blocks on a query — admitted tickets are *polled* with
-// QueryService::Ready() each tick and Awaited only once ready, so a slow
-// query can never park the loop (and a chunk killed mid-flight by fault
-// injection still completes its ticket through the service's stop record).
+// The loop never blocks on a query — completion is *pushed*: each admitted
+// query carries a continuation (SubmitOptions::on_complete) that appends
+// its ticket to a completion inbox and wakes the loop through an eventfd,
+// and the loop Awaits exactly the tickets it finds there. A slow query can
+// never park the loop, a finished one is answered on the next wake rather
+// than on the next tick, and a chunk killed mid-flight by fault injection
+// still completes its ticket (failed jobs run their continuation too).
 //
 // Robustness model (the whole point of this layer):
 //   - Bounded buffers everywhere. The read buffer holds at most one partial
@@ -92,12 +95,10 @@ struct ServerOptions {
   /// Drain gives in-flight queries and response flushes this long before
   /// forcing shutdown.
   double drain_timeout_seconds = 30.0;
-  /// Event-loop tick: epoll timeout, timer-wheel granularity, and the
-  /// ticket-poll cadence.
+  /// Event-loop tick: epoll timeout and timer-wheel granularity, so it
+  /// paces idle/stall eviction and the drain timeout. Query answers do not
+  /// wait for it: completions wake the loop themselves.
   double tick_seconds = 0.01;
-  /// Whether RequestDrain() also calls QueryService::BeginDrain(). On by
-  /// default; a test sharing one service across servers can opt out.
-  bool drain_service = true;
   /// Write path for kInsert frames: returns rows appended (all-or-nothing)
   /// and, via *version, the store version observed after the append.
   /// Unset (the default) makes the server read-only — kInsert answers
@@ -162,7 +163,7 @@ struct ServerStats {
   /// Tickets whose connection died first: still Awaited (results
   /// discarded) so the service's ticket table never leaks.
   int64_t orphaned_awaited = 0;
-  int64_t inflight = 0;              // Gauge: routed tickets not yet ready.
+  int64_t inflight = 0;              // Gauge: routed, not yet answered.
   int64_t write_buffer_peak = 0;     // High-water mark across connections.
 };
 
@@ -270,7 +271,7 @@ class TsunamiServer {
   };
 
   /// Where a completed ticket's answer goes. conn_id 0 = orphaned (the
-  /// connection died first); the ticket is still polled and Awaited.
+  /// connection died first); the ticket is still Awaited on completion.
   struct Route {
     uint64_t conn_id = 0;
     uint64_t request_id = 0;
@@ -299,9 +300,13 @@ class TsunamiServer {
   void CloseConn(Conn* c);
   /// SO_LINGER{1,0} + close: an abrupt RST, for the net.reset site.
   void ResetConn(Conn* c);
-  /// Ready-ticket sweep: Await completed tickets and queue their response
-  /// frames (or discard, for orphans).
-  void PollInflight();
+  /// Finished-ticket inbox shared with the queries' continuations (see
+  /// server.cc).
+  class CompletionInbox;
+
+  /// Awaits the tickets the inbox collected since the last wake and queues
+  /// their response frames (or discards them, for orphans).
+  void DeliverCompletions();
   /// Timer-wheel callback: evict stalled writers / idle connections,
   /// reschedule the rest.
   void OnConnTimer(uint64_t conn_id);
@@ -316,7 +321,11 @@ class TsunamiServer {
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
+  /// The loop's eventfd, owned (and closed) by `inbox_`: a continuation can
+  /// outlive the server, so the descriptor it writes must live as long as
+  /// the last continuation that holds the inbox.
   int wakeup_fd_ = -1;
+  std::shared_ptr<CompletionInbox> inbox_;
   int port_ = 0;
   bool started_ = false;
 
@@ -331,6 +340,7 @@ class TsunamiServer {
   uint64_t next_conn_id_ = 2;  // 0 = listener, 1 = wakeup eventfd.
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
   std::unordered_map<QueryService::Ticket, Route> routes_;
+  std::vector<QueryService::Ticket> completed_;  // Scratch for the inbox.
   TimerWheel wheel_;
   bool draining_active_ = false;
   uint64_t drain_start_tick_ = 0;

@@ -212,15 +212,6 @@ void QueryService::Drain() {
   }
 }
 
-bool QueryService::Ready(Ticket ticket) const {
-  if (ticket == 0) return true;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tickets_.find(ticket);
-  if (it == tickets_.end()) return true;  // Await returns at once anyway.
-  const TaskScheduler::JobRef& job = it->second->job;
-  return job == nullptr || job->finished();
-}
-
 void QueryService::ShedVictims(int priority, int64_t num_chunks) {
   // admission_mu_ is held: no new victims can be admitted under us, and no
   // competing shed can double-release (ReleaseChunks is race-free anyway).
@@ -360,6 +351,12 @@ QueryService::Admission QueryService::Admit(
   // probe is installed whenever a mid-flight stop is possible at all.
   const bool stoppable = p->ctx.Cancellable() || bounded();
   p->chunks_left.store(num_chunks, std::memory_order_relaxed);
+  const Ticket ticket = next_ticket_.fetch_add(1, std::memory_order_relaxed);
+  std::function<void(const TaskScheduler::Job&)> then;
+  if (options.on_complete) {
+    then = [on_complete = options.on_complete,
+            ticket](const TaskScheduler::Job&) { on_complete(ticket); };
+  }
   p->job = scheduler_.Submit(
       num_chunks,
       [this, p, use_tasks, stoppable](int64_t chunk, int /*worker*/) {
@@ -427,15 +424,13 @@ QueryService::Admission QueryService::Admit(
           }
         }
       },
-      options.priority);
+      options.priority, std::move(then));
   // Register only after the Pending is fully initialized (job assigned):
   // tickets are sequential, so a concurrent Await guessing the next id
   // must find either nothing or a complete entry — never a null JobRef.
   // Chunks already running don't care; they hold `p`, not the ticket.
-  Ticket ticket;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ticket = next_ticket_++;
     tickets_.emplace(ticket, std::move(pending));
   }
   BoostNearDeadline();

@@ -66,6 +66,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -191,6 +192,15 @@ struct SubmitOptions {
   /// Stable client identity for the per-client fairness cap (the network
   /// front end stamps one per connection). -1 = anonymous, never capped.
   int64_t client_id = -1;
+  /// Completion push, for callers that must not block in Await (the
+  /// network front end's event loop). Called exactly once per *admitted*
+  /// query with its ticket, once the query has stopped executing — by
+  /// completion, stop, or failure — so Await(ticket) will not block. It
+  /// runs on the worker that finished the query, or on the submitting
+  /// thread, possibly before Submit has returned the ticket; and it may
+  /// still be running after Await(ticket) has returned, so it must only
+  /// touch state it jointly owns. Must be cheap and must not throw.
+  std::function<void(uint64_t ticket)> on_complete;
 };
 
 /// Per-query completion report, filled by Await. `latency_seconds` is
@@ -294,13 +304,6 @@ class QueryService {
   /// As above, also reporting the outcome and the query's worker-stamped
   /// completion latency (see AwaitInfo).
   QueryResult Await(Ticket ticket, AwaitInfo* info);
-
-  /// Non-blocking readiness probe: true when Await(ticket) would return
-  /// without blocking (the query's job finished — by completion, stop, or
-  /// failure — or the ticket was never issued / already consumed). The
-  /// network front end polls this from its event loop so it never parks a
-  /// thread per in-flight request.
-  bool Ready(Ticket ticket) const;
 
   /// Puts the service into drain mode: every subsequent Submit is rejected
   /// with AdmissionOutcome::kDraining while already-admitted queries keep
@@ -426,9 +429,11 @@ class QueryService {
   /// strictly before mu_; never taken by workers.
   std::mutex admission_mu_;
 
-  mutable std::mutex mu_;  // Guards tickets_ and next_ticket_.
+  mutable std::mutex mu_;  // Guards tickets_.
   std::unordered_map<Ticket, std::unique_ptr<Pending>> tickets_;
-  Ticket next_ticket_ = 1;
+  /// Issued before the job is submitted, so a continuation that fires
+  /// inside Submit already knows its ticket.
+  std::atomic<Ticket> next_ticket_{1};
 
   std::atomic<int64_t> submitted_{0};
   std::atomic<int64_t> completed_{0};

@@ -243,6 +243,10 @@ TEST_F(ParallelRunTest, ParallelBuildProducesIdenticalIndex) {
   EXPECT_EQ(parallel.stats().num_regions, serial.stats().num_regions);
   EXPECT_EQ(parallel.stats().total_cells, serial.stats().total_cells);
   EXPECT_EQ(parallel.IndexSizeBytes(), serial.IndexSizeBytes());
+  // Build times are thread-time sums, so overlapping regions can never
+  // drive either one negative.
+  EXPECT_GE(parallel.stats().optimize_seconds, 0.0);
+  EXPECT_GE(parallel.stats().sort_seconds, 0.0);
   ASSERT_EQ(parallel.store().size(), serial.store().size());
   for (int d = 0; d < serial.store().dims(); ++d) {
     EXPECT_EQ(parallel.store().DecodeColumn(d), serial.store().DecodeColumn(d))

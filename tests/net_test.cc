@@ -3,14 +3,17 @@
 // equivalence against Execute, pipelined out-of-order completion,
 // malformed/oversized/bad-version/bad-type typed errors, per-connection and
 // per-client caps, queue-full retry, deadline propagation, backpressure and
-// stalled-reader eviction, idle eviction, graceful drain, and (under
-// -DTSUNAMI_FAULT_INJECTION=ON) the injected net.* fault sites.
+// stalled-reader eviction, idle eviction, graceful drain, completions that
+// wake a sleeping loop, and (under -DTSUNAMI_FAULT_INJECTION=ON) the
+// injected net.* fault sites.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -257,7 +260,6 @@ class ServerHarness {
  public:
   ServerHarness(QueryService* service, ServerOptions options = {}) {
     options.port = 0;
-    options.tick_seconds = 0.002;  // Snappy polling for tests.
     server_ = std::make_unique<TsunamiServer>(service, options);
     std::string error;
     started_ = server_->Start(&error);
@@ -299,36 +301,90 @@ class ServerHarness {
   bool started_ = false;
 };
 
-TEST_F(NetTest, LoopbackSmokeMatchesExecute) {
-  QueryService service(index_.get());
-  ServerHarness harness(&service);
-  TsunamiClient client(harness.ClientFor());
-  ASSERT_TRUE(client.Ping());
+/// Answers like the index it wraps, but Execute parks on a gate until the
+/// test opens it, so a test decides how long its queries stay in flight.
+class GatedIndex : public MultiDimIndex {
+ public:
+  explicit GatedIndex(const MultiDimIndex* inner) : inner_(inner) {}
 
-  Rng rng(7);
-  for (int i = 0; i < 32; ++i) {
-    const Query q = i % 8 == 0 ? Region() : Needle(rng);
-    const ClientResult got = client.Run(q);
-    ASSERT_TRUE(got.ok()) << "query " << i << ": error="
-                          << net::ToString(got.error) << " outcome="
-                          << ToString(got.outcome) << " msg="
-                          << got.error_message;
-    const QueryResult want = index_->Execute(q);
-    EXPECT_EQ(got.result.agg, want.agg) << "query " << i;
-    EXPECT_EQ(got.result.scanned, want.scanned) << "query " << i;
-    EXPECT_EQ(got.result.matched, want.matched) << "query " << i;
-    ASSERT_EQ(got.result.extra.size(), want.extra.size());
-    for (size_t e = 0; e < want.extra.size(); ++e) {
-      EXPECT_EQ(got.result.extra[e], want.extra[e]);
+  std::string Name() const override { return "gated"; }
+  QueryResult Execute(const Query& query) const override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return open_; });
     }
-    EXPECT_GE(got.server_latency_seconds, 0.0);
+    return inner_->Execute(query);
   }
-  harness.Stop();
-  const net::ServerStats stats = harness.server().stats();
-  EXPECT_EQ(stats.queries_admitted, 32);
-  EXPECT_EQ(stats.results_sent, 32);
-  EXPECT_EQ(stats.orphaned_awaited, 0);
-  EXPECT_EQ(stats.malformed_frames, 0);
+  int64_t IndexSizeBytes() const override { return inner_->IndexSizeBytes(); }
+  const ColumnStore& store() const override { return inner_->store(); }
+
+  /// Blocks until some Execute is parked at the gate.
+  void WaitEntered() const {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  const MultiDimIndex* inner_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool entered_ = false;
+  bool open_ = false;
+};
+
+/// Opens the gate when the test scope ends, on every exit path: the
+/// harness's stop and the service's destructor both wait for parked
+/// queries. Declare it after the harness so it runs first.
+struct OpenGateOnExit {
+  GatedIndex* gate;
+  ~OpenGateOnExit() { gate->Open(); }
+};
+
+// Also served by an inline (threads = 0) service, whose queries finish and
+// push their completion inside Submit, before the server has routed the
+// ticket.
+TEST_F(NetTest, LoopbackSmokeMatchesExecute) {
+  for (int threads : {-1, 0}) {
+    SCOPED_TRACE(std::to_string(threads) + " service threads");
+    ServiceOptions service_options;
+    service_options.threads = threads;
+    QueryService service(index_.get(), service_options);
+    ServerHarness harness(&service);
+    TsunamiClient client(harness.ClientFor());
+    ASSERT_TRUE(client.Ping());
+
+    Rng rng(7);
+    for (int i = 0; i < 32; ++i) {
+      const Query q = i % 8 == 0 ? Region() : Needle(rng);
+      const ClientResult got = client.Run(q);
+      ASSERT_TRUE(got.ok()) << "query " << i << ": error="
+                            << net::ToString(got.error) << " outcome="
+                            << ToString(got.outcome) << " msg="
+                            << got.error_message;
+      const QueryResult want = index_->Execute(q);
+      EXPECT_EQ(got.result.agg, want.agg) << "query " << i;
+      EXPECT_EQ(got.result.scanned, want.scanned) << "query " << i;
+      EXPECT_EQ(got.result.matched, want.matched) << "query " << i;
+      ASSERT_EQ(got.result.extra.size(), want.extra.size());
+      for (size_t e = 0; e < want.extra.size(); ++e) {
+        EXPECT_EQ(got.result.extra[e], want.extra[e]);
+      }
+      EXPECT_GE(got.server_latency_seconds, 0.0);
+    }
+    harness.Stop();
+    const net::ServerStats stats = harness.server().stats();
+    EXPECT_EQ(stats.queries_admitted, 32);
+    EXPECT_EQ(stats.results_sent, 32);
+    EXPECT_EQ(stats.orphaned_awaited, 0);
+    EXPECT_EQ(stats.malformed_frames, 0);
+  }
 }
 
 TEST_F(NetTest, ReadOnlyServerRejectsInsertsWithTypedError) {
@@ -523,15 +579,17 @@ TEST_F(NetTest, BadVersionAndBadTypeAndBadMagic) {
 }
 
 TEST_F(NetTest, PerConnectionInflightCapReturnsClientBusy) {
-  QueryService service(index_.get());  // Unbounded service: isolate the cap.
+  // Unbounded service: isolate the cap. The gate holds the first two
+  // queries in flight, so every later frame of the burst finds the
+  // connection at its cap however the frames arrive.
+  GatedIndex gated(index_.get());
+  QueryService service(&gated);
   ServerOptions so;
   so.max_inflight_per_conn = 2;
   ServerHarness harness(&service, so);
+  OpenGateOnExit open_on_exit{&gated};
   TsunamiClient client(harness.ClientFor());
 
-  // Pipeline many expensive queries at once: the server reads the burst in
-  // one pass, so admissions 3.. find the connection at its cap while the
-  // single worker is still scanning query 1.
   const int kBurst = 16;
   std::vector<uint64_t> ids;
   for (int i = 0; i < kBurst; ++i) {
@@ -539,31 +597,35 @@ TEST_F(NetTest, PerConnectionInflightCapReturnsClientBusy) {
     ASSERT_NE(id, 0u);
     ids.push_back(id);
   }
-  int completed = 0, busy = 0;
-  for (uint64_t id : ids) {
+  for (int i = 2; i < kBurst; ++i) {
     ClientResult r;
-    ASSERT_TRUE(client.Await(id, &r));
-    if (r.ok()) {
-      ++completed;
-    } else {
-      ASSERT_EQ(r.error, WireError::kClientBusy) << net::ToString(r.error);
-      ++busy;
-    }
+    ASSERT_TRUE(client.Await(ids[i], &r)) << "request " << i;
+    EXPECT_EQ(r.error, WireError::kClientBusy)
+        << "request " << i << ": " << net::ToString(r.error);
   }
-  EXPECT_EQ(completed + busy, kBurst);
-  EXPECT_GE(completed, 1);
-  EXPECT_GE(busy, 1) << "burst never hit the per-connection cap";
+  gated.Open();
+  const QueryResult want = index_->Execute(Region());
+  for (int i = 0; i < 2; ++i) {
+    ClientResult r;
+    ASSERT_TRUE(client.Await(ids[i], &r)) << "request " << i;
+    ASSERT_TRUE(r.ok()) << "request " << i << ": " << net::ToString(r.error);
+    EXPECT_EQ(r.result.agg, want.agg) << "request " << i;
+  }
   // A retrying client eventually lands every query.
   const ClientResult retried = client.Run(Region());
   EXPECT_TRUE(retried.ok());
 }
 
 TEST_F(NetTest, QueueFullIsTypedAndRetryable) {
+  // The gate holds the one admitted query, so the rest of the burst
+  // overflows the one-query queue however the frames arrive.
+  GatedIndex gated(index_.get());
   ServiceOptions service_options;
   service_options.max_queued_queries = 1;
   service_options.low_priority_watermark = 1.0;
-  QueryService service(index_.get(), service_options);
+  QueryService service(&gated, service_options);
   ServerHarness harness(&service);
+  OpenGateOnExit open_on_exit{&gated};
   TsunamiClient client(harness.ClientFor());
 
   const int kBurst = 16;
@@ -573,20 +635,18 @@ TEST_F(NetTest, QueueFullIsTypedAndRetryable) {
     ASSERT_NE(id, 0u);
     ids.push_back(id);
   }
-  int completed = 0, rejected = 0;
-  for (uint64_t id : ids) {
+  for (int i = 1; i < kBurst; ++i) {
     ClientResult r;
-    ASSERT_TRUE(client.Await(id, &r));
-    if (r.ok()) {
-      ++completed;
-    } else {
-      ASSERT_EQ(r.error, WireError::kQueueFull) << net::ToString(r.error);
-      EXPECT_TRUE(net::IsRetryable(r.error));
-      ++rejected;
-    }
+    ASSERT_TRUE(client.Await(ids[i], &r)) << "request " << i;
+    EXPECT_EQ(r.error, WireError::kQueueFull)
+        << "request " << i << ": " << net::ToString(r.error);
+    EXPECT_TRUE(net::IsRetryable(r.error));
   }
-  EXPECT_EQ(completed + rejected, kBurst);
-  EXPECT_GE(rejected, 1) << "burst never overflowed the admission queue";
+  gated.Open();
+  ClientResult first;
+  ASSERT_TRUE(client.Await(ids[0], &first));
+  ASSERT_TRUE(first.ok()) << net::ToString(first.error);
+  EXPECT_EQ(first.result.agg, index_->Execute(Region()).agg);
   // Run()'s bounded backoff retries recover once the queue clears.
   const ClientResult retried = client.Run(Region());
   EXPECT_TRUE(retried.ok()) << net::ToString(retried.error);
@@ -602,7 +662,7 @@ TEST_F(NetTest, DeadlinePropagatesToServerSideTimeout) {
 
   const ClientResult r = client.Run(Region(), /*priority=*/0,
                                     /*deadline_seconds=*/1e-6);
-  ASSERT_TRUE(r.transport_ok);
+  ASSERT_TRUE(r.transport_ok) << r.error_message;
   ASSERT_EQ(r.error, WireError::kNone) << net::ToString(r.error);
   EXPECT_EQ(r.outcome, QueryOutcome::kTimedOut) << ToString(r.outcome);
   // Fail-closed: the identity result, never partial aggregates.
@@ -614,6 +674,7 @@ TEST_F(NetTest, IdleConnectionsAreEvicted) {
   QueryService service(index_.get());
   ServerOptions so;
   so.idle_timeout_seconds = 0.05;
+  so.tick_seconds = 0.002;  // The timer wheel's granularity.
   ServerHarness harness(&service, so);
   TsunamiClient client(harness.ClientFor());
   ASSERT_TRUE(client.Ping());
@@ -625,50 +686,101 @@ TEST_F(NetTest, IdleConnectionsAreEvicted) {
   EXPECT_GE(harness.server().stats().evicted_idle, 1);
 }
 
+// Run at a 2 ms tick, and at a 0.5 s tick where the stall begins inside
+// the loop's first tick (which must still count as stalled).
 TEST_F(NetTest, StalledReaderIsEvicted) {
-  QueryService service(index_.get());
+  for (double tick_seconds : {0.002, 0.5}) {
+    SCOPED_TRACE("tick " + std::to_string(tick_seconds) + " s");
+    QueryService service(index_.get());
+    ServerOptions so;
+    so.sndbuf_bytes = 4096;  // Tiny socket buffer: responses back up fast.
+    so.pause_read_watermark = 16 << 10;
+    so.resume_read_watermark = 4 << 10;
+    so.write_stall_timeout_seconds = 0.1;
+    so.idle_timeout_seconds = 30.0;  // Isolate: only the stall can evict.
+    so.tick_seconds = tick_seconds;  // The timer wheel's granularity.
+    so.max_inflight_per_conn = 64;
+    ServerHarness harness(&service, so);
+    ClientOptions copts = harness.ClientFor();
+    copts.rcvbuf_bytes = 4096;  // Shrink the reader side too.
+    TsunamiClient client(copts);
+
+    // Many multi-aggregate responses (~KBs each) against 4KB socket
+    // buffers and a reader that never reads: the server's write buffer
+    // stalls, and the stall timer evicts the connection instead of
+    // buffering forever. The empty-range filter keeps execution cheap (no
+    // rows match); the response still carries all 3000 accumulators.
+    Query wide;
+    wide.filters.push_back(Predicate{0, 1, 0});
+    std::vector<AggregateSpec> specs;
+    for (int i = 0; i < 3000; ++i) {
+      specs.push_back(AggregateSpec{AggKind::kCount, 0});
+    }
+    wide.SetAggregates(std::move(specs));
+    for (int i = 0; i < 24; ++i) {
+      ASSERT_NE(client.Submit(wide), 0u);
+    }
+    // Never Await: just wait for the eviction.
+    Timer timer;
+    bool evicted = false;
+    while (timer.ElapsedSeconds() < 20.0) {
+      if (harness.server().stats().evicted_stalled >= 1) {
+        evicted = true;
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    EXPECT_TRUE(evicted) << "stalled reader was never evicted";
+    harness.Stop();
+    // No ticket leaked: whatever was in flight when the connection died
+    // was still awaited and discarded.
+    EXPECT_EQ(harness.server().stats().inflight, 0);
+  }
+}
+
+// A query that finishes while the loop sleeps must wake the loop. With a
+// 30 s tick the loop wakes only for socket traffic and completions, so an
+// answer that instead waited for the next tick would outlast the client's
+// 5 s I/O timeout.
+TEST_F(NetTest, CompletionWakesSleepingLoop) {
+  GatedIndex gated(index_.get());
+  ServiceOptions service_options;
+  service_options.threads = 1;
+  QueryService service(&gated, service_options);
   ServerOptions so;
-  so.sndbuf_bytes = 4096;  // Tiny socket buffer: responses back up fast.
-  so.pause_read_watermark = 16 << 10;
-  so.resume_read_watermark = 4 << 10;
-  so.write_stall_timeout_seconds = 0.1;
-  so.idle_timeout_seconds = 30.0;  // Isolate: only the stall can evict.
-  so.max_inflight_per_conn = 64;
+  so.tick_seconds = 30.0;
   ServerHarness harness(&service, so);
+  OpenGateOnExit open_on_exit{&gated};
   ClientOptions copts = harness.ClientFor();
-  copts.rcvbuf_bytes = 4096;  // Shrink the reader side too.
+  copts.io_timeout_seconds = 5.0;
+  copts.max_retries = 0;
   TsunamiClient client(copts);
 
-  // Many multi-aggregate responses (~KBs each) against 4KB socket buffers
-  // and a reader that never reads: the server's write buffer stalls, and
-  // the stall timer evicts the connection instead of buffering forever.
-  // The empty-range filter keeps execution cheap (no rows match); the
-  // response still carries all 3000 accumulators.
-  Query wide;
-  wide.filters.push_back(Predicate{0, 1, 0});
-  std::vector<AggregateSpec> specs;
-  for (int i = 0; i < 3000; ++i) {
-    specs.push_back(AggregateSpec{AggKind::kCount, 0});
+  Rng rng(17);
+  const Query q = Needle(rng);
+  const uint64_t id = client.Submit(q);
+  ASSERT_NE(id, 0u);
+  // The query is parked on the worker, and the loop has published its
+  // admission — the last thing an iteration does before epoll_wait.
+  gated.WaitEntered();
+  Timer admit_timer;
+  while (harness.server().stats().queries_admitted < 1 &&
+         admit_timer.ElapsedSeconds() < 5.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  wide.SetAggregates(std::move(specs));
-  for (int i = 0; i < 24; ++i) {
-    ASSERT_NE(client.Submit(wide), 0u);
-  }
-  // Never Await: just wait for the eviction.
-  Timer timer;
-  bool evicted = false;
-  while (timer.ElapsedSeconds() < 20.0) {
-    if (harness.server().stats().evicted_stalled >= 1) {
-      evicted = true;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  EXPECT_TRUE(evicted) << "stalled reader was never evicted";
-  harness.Stop();
-  // No ticket leaked: whatever was in flight when the connection died was
-  // still awaited and discarded.
-  EXPECT_EQ(harness.server().stats().inflight, 0);
+  ASSERT_EQ(harness.server().stats().queries_admitted, 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  gated.Open();
+  Timer reply_timer;
+  ClientResult got;
+  ASSERT_TRUE(client.Await(id, &got)) << "the answer waited for the tick";
+  EXPECT_LT(reply_timer.ElapsedSeconds(), 1.0);
+  ASSERT_TRUE(got.ok()) << net::ToString(got.error) << " "
+                        << ToString(got.outcome);
+  const QueryResult want = index_->Execute(q);
+  EXPECT_EQ(got.result.agg, want.agg);
+  EXPECT_EQ(got.result.matched, want.matched);
 }
 
 TEST_F(NetTest, GracefulDrainFinishesInflightAndRejectsNew) {

@@ -11,9 +11,11 @@
 //    unattached engine returns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -998,6 +1000,60 @@ TEST_F(QueryServiceTest, DrainRejectsNewWhileFinishingInflight) {
   QueryService::Admission post = service.Submit(Needle(rng));
   EXPECT_EQ(post.outcome, AdmissionOutcome::kDraining)
       << ToString(post.outcome);
+}
+
+// SubmitOptions::on_complete pushes each admitted query's ticket exactly
+// once, by the time its answer is final; a refused admission never fires.
+// An empty-range query decomposes to no chunks, so its push runs inside
+// Submit itself.
+TEST_F(QueryServiceTest, OnCompleteFiresOncePerAdmittedQuery) {
+  FloodIndex index(data_, workload_);
+  for (int threads : {0, 2}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    std::mutex mu;
+    std::vector<QueryService::Ticket> fired;
+    std::vector<QueryService::Ticket> tickets;
+    std::vector<Query> queries;
+    {
+      ServiceOptions options;
+      options.threads = threads;
+      QueryService service(&index, options);
+      SubmitOptions submit;
+      submit.on_complete = [&mu, &fired](uint64_t ticket) {
+        std::lock_guard<std::mutex> lock(mu);
+        fired.push_back(ticket);
+      };
+      Rng rng(300);
+      Query empty;
+      empty.filters.push_back(Predicate{0, 1, 0});
+      empty.SetAggregates({{AggKind::kCount, 0}});
+      for (int i = 0; i < 16; ++i) {
+        queries.push_back(i == 7 ? empty : i % 5 == 0 ? Region() : Needle(rng));
+        const QueryService::Admission a = service.Submit(queries.back(), submit);
+        ASSERT_TRUE(a.admitted()) << ToString(a.outcome);
+        tickets.push_back(a.ticket);
+      }
+      service.BeginDrain();
+      EXPECT_FALSE(service.Submit(Needle(rng), submit).admitted());
+
+      Timer timer;
+      for (;;) {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          if (fired.size() >= tickets.size()) break;
+        }
+        ASSERT_LT(timer.ElapsedSeconds(), 10.0) << "a completion never fired";
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      for (size_t i = 0; i < tickets.size(); ++i) {
+        ExpectBitIdentical(service.Await(tickets[i]), index.Execute(queries[i]),
+                           "query " + std::to_string(i));
+      }
+    }
+    // The service is gone, so every continuation has finished running.
+    std::sort(fired.begin(), fired.end());
+    EXPECT_EQ(fired, tickets);
+  }
 }
 
 }  // namespace

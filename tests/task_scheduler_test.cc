@@ -1,12 +1,14 @@
 // Tests for the work-stealing task scheduler: every chunk runs exactly
 // once (any thread count, concurrent submitters), Wait/Finished semantics,
-// inline determinism, priority jumping the queue, and stealing actually
-// firing on a skewed job mix.
+// inline determinism, priority jumping the queue, stealing actually firing
+// on a skewed job mix, and job continuations running exactly once after
+// completion (threaded, inline, zero-chunk, and failed jobs).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -258,6 +260,129 @@ TEST(TaskSchedulerTest, DestructorDrainsQueuedChunks) {
     // No Wait: destruction must drain everything.
   }
   EXPECT_EQ(ran.load(), 32 * 16);
+}
+
+// What one job's continuation observed when it ran.
+struct ContinuationRecord {
+  std::atomic<int> runs{0};
+  std::atomic<bool> saw_finished{false};
+  std::atomic<bool> saw_failed{false};
+  std::atomic<int64_t> chunks_done_at_run{-1};
+  std::thread::id thread;
+};
+
+// A continuation that records into `rec`; `chunks_done` counts the job's
+// finished chunks, so the record shows whether every chunk had ended.
+std::function<void(const TaskScheduler::Job&)> Record(
+    ContinuationRecord* rec, const std::atomic<int64_t>* chunks_done) {
+  return [rec, chunks_done](const TaskScheduler::Job& job) {
+    rec->saw_finished.store(job.finished());
+    rec->saw_failed.store(job.failed());
+    rec->chunks_done_at_run.store(chunks_done->load());
+    rec->thread = std::this_thread::get_id();
+    rec->runs.fetch_add(1);
+  };
+}
+
+TEST(TaskSchedulerTest, ContinuationRunsOnceAfterFinishOnWorker) {
+  const int kJobs = 48;
+  std::vector<ContinuationRecord> recs(kJobs);
+  std::vector<std::atomic<int64_t>> done(kJobs);
+  {
+    TaskScheduler scheduler(4);
+    for (int j = 0; j < kJobs; ++j) {
+      const int64_t chunks = 1 + j % 17;
+      scheduler.Submit(
+          chunks,
+          [&done, j](int64_t, int) {
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+            done[j].fetch_add(1);
+          },
+          /*priority=*/j % 2, Record(&recs[j], &done[j]));
+    }
+    // Destruction drains every chunk and joins the workers, so each
+    // continuation has run to completion once the scope closes.
+  }
+  for (int j = 0; j < kJobs; ++j) {
+    EXPECT_EQ(recs[j].runs.load(), 1) << "job " << j;
+    EXPECT_TRUE(recs[j].saw_finished.load()) << "job " << j;
+    EXPECT_FALSE(recs[j].saw_failed.load()) << "job " << j;
+    EXPECT_EQ(recs[j].chunks_done_at_run.load(), 1 + j % 17) << "job " << j;
+    EXPECT_NE(recs[j].thread, std::this_thread::get_id()) << "job " << j;
+  }
+}
+
+TEST(TaskSchedulerTest, ContinuationRunsInsideSubmitWhenInline) {
+  TaskScheduler scheduler(0);
+  ContinuationRecord rec;
+  std::atomic<int64_t> done{0};
+  TaskScheduler::JobRef job = scheduler.Submit(
+      8, [&done](int64_t, int) { done.fetch_add(1); }, 0,
+      Record(&rec, &done));
+  // Already ran, on this thread, before Submit returned.
+  EXPECT_EQ(rec.runs.load(), 1);
+  EXPECT_TRUE(rec.saw_finished.load());
+  EXPECT_EQ(rec.chunks_done_at_run.load(), 8);
+  EXPECT_EQ(rec.thread, std::this_thread::get_id());
+  scheduler.Wait(job);
+  EXPECT_EQ(rec.runs.load(), 1);
+}
+
+TEST(TaskSchedulerTest, ZeroChunkJobRunsContinuationOnSubmitter) {
+  TaskScheduler scheduler(2);
+  ContinuationRecord rec;
+  std::atomic<int64_t> done{0};
+  TaskScheduler::JobRef job = scheduler.Submit(
+      0, [](int64_t, int) { FAIL() << "no chunks should run"; }, 0,
+      Record(&rec, &done));
+  EXPECT_EQ(rec.runs.load(), 1);
+  EXPECT_TRUE(rec.saw_finished.load());
+  EXPECT_FALSE(rec.saw_failed.load());
+  EXPECT_EQ(rec.thread, std::this_thread::get_id());
+  EXPECT_TRUE(TaskScheduler::Finished(job));
+}
+
+// A failed job must still run its continuation: a caller that learns of
+// completion only through it (the network event loop) would otherwise
+// strand the job's ticket forever.
+TEST(TaskSchedulerTest, FailedJobStillRunsContinuation) {
+  for (int threads : {0, 2}) {
+    ContinuationRecord rec;
+    std::atomic<int64_t> done{0};
+    {
+      TaskScheduler scheduler(threads);
+      scheduler.Submit(
+          16,
+          [&done](int64_t c, int) {
+            done.fetch_add(1);
+            if (c == 3) throw std::runtime_error("injected chunk fault");
+          },
+          0, Record(&rec, &done));
+    }
+    EXPECT_EQ(rec.runs.load(), 1) << threads << " threads";
+    EXPECT_TRUE(rec.saw_finished.load()) << threads << " threads";
+    EXPECT_TRUE(rec.saw_failed.load()) << threads << " threads";
+    EXPECT_EQ(rec.chunks_done_at_run.load(), 16) << threads << " threads";
+  }
+}
+
+TEST(TaskSchedulerTest, ThrowingContinuationIsCountedNotPropagated) {
+  for (int threads : {0, 2}) {
+    TaskScheduler scheduler(threads);
+    scheduler.Submit(4, [](int64_t, int) {}, 0,
+                     [](const TaskScheduler::Job&) {
+                       throw std::runtime_error("continuation fault");
+                     });
+    // The worker survived: the scheduler still runs jobs afterwards.
+    std::atomic<int64_t> ran{0};
+    scheduler.Wait(scheduler.Submit(
+        8, [&ran](int64_t, int) { ran.fetch_add(1); }));
+    EXPECT_EQ(ran.load(), 8) << threads << " threads";
+    for (int i = 0; i < 5000 && scheduler.stats().task_failures < 1; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(scheduler.stats().task_failures, 1) << threads << " threads";
+  }
 }
 
 }  // namespace
