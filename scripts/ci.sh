@@ -14,8 +14,9 @@
 #     TSUNAMI_FORCE_SCALAR, exercising the runtime-degraded dispatch path
 #     in the full-SIMD binary;
 #  5. a ThreadSanitizer build gating the concurrency suites (work-stealing
-#     scheduler, query service, thread pool/runner, and the network front
-#     end, whose query completions cross from scheduler workers to the
+#     scheduler, query service, thread pool/runner, the batch API, whose
+#     pooled workers scan live delta chunks, and the network front end,
+#     whose query completions cross from scheduler workers to the
 #     event-loop thread) — the serving path is lock-and-deque code and must
 #     stay race-clean, not just correct. Built with
 #     -DTSUNAMI_FAULT_INJECTION=ON so the fault-injection soaks (thrown
@@ -79,9 +80,10 @@ TSUNAMI_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure \
 cmake -B build-tsan -S . -DTSUNAMI_WERROR=ON -DTSUNAMI_SANITIZE=thread \
   -DTSUNAMI_FAULT_INJECTION=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j"$(nproc)" --target \
-  task_scheduler_test query_service_test exec_test ingest_test net_test
-ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-  -R 'task_scheduler_test|query_service_test|exec_test|ingest_test|net_test'
+  task_scheduler_test query_service_test exec_test ingest_test net_test \
+  batch_api_test
+ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" -R \
+  'task_scheduler_test|query_service_test|exec_test|ingest_test|net_test|batch_api_test'
 
 # Sixth pass: ASan+UBSan on the robustness suites (storage integrity, file
 # error paths, scheduler exception-safety, service overload/degrade), fault

@@ -212,10 +212,10 @@ class MultiDimIndex {
                                   ExecContext& ctx) const;
 
   /// The non-range epilogue of a task-backed plan: whatever Execute() does
-  /// besides scanning the planned ranges (Tsunami's delta buffer, the
-  /// Hermit index's uncovered-outlier probes). The decomposition contract
-  /// every external executor (ExecutePlan here, QueryService's chunked
-  /// scheduler jobs) relies on is:
+  /// besides scanning the planned ranges (an IngestStore snapshot's delta
+  /// chunks, the Hermit index's uncovered-outlier probes). The
+  /// decomposition contract every external executor (ExecutePlan here,
+  /// QueryService's chunked scheduler jobs) relies on is:
   ///
   ///   Execute(plan.query) == plan.counters
   ///                          (+) scan of plan.tasks against PlanTarget's

@@ -153,10 +153,6 @@ std::string TsunamiIndex::Describe(
                     static_cast<long long>(region.grid.num_cells()),
                     static_cast<long long>(region.grid.num_outliers()));
   }
-  if (delta_rows_ > 0) {
-    AppendFormatted(&out, "delta buffer: %lld unmerged rows\n",
-                    static_cast<long long>(delta_rows_));
-  }
   return out;
 }
 

@@ -7,35 +7,20 @@
 #include "src/common/stats.h"
 #include "src/common/workload_stats.h"
 #include "src/exec/thread_pool.h"
-#include "src/storage/scan_kernel_simd.h"
 
 namespace tsunami {
 
 TsunamiIndex::TsunamiIndex(const Dataset& data, const Workload& workload,
                            const TsunamiOptions& options)
-    : name_(options.name),
-      use_grid_tree_(options.use_grid_tree),
-      delta_cols_(data.dims()) {
+    : name_(options.name), use_grid_tree_(options.use_grid_tree) {
   BuildIndex(data, workload, options, /*previous=*/nullptr);
-}
-
-TsunamiIndex::TsunamiIndex(const TsunamiIndex& previous,
-                           const Workload& new_workload,
-                           const TsunamiOptions& options)
-    : name_(options.name),
-      use_grid_tree_(options.use_grid_tree),
-      delta_cols_(previous.store_.dims()) {
-  Dataset data = previous.MaterializeData();
-  BuildIndex(data, new_workload, options, &previous);
 }
 
 TsunamiIndex::TsunamiIndex(const TsunamiIndex& previous,
                            const Dataset& extra_rows,
                            const Workload& new_workload,
                            const TsunamiOptions& options)
-    : name_(options.name),
-      use_grid_tree_(options.use_grid_tree),
-      delta_cols_(previous.store_.dims()) {
+    : name_(options.name), use_grid_tree_(options.use_grid_tree) {
   Dataset data = previous.MaterializeData();
   data.Reserve(data.size() + extra_rows.size());
   std::vector<Value> row(data.dims());
@@ -235,15 +220,12 @@ void TsunamiIndex::BuildIndex(const Dataset& data, const Workload& workload,
   }
   stats_.sort_seconds = sort_seconds + sort_timer.ElapsedSeconds();
 
-  // Retain the folded delta rows' raw values keyed by physical position:
-  // the incremental rebuild consumed `previous`'s delta buffer (its rows
-  // are the tail of MaterializeData's output), and keeping their values
-  // lets RepairQuarantinedFromDelta re-encode a freshly folded block whose
+  // Retain the folded rows' raw values keyed by physical position: the fold
+  // constructor appended them after `previous`'s rows, so everything past
+  // the previous store's size is fold-origin. Keeping their values lets
+  // RepairQuarantinedFromDelta re-encode a freshly folded block whose
   // checksum later fails, instead of serving it degraded until the next
   // full rebuild.
-  // (Both the previous index's buffered rows and any external extra rows
-  // appended by the fold constructor count: everything past the previous
-  // store's size is fold-origin.)
   fold_backup_ = FoldBackup{};
   if (previous != nullptr && data.size() > previous->store_.size()) {
     const uint32_t first_delta =
@@ -303,23 +285,12 @@ std::unique_ptr<TsunamiIndex> TsunamiIndex::RepairedCopy(
   return clone;
 }
 
-void TsunamiIndex::Insert(const std::vector<Value>& row) {
-  for (size_t d = 0; d < delta_cols_.size(); ++d) {
-    delta_cols_[d].push_back(row[d]);
-  }
-  ++delta_rows_;
-}
-
 Dataset TsunamiIndex::MaterializeData() const {
   Dataset data(store_.dims(), {});
-  data.Reserve(store_.size() + delta_rows_);
+  data.Reserve(store_.size());
   std::vector<Value> row(store_.dims());
   for (int64_t r = 0; r < store_.size(); ++r) {
     for (int d = 0; d < store_.dims(); ++d) row[d] = store_.Get(r, d);
-    data.AppendRow(row);
-  }
-  for (int64_t r = 0; r < delta_rows_; ++r) {
-    for (int d = 0; d < store_.dims(); ++d) row[d] = delta_cols_[d][r];
     data.AppendRow(row);
   }
   return data;
@@ -348,78 +319,6 @@ void TsunamiIndex::PlanRegion(int region, const Query& query,
   }
 }
 
-void TsunamiIndex::ExecuteRegion(int region, const Query& query,
-                                 QueryResult* result) const {
-  static thread_local std::vector<RangeTask> tasks;
-  tasks.clear();
-  PlanRegion(region, query, &tasks, result);
-  if (!tasks.empty()) store_.ScanRanges(tasks, query, result);
-}
-
-void TsunamiIndex::ExecuteDelta(const Query& query,
-                                QueryResult* result) const {
-  // Inserted-but-unmerged rows: columnar scan of the delta buffer through
-  // the same SimdOps compare+compress passes as the clustered store —
-  // kScanBlockRows-sized chunks build a selection vector, then the
-  // aggregate tails gather the survivors. Sums are associative modulo 2^64
-  // and min/max are associative, so the result is bit-identical to the old
-  // row-at-a-time loop.
-  if (delta_rows_ == 0) return;
-  ++result->cell_ranges;
-  result->scanned += delta_rows_;
-  const SimdOps& ops = OpsForTier(SimdTier::kAuto);
-  const std::vector<Predicate>& filters = query.filters;
-  const int num_aggs = query.num_aggs();
-  uint32_t sel[kScanBlockRows];
-  for (int64_t begin = 0; begin < delta_rows_; begin += kScanBlockRows) {
-    const int count =
-        static_cast<int>(std::min(kScanBlockRows, delta_rows_ - begin));
-    int n;
-    if (filters.empty()) {
-      for (int i = 0; i < count; ++i) sel[i] = static_cast<uint32_t>(i);
-      n = count;
-    } else {
-      const Predicate& first = filters[0];
-      n = ops.first_pass(delta_cols_[first.dim].data() + begin, count,
-                         first.lo, first.hi, sel);
-      for (size_t f = 1; f < filters.size() && n > 0; ++f) {
-        const Predicate& p = filters[f];
-        n = ops.refine_pass(delta_cols_[p.dim].data() + begin, sel, n, p.lo,
-                            p.hi);
-      }
-    }
-    if (n == 0) continue;
-    result->matched += n;
-    for (int a = 0; a < num_aggs; ++a) {
-      const AggregateSpec spec = query.agg_spec(a);
-      int64_t* acc = result->agg_accumulator(a);
-      if (spec.op == AggKind::kCount) {
-        *acc += n;
-        continue;
-      }
-      const Value* col = delta_cols_[spec.column].data() + begin;
-      switch (spec.op) {
-        case AggKind::kCount:
-          break;
-        case AggKind::kSum:
-        case AggKind::kAvg:
-          *acc += ops.sum_gather(col, sel, n);
-          break;
-        case AggKind::kMin: {
-          Value m = ops.min_gather(col, sel, n);
-          if (m < *acc) *acc = m;
-          break;
-        }
-        case AggKind::kMax: {
-          Value m = ops.max_gather(col, sel, n);
-          if (m > *acc) *acc = m;
-          break;
-        }
-      }
-    }
-  }
-}
-
 QueryResult TsunamiIndex::Execute(const Query& query) const {
   QueryResult result = InitResult(query);
   static thread_local std::vector<int> hits;
@@ -434,7 +333,6 @@ QueryResult TsunamiIndex::Execute(const Query& query) const {
   // hand the whole batch to the scan kernel in one call.
   for (int region : hits) PlanRegion(region, query, &tasks, &result);
   store_.ScanRanges(tasks, query, &result);
-  ExecuteDelta(query, &result);
   return result;
 }
 
@@ -455,13 +353,6 @@ QueryPlan TsunamiIndex::Prepare(const Query& query) const {
   return plan;
 }
 
-void TsunamiIndex::FinishPlan(const QueryPlan& plan,
-                              QueryResult* result) const {
-  // Planned range scans cover the clustered store only; the delta buffer
-  // is the plan's non-range epilogue, whatever executor ran the scans.
-  ExecuteDelta(plan.query, result);
-}
-
 int64_t TsunamiIndex::IndexSizeBytes() const {
   int64_t bytes = use_grid_tree_ ? tree_.SizeBytes() : 0;
   for (const Region& reg : regions_) {
@@ -477,10 +368,13 @@ bool TsunamiIndex::SaveToFile(const std::string& path,
   BinaryWriter writer;
   writer.PutString(name_);
   writer.PutBool(use_grid_tree_);
-  // Delta buffer, columnar (mirrors the in-memory layout).
-  writer.PutVarI64(static_cast<int64_t>(delta_cols_.size()));
-  writer.PutVarI64(delta_rows_);
-  for (const std::vector<Value>& col : delta_cols_) writer.PutValueVec(col);
+  // Delta section (format v3): dims, row count, one column per dim. The
+  // index no longer buffers inserts, so it is always written empty — which
+  // keeps the payload byte-identical to the format every earlier
+  // checkpoint used, with no version branch in either direction.
+  writer.PutVarI64(store_.dims());
+  writer.PutVarI64(0);
+  for (int d = 0; d < store_.dims(); ++d) writer.PutValueVec({});
   tree_.Serialize(&writer);
   store_.Serialize(&writer);
 
@@ -540,14 +434,19 @@ std::unique_ptr<TsunamiIndex> TsunamiIndex::LoadFromFile(
         delta_rows < 0) {
       return fail("corrupt snapshot: delta buffer");
     }
-    index->delta_cols_.assign(delta_dims, {});
+    // Rows here were inserted into an index that had its own buffer; this
+    // index cannot hold them, and dropping them would lose data.
+    if (delta_rows > 0) {
+      return fail("unsupported snapshot: delta buffer carries " +
+                  std::to_string(delta_rows) +
+                  " row(s); re-ingest them through IngestStore");
+    }
+    std::vector<Value> col;
     for (int64_t d = 0; d < delta_dims; ++d) {
-      if (!reader.GetValueVec(&index->delta_cols_[d]) ||
-          static_cast<int64_t>(index->delta_cols_[d].size()) != delta_rows) {
+      if (!reader.GetValueVec(&col) || !col.empty()) {
         return fail("corrupt snapshot: delta buffer");
       }
     }
-    index->delta_rows_ = delta_rows;
   }
   if (!index->tree_.Deserialize(&reader)) {
     return fail("corrupt snapshot: grid tree");

@@ -2,6 +2,11 @@
 // the workload into query types, builds a Grid Tree to carve the space into
 // low-skew regions, and indexes each region that queries touch with an
 // optimized Augmented Grid. Regions no query intersects get no index.
+//
+// The index is read-optimized and immutable once built (§8). Inserts go
+// through ingest::IngestStore: its delta chunks are scanned next to the
+// index and periodically folded into a rebuilt one by the fold
+// constructor below.
 #ifndef TSUNAMI_CORE_TSUNAMI_H_
 #define TSUNAMI_CORE_TSUNAMI_H_
 
@@ -75,18 +80,14 @@ class TsunamiIndex : public MultiDimIndex {
   TsunamiIndex(const Dataset& data, const Workload& workload,
                const TsunamiOptions& options);
 
-  /// Incremental re-optimization (§8): rebuilds for `new_workload` while
-  /// *reusing* the previous Grid Tree and, for regions whose workload
-  /// barely changed, the previous Augmented Grid plans — only regions that
-  /// saw significant shift pay the optimization cost again. Folds
-  /// `previous`'s delta buffer into the rebuilt index.
-  TsunamiIndex(const TsunamiIndex& previous, const Workload& new_workload,
-               const TsunamiOptions& options);
-
-  /// Incremental re-optimization that additionally folds `extra_rows` in
-  /// (the ingest compactor's path: `previous` is an immutable published
-  /// index whose delta buffer is empty, and the rows to merge live in
-  /// external delta chunks). Same tree/plan reuse as the constructor above.
+  /// Fold constructor — incremental re-optimization (§8): rebuilds
+  /// `previous`'s rows plus `extra_rows` for `new_workload` while *reusing*
+  /// the previous Grid Tree and, for regions whose workload barely changed,
+  /// the previous Augmented Grid plans — only regions that saw significant
+  /// shift pay the optimization cost again. The ingest compactor passes the
+  /// rows of the delta chunks it folds; an empty `extra_rows` re-optimizes
+  /// the same rows. The folded rows' raw values are kept as the repair
+  /// source for RepairedCopy.
   TsunamiIndex(const TsunamiIndex& previous, const Dataset& extra_rows,
                const Workload& new_workload, const TsunamiOptions& options);
 
@@ -94,13 +95,9 @@ class TsunamiIndex : public MultiDimIndex {
   QueryResult Execute(const Query& query) const override;
 
   /// Plans every intersected region's RangeTasks up front (the batch path's
-  /// planning half). The returned plan scans through ExecutePlan.
+  /// planning half). The returned plan scans through ExecutePlan; the
+  /// planned ranges are the whole answer, so there is no FinishPlan work.
   QueryPlan Prepare(const Query& query) const override;
-
-  /// Plan epilogue: the delta buffer's contribution (§8 insertions), which
-  /// every executor of a Tsunami plan — base ExecutePlan, QueryService's
-  /// chunked scheduler jobs — adds after the planned range scans.
-  void FinishPlan(const QueryPlan& plan, QueryResult* result) const override;
 
   int64_t IndexSizeBytes() const override;
   const ColumnStore& store() const override { return store_; }
@@ -113,56 +110,34 @@ class TsunamiIndex : public MultiDimIndex {
   /// partition counts, cells, and outlier-buffer size.
   std::string Describe(const std::vector<std::string>& dim_names = {}) const;
 
-  // --- Insertions via a delta buffer (§8 "Data and Workload Shift") ---
-  // Tsunami is read-optimized; inserts append to an unsorted delta buffer
-  // that every query scans, and are periodically folded into a rebuilt
-  // index (the delta-index scheme of [39] the paper proposes). The buffer
-  // is columnar (one append-only vector per dimension), so delta execution
-  // runs the same SimdOps compare+compress passes as the clustered store
-  // instead of a row-major row-at-a-time loop.
-
-  /// Appends a row (one value per dimension) to the delta buffer.
-  void Insert(const std::vector<Value>& row);
-
-  /// Rows currently buffered.
-  int64_t delta_size() const { return delta_rows_; }
-
-  /// The full logical table (indexed rows + delta buffer) as a row-major
-  /// dataset; rebuild via `TsunamiIndex(index.MaterializeData(), ...)` to
-  /// merge the buffer.
+  /// The indexed rows as a row-major dataset, in clustered order.
   Dataset MaterializeData() const;
 
-  /// Re-materializes quarantined (checksum-failed) encoded blocks whose
-  /// rows all came from the most recent incremental rebuild's delta fold,
-  /// using the raw values retained from that fold — corruption confined to
-  /// freshly folded blocks heals in place instead of degrading every query
-  /// that touches them. Returns the number of blocks repaired; blocks with
-  /// any pre-fold row (and everything on an index without a fold, or
-  /// loaded from a snapshot — the backup is not persisted) are left
-  /// quarantined for a full rebuild to clear.
-  int64_t RepairQuarantinedFromDelta();
-
-  /// Copy-on-repair: clones this index, repairs the clone's quarantined
-  /// fold-origin blocks (exactly RepairQuarantinedFromDelta, but on the
-  /// copy), and returns it — `this` is never mutated, so readers pinned on
-  /// a snapshot holding it can never observe a half-repaired block. The
-  /// ingest layer publishes the clone as a new snapshot version. Safe to
-  /// call concurrently with scans of `this` (all mutable block state is
-  /// atomic); `repaired` receives the number of blocks healed.
+  /// Copy-on-repair: clones this index, re-materializes the clone's
+  /// quarantined (checksum-failed) blocks whose rows all came from the most
+  /// recent fold, using the raw values retained from that fold, and returns
+  /// it — `this` is never mutated, so readers pinned on a snapshot holding
+  /// it can never observe a half-repaired block. The ingest layer publishes
+  /// the clone as a new snapshot version. Blocks with any pre-fold row (and
+  /// everything on an index without a fold, or loaded from a snapshot — the
+  /// backup is not persisted) stay quarantined for a full rebuild to clear.
+  /// Safe to call concurrently with scans of `this` (all mutable block
+  /// state is atomic); `repaired` receives the number of blocks healed.
   std::unique_ptr<TsunamiIndex> RepairedCopy(int64_t* repaired = nullptr) const;
 
   // --- Persistence (§8 "Persistence") ---
   // A snapshot holds the clustered column store, the Grid Tree, every
-  // region's Augmented Grid and plan, the delta buffer, and build stats.
-  // Loading re-attaches grids to the store and serves queries immediately,
-  // without re-running optimization or re-sorting data.
+  // region's Augmented Grid and plan, and build stats. Loading re-attaches
+  // grids to the store and serves queries immediately, without re-running
+  // optimization or re-sorting data.
 
   /// Writes a framed, checksummed snapshot to `path`.
   bool SaveToFile(const std::string& path,
                   std::string* error = nullptr) const;
 
   /// Reopens a snapshot. Returns nullptr (with `error` set) on missing
-  /// file, version/kind mismatch, checksum failure, or corrupt payload.
+  /// file, version/kind mismatch, checksum failure, corrupt payload, or a
+  /// delta section that carries rows (see SaveToFile).
   static std::unique_ptr<TsunamiIndex> LoadFromFile(
       const std::string& path, std::string* error = nullptr);
 
@@ -187,28 +162,22 @@ class TsunamiIndex : public MultiDimIndex {
                   const TsunamiOptions& options,
                   const TsunamiIndex* previous);
 
-  // One region's contribution to a query (grid execution or raw scan).
-  void ExecuteRegion(int region, const Query& query,
-                     QueryResult* result) const;
   // Plans one region's RangeTasks (grid runs or the raw region range)
   // without scanning; counts visited ranges into counters->cell_ranges.
   void PlanRegion(int region, const Query& query,
                   std::vector<RangeTask>* tasks, QueryResult* counters) const;
-  // The delta buffer's contribution (always scanned, §8 insertions):
-  // chunked compare+compress through the auto-dispatched SimdOps, bit-
-  // identical to the old row-at-a-time loop.
-  void ExecuteDelta(const Query& query, QueryResult* result) const;
+
+  // RepairedCopy's in-place half, run on the fresh clone: re-encodes every
+  // quarantined block wholly covered by fold_backup_. Returns blocks healed.
+  int64_t RepairQuarantinedFromDelta();
 
   std::string name_;
   bool use_grid_tree_ = true;
-  // Columnar insert buffer, scanned by every query; one vector per dim.
-  std::vector<std::vector<Value>> delta_cols_;
-  int64_t delta_rows_ = 0;
-  /// Raw values of the rows folded out of the delta buffer by the most
-  /// recent incremental rebuild, keyed by their physical positions in the
-  /// clustered store (ascending). The redundancy RepairQuarantinedFromDelta
-  /// trades for: a corrupt freshly-folded block can be re-encoded from
-  /// here. In-memory only — snapshots do not carry it.
+  /// Raw values of the rows the most recent fold added (`extra_rows`),
+  /// keyed by their physical positions in the clustered store (ascending).
+  /// The redundancy RepairQuarantinedFromDelta trades for: a corrupt
+  /// freshly-folded block can be re-encoded from here. In-memory only —
+  /// snapshots do not carry it.
   struct FoldBackup {
     std::vector<int64_t> pos;              // Ascending physical rows.
     std::vector<std::vector<Value>> cols;  // [dim][i]: value at pos[i].

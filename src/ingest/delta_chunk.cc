@@ -57,9 +57,9 @@ void DeltaChunk::Scan(const Query& query, QueryResult* result,
                       const ScanOptions& options) const {
   const int64_t rows = committed();
   if (rows == 0) return;
-  // Same counter semantics as the store's delta epilogue: the chunk is one
-  // cell range and is charged for every committed row, whichever physical
-  // path runs — so encoded and raw scans are bit-for-bit comparable.
+  // The chunk is one cell range and is charged for every committed row,
+  // whichever physical path runs — so encoded and raw scans are bit-for-bit
+  // comparable.
   ++result->cell_ranges;
   const ColumnStore* store = encoded_.load(std::memory_order_acquire);
   if (store != nullptr && rows == capacity_) {

@@ -61,9 +61,8 @@ class DeltaChunk {
     return encoded_.load(std::memory_order_acquire) != nullptr;
   }
 
-  // Scans the rows committed at call time and folds matches into `result`
-  // with the same counter semantics as the store's delta epilogue: one
-  // cell_range, `scanned` charged for every committed row.
+  // Scans the rows committed at call time and folds matches into `result`:
+  // one cell_range, `scanned` charged for every committed row.
   void Scan(const Query& query, QueryResult* result,
             const ScanOptions& options = {}) const;
 

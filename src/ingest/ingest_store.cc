@@ -211,7 +211,7 @@ void IngestStore::InsertLocked(const Value* row) {
     assert(ok);
     (void)ok;
   }
-  rows_ingested_.fetch_add(1, std::memory_order_relaxed);
+  ++rows_ingested_;
 }
 
 void IngestStore::ForceRoll() {
@@ -435,7 +435,14 @@ int64_t IngestStore::RepairQuarantined() {
 
 IngestStore::Stats IngestStore::stats() const {
   Stats s;
-  s.rows_ingested = rows_ingested_.load(std::memory_order_relaxed);
+  {
+    // Writers commit and count under this lock, so the count is exactly the
+    // rows visible at this instant. Callers must hold no lock that writers
+    // take after write_mu_ (publish_mu_, the snapshot, epoch and listener
+    // locks).
+    std::lock_guard<std::mutex> lock(write_mu_);
+    s.rows_ingested = rows_ingested_;
+  }
   s.chunk_rolls = chunk_rolls_.load(std::memory_order_relaxed);
   s.chunks_sealed = chunks_sealed_.load(std::memory_order_relaxed);
   s.compactions = compactions_.load(std::memory_order_relaxed);

@@ -282,7 +282,8 @@ class IngestStore : public MultiDimIndex {
   // compact_mu_ by CompactOnce.
   FoldHook fold_hook_;
 
-  mutable std::atomic<int64_t> rows_ingested_{0};
+  // Counted under write_mu_ with each commit; stats() reads it there too.
+  int64_t rows_ingested_ = 0;  // write_mu_
   mutable std::atomic<int64_t> chunk_rolls_{0};
   mutable std::atomic<int64_t> chunks_sealed_{0};
   mutable std::atomic<int64_t> compactions_{0};

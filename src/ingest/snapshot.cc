@@ -35,7 +35,6 @@ QueryPlan ColumnStoreSnapshot::Prepare(const Query& query) const {
 
 void ColumnStoreSnapshot::FinishPlan(const QueryPlan& plan,
                                      QueryResult* result) const {
-  index_->FinishPlan(plan, result);
   for (const auto& chunk : chunks_) chunk->Scan(plan.query, result);
 }
 

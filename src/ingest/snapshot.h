@@ -46,9 +46,9 @@ class ColumnStoreSnapshot : public MultiDimIndex {
   int64_t ChunkRows() const;
   int64_t TotalRows() const { return index_->store().size() + ChunkRows(); }
 
-  // MultiDimIndex. Prepare stamps store_version; FinishPlan runs the sorted
-  // index's epilogue plus a scan of every chunk (committed rows read at
-  // execution time, so replayed plans see fresh rows within this version).
+  // MultiDimIndex. Prepare stamps store_version; FinishPlan scans every
+  // chunk (committed rows read at execution time, so replayed plans see
+  // fresh rows within this version).
   std::string Name() const override;
   QueryResult Execute(const Query& query) const override;
   QueryPlan Prepare(const Query& query) const override;

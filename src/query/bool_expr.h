@@ -64,8 +64,8 @@ struct BoolExpr {
   /// the paper's query class, servable by one index query.
   bool IsConjunctive() const;
 
-  /// Evaluates the expression on one point (reference semantics for tests
-  /// and for scanning delta buffers).
+  /// Evaluates the expression on one point (reference semantics for
+  /// tests).
   bool Matches(const std::vector<Value>& point) const;
 
   /// Compact notation, e.g. "(d0 in [3, 8] AND NOT d1 in [5, 5])".

@@ -68,7 +68,7 @@ class ColumnStore {
   /// from `values` — exactly the block's row count — clearing quarantine
   /// and fixing that block's zone-map entry. Fails when the data no longer
   /// fits the block's stored code width. The repair path for
-  /// TsunamiIndex::RepairQuarantinedFromDelta.
+  /// TsunamiIndex::RepairedCopy.
   bool RepairBlock(int dim, int64_t block, const Value* values, int64_t n);
 
   /// Scans physical rows [begin, end), accumulating the query's aggregate

@@ -32,6 +32,7 @@
 #include "src/exec/runner.h"
 #include "src/exec/thread_pool.h"
 #include "src/flood/flood.h"
+#include "src/ingest/ingest_store.h"
 #include "src/query/engine.h"
 #include "src/query/router.h"
 #include "src/secondary/secondary_index.h"
@@ -331,17 +332,23 @@ TEST_F(BatchApiTest, BatchStatsMatchPerQueryCounters) {
 }
 
 TEST_F(BatchApiTest, DeltaBufferCoveredByBatchPath) {
-  TsunamiOptions options;
-  options.cluster_queries = false;
-  TsunamiIndex index(data_, workload_, options);
-  index.Insert({100, 150, 500});
-  index.Insert({35000, 34800, 200});
+  // Unfolded rows live in the store's delta chunks, which only FinishPlan
+  // scans: the pooled batch path must run it after the range scans.
+  ingest::IngestOptions options;
+  options.index.cluster_queries = false;
+  options.background_compaction = false;
+  ingest::IngestStore store(data_, workload_, options);
+  store.Insert({100, 150, 500});
+  store.Insert({35000, 34800, 200});
+  const auto snapshot = store.CurrentSnapshot();  // Owns the sorted index.
+  const TsunamiIndex& sorted = snapshot->index();
   ThreadPool pool(2);
   ExecContext ctx(&pool);
-  std::vector<QueryResult> batch = RunWorkload(index, workload_, ctx);
+  std::vector<QueryResult> batch = RunWorkload(store, workload_, ctx);
   for (size_t i = 0; i < workload_.size(); ++i) {
-    ExpectBitIdentical(batch[i], index.Execute(workload_[i]),
+    ExpectBitIdentical(batch[i], store.Execute(workload_[i]),
                        "delta query " + std::to_string(i));
+    EXPECT_EQ(batch[i].scanned, sorted.Execute(workload_[i]).scanned + 2);
   }
 }
 

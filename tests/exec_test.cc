@@ -14,6 +14,7 @@
 #include "src/exec/task_scheduler.h"
 #include "src/exec/thread_pool.h"
 #include "src/flood/flood.h"
+#include "src/ingest/ingest_store.h"
 
 namespace tsunami {
 namespace {
@@ -182,19 +183,26 @@ TEST_F(ParallelRunTest, SchedulerBackedExecuteRangeTasksMatchesSerial) {
 }
 
 TEST_F(ParallelRunTest, IntraQueryParallelismCoversDeltaBuffer) {
-  TsunamiOptions options;
-  options.cluster_queries = false;
-  TsunamiIndex index(data_, workload_, options);
-  index.Insert({100, 100, 100});
-  index.Insert({200, 250, 500});
+  // Unfolded rows live in the store's delta chunks, which only FinishPlan
+  // scans: the pooled plan path must run it after the range scans.
+  ingest::IngestOptions options;
+  options.index.cluster_queries = false;
+  options.background_compaction = false;
+  ingest::IngestStore store(data_, workload_, options);
+  store.Insert({100, 100, 100});
+  store.Insert({200, 250, 500});
   ThreadPool pool(2);
   ExecContext ctx(&pool);
   Query q;
   q.filters = {Predicate{0, 0, 50000}};
-  QueryResult serial = index.Execute(q);
-  QueryResult parallel = index.ExecutePlan(index.Prepare(q), ctx);
+  QueryResult serial = store.Execute(q);
+  QueryResult parallel = store.ExecutePlan(store.Prepare(q), ctx);
   EXPECT_EQ(parallel.agg, serial.agg);
   EXPECT_EQ(parallel.matched, serial.matched);
+  EXPECT_EQ(parallel.scanned, serial.scanned);
+  EXPECT_EQ(parallel.cell_ranges, serial.cell_ranges);
+  EXPECT_EQ(parallel.matched,
+            store.CurrentSnapshot()->index().Execute(q).matched + 2);
 }
 
 TEST_F(ParallelRunTest, ParallelResultsEqualSerial) {

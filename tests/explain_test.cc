@@ -61,14 +61,6 @@ TEST_F(DescribeTest, FallsBackToGenericDimNames) {
   EXPECT_NE(text.find("skeleton"), std::string::npos);
 }
 
-TEST_F(DescribeTest, ReportsDeltaBuffer) {
-  TsunamiOptions options;
-  options.cluster_queries = false;
-  TsunamiIndex index(data_, workload_, options);
-  index.Insert({1, 2, 3});
-  EXPECT_NE(index.Describe().find("delta buffer: 1"), std::string::npos);
-}
-
 TEST(GridTreeDescribeTest, EmptyTree) {
   GridTree tree;
   EXPECT_NE(tree.Describe().find("empty"), std::string::npos);

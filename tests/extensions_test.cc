@@ -1,9 +1,9 @@
-// Tests for the §8 extensions: delta-buffer insertions and workload-shift
-// detection.
+// Tests for the §8 extensions: workload-shift detection and incremental
+// re-optimization through the fold constructor. Inserts are IngestStore's
+// (tests/ingest_test.cc).
 #include <gtest/gtest.h>
 
 #include "src/baselines/full_scan.h"
-#include "src/common/random.h"
 #include "src/core/query_clustering.h"
 #include "src/core/tsunami.h"
 #include "src/core/workload_monitor.h"
@@ -20,145 +20,6 @@ TsunamiOptions SmallOptions() {
   options.agd.max_iters = 2;
   options.agd.max_cells = 1 << 12;
   return options;
-}
-
-TEST(DeltaInsertTest, InsertedRowsAreVisibleImmediately) {
-  Benchmark bench = MakeUniformBenchmark(3, 5000, 401, 10);
-  TsunamiIndex index(bench.data, bench.workload, SmallOptions());
-  Query all;  // Unfiltered COUNT(*).
-  EXPECT_EQ(index.Execute(all).agg, 5000);
-  index.Insert({1, 2, 3});
-  index.Insert({1000000000, 4, 5});
-  EXPECT_EQ(index.delta_size(), 2);
-  EXPECT_EQ(index.Execute(all).agg, 5002);
-  Query narrow;
-  narrow.filters = {Predicate{0, 1, 1}, Predicate{1, 2, 2}};
-  EXPECT_EQ(index.Execute(narrow).agg, 1);
-}
-
-TEST(DeltaInsertTest, SumIncludesDelta) {
-  Benchmark bench = MakeUniformBenchmark(2, 1000, 402, 5);
-  TsunamiIndex index(bench.data, bench.workload, SmallOptions());
-  Query sum;
-  sum.agg = AggKind::kSum;
-  sum.agg_dim = 1;
-  int64_t before = index.Execute(sum).agg;
-  index.Insert({0, 1000});
-  index.Insert({0, 234});
-  EXPECT_EQ(index.Execute(sum).agg, before + 1234);
-}
-
-TEST(DeltaInsertTest, MaterializeAndMergeFoldsBuffer) {
-  Benchmark bench = MakeUniformBenchmark(3, 4000, 403, 10);
-  TsunamiIndex index(bench.data, bench.workload, SmallOptions());
-  Rng rng(404);
-  for (int i = 0; i < 500; ++i) {
-    index.Insert({rng.UniformValue(0, 1000000000),
-                  rng.UniformValue(0, 1000000000),
-                  rng.UniformValue(0, 1000000000)});
-  }
-  Dataset merged_data = index.MaterializeData();
-  EXPECT_EQ(merged_data.size(), 4500);
-  TsunamiIndex merged(merged_data, bench.workload, SmallOptions());
-  EXPECT_EQ(merged.delta_size(), 0);
-  // The merged index answers exactly like the delta-carrying one.
-  FullScanIndex reference(merged_data);
-  for (const Query& q : bench.workload) {
-    int64_t expected = reference.Execute(q).agg;
-    EXPECT_EQ(index.Execute(q).agg, expected);
-    EXPECT_EQ(merged.Execute(q).agg, expected);
-  }
-}
-
-TEST(DeltaInsertTest, DeltaMatchesFullScanUnderRandomQueries) {
-  Benchmark bench = MakeTaxiBenchmark(4000, 405, 8);
-  TsunamiIndex index(bench.data, bench.workload, SmallOptions());
-  // Insert duplicates of existing rows (hits the same cells' key ranges).
-  std::vector<Value> row(bench.data.dims());
-  for (int64_t r = 0; r < 200; ++r) {
-    for (int d = 0; d < bench.data.dims(); ++d) {
-      row[d] = bench.data.at(r * 7 % bench.data.size(), d);
-    }
-    index.Insert(row);
-  }
-  FullScanIndex reference(index.MaterializeData());
-  for (const Query& q : bench.workload) {
-    ASSERT_EQ(index.Execute(q).agg, reference.Execute(q).agg);
-  }
-}
-
-// The columnarized delta buffer (scanned through the SimdOps
-// compare+compress passes) must be bit-identical to the old row-major
-// row-at-a-time loop — every QueryResult field, every aggregate kind,
-// multi-aggregate lists included. The reference below *is* that old loop.
-TEST(DeltaInsertTest, ColumnarDeltaBitIdenticalToRowMajorLoop) {
-  Benchmark bench = MakeUniformBenchmark(3, 6000, 407, 10);
-  TsunamiIndex index(bench.data, bench.workload, SmallOptions());
-  Rng rng(408);
-  std::vector<std::vector<Value>> inserted;
-  // Enough rows to span several kScanBlockRows chunks, plus extremes.
-  for (int i = 0; i < 2600; ++i) {
-    std::vector<Value> row = {rng.UniformValue(-1000000, 1000000),
-                              rng.UniformValue(-1000000, 1000000),
-                              rng.UniformValue(-1000000, 1000000)};
-    if (i % 97 == 0) row[1] = kValueMax - i;
-    if (i % 89 == 0) row[2] = kValueMin + i;
-    inserted.push_back(row);
-    index.Insert(row);
-  }
-  const AggKind kAggs[] = {AggKind::kCount, AggKind::kSum, AggKind::kMin,
-                           AggKind::kMax, AggKind::kAvg};
-  // A delta-free twin provides the clustered store's contribution; both
-  // indexes are built from identical inputs, so their stores match.
-  TsunamiIndex no_delta(bench.data, bench.workload, SmallOptions());
-  for (int trial = 0; trial < 120; ++trial) {
-    Query q;
-    q.agg = kAggs[trial % 5];
-    q.agg_dim = trial % 3;
-    if (trial % 4 == 0) {
-      q.SetAggregates({{q.agg, q.agg_dim},
-                       {AggKind::kSum, (trial + 1) % 3},
-                       {AggKind::kMax, (trial + 2) % 3}});
-    }
-    int num_filters = trial % 3;  // 0, 1, or 2 (empty filters included).
-    for (int f = 0; f < num_filters; ++f) {
-      Value lo = rng.UniformValue(-1200000, 1200000);
-      q.filters.push_back(
-          Predicate{static_cast<int>(rng.NextBelow(3)), lo,
-                    lo + rng.UniformValue(0, 800000)});
-    }
-    // The reference: the clustered store's contribution plus the exact
-    // pre-columnarization delta loop, row-at-a-time in insert order.
-    QueryResult want = no_delta.Execute(q);
-    ++want.cell_ranges;
-    want.scanned += static_cast<int64_t>(inserted.size());
-    for (const std::vector<Value>& row : inserted) {
-      bool ok = true;
-      for (const Predicate& p : q.filters) {
-        if (!p.Matches(row[p.dim])) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
-      ++want.matched;
-      for (int a = 0; a < q.num_aggs(); ++a) {
-        const AggregateSpec spec = q.agg_spec(a);
-        AccumulateAgg(spec.op,
-                      spec.op == AggKind::kCount ? 0 : row[spec.column],
-                      want.agg_accumulator(a));
-      }
-    }
-    QueryResult got = index.Execute(q);
-    EXPECT_EQ(got.agg, want.agg) << "trial " << trial;
-    EXPECT_EQ(got.scanned, want.scanned) << "trial " << trial;
-    EXPECT_EQ(got.matched, want.matched) << "trial " << trial;
-    EXPECT_EQ(got.cell_ranges, want.cell_ranges) << "trial " << trial;
-    ASSERT_EQ(got.extra.size(), want.extra.size());
-    for (size_t e = 0; e < got.extra.size(); ++e) {
-      EXPECT_EQ(got.extra[e], want.extra[e]) << "trial " << trial;
-    }
-  }
 }
 
 class WorkloadMonitorTest : public ::testing::Test {
@@ -240,7 +101,7 @@ TEST_F(WorkloadMonitorTest, WindowGatesDetection) {
 TEST(IncrementalReoptTest, SameWorkloadReusesEveryRegionPlan) {
   Benchmark bench = MakeTpchBenchmark(12000, 410, 12);
   TsunamiIndex first(bench.data, bench.workload, SmallOptions());
-  TsunamiIndex second(first, bench.workload, SmallOptions());
+  TsunamiIndex second(first, Dataset(), bench.workload, SmallOptions());
   EXPECT_EQ(second.stats().regions_reused,
             second.stats().num_indexed_regions);
   // The reused index keeps the previous tree.
@@ -255,7 +116,7 @@ TEST(IncrementalReoptTest, ShiftedWorkloadReoptimizesSomeRegions) {
   Benchmark bench = MakeTpchBenchmark(12000, 411, 12);
   Workload shifted = MakeTpchShiftedWorkload(bench.data, 412, 12);
   TsunamiIndex first(bench.data, bench.workload, SmallOptions());
-  TsunamiIndex second(first, shifted, SmallOptions());
+  TsunamiIndex second(first, Dataset(), shifted, SmallOptions());
   // A hard shift must re-optimize at least one region, and the result must
   // stay correct on both workloads.
   EXPECT_LT(second.stats().regions_reused,
@@ -268,14 +129,13 @@ TEST(IncrementalReoptTest, ShiftedWorkloadReoptimizesSomeRegions) {
   }
 }
 
-TEST(IncrementalReoptTest, FoldsDeltaBufferIntoRebuild) {
+TEST(IncrementalReoptTest, FoldsExtraRowsIntoRebuild) {
   Benchmark bench = MakeUniformBenchmark(3, 5000, 413, 10);
   TsunamiIndex first(bench.data, bench.workload, SmallOptions());
-  first.Insert({1, 2, 3});
-  first.Insert({4, 5, 6});
-  TsunamiIndex second(first, bench.workload, SmallOptions());
-  EXPECT_EQ(second.delta_size(), 0);
+  Dataset extra(3, {1, 2, 3, 4, 5, 6});
+  TsunamiIndex second(first, extra, bench.workload, SmallOptions());
   Query all;
+  EXPECT_EQ(first.Execute(all).agg, 5000);
   EXPECT_EQ(second.Execute(all).agg, 5002);
 }
 

@@ -1,12 +1,12 @@
 // Concurrent-ingest suite: EpochManager pin/retire/reclaim ordering,
-// DeltaChunk encoded-vs-raw bit identity, IngestStore correctness against
-// the full-scan reference across inserts / folds / reorganizations /
-// repairs, snapshot isolation for pinned readers, plan-cache staleness, and
-// a writers-vs-readers-vs-compaction stress run whose invariants (no torn
-// reads, monotone visibility, quiesced-replay bit identity) are what the
-// TSan CI pass checks for races. Fault-injection builds additionally drive
-// the ingest.compact_throw fail-closed path and the ingest.swap_delay
-// publish stall.
+// DeltaChunk encoded-vs-raw and raw-vs-row-at-a-time bit identity,
+// IngestStore correctness against the full-scan reference across inserts /
+// folds / reorganizations / repairs, snapshot isolation for pinned readers,
+// plan-cache staleness, and a writers-vs-readers-vs-compaction stress run
+// whose invariants (no torn reads, monotone visibility, quiesced-replay bit
+// identity) are what the TSan CI pass checks for races. Fault-injection
+// builds additionally drive the ingest.compact_throw fail-closed path and
+// the ingest.swap_delay publish stall.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -191,6 +191,76 @@ TEST(DeltaChunkTest, SealedScanBitIdenticalToRaw) {
     EXPECT_EQ(r.extra, raw[i].extra) << "query " << i;
     EXPECT_EQ(r.scanned, raw[i].scanned) << "query " << i;
     EXPECT_EQ(r.cell_ranges, raw[i].cell_ranges) << "query " << i;
+  }
+}
+
+// The raw columnar scan (chunked SimdOps compare+compress, then the
+// aggregate tails) must be bit-identical to a row-at-a-time loop over the
+// rows in insert order — every QueryResult field, every aggregate kind,
+// multi-aggregate lists included. The chunk is unsealed and partly full, so
+// the scan crosses several blocks and ends in a partial one.
+TEST(DeltaChunkTest, RawScanBitIdenticalToRowMajorLoop) {
+  Rng rng(408);
+  DeltaChunk chunk(/*dims=*/3, /*capacity=*/4 * kScanBlockRows, /*id=*/1);
+  std::vector<std::vector<Value>> inserted;
+  for (int i = 0; i < 2600; ++i) {
+    std::vector<Value> row = {rng.UniformValue(-1000000, 1000000),
+                              rng.UniformValue(-1000000, 1000000),
+                              rng.UniformValue(-1000000, 1000000)};
+    if (i % 97 == 0) row[1] = kValueMax - i;
+    if (i % 89 == 0) row[2] = kValueMin + i;
+    inserted.push_back(row);
+    ASSERT_TRUE(chunk.Append(row.data()));
+  }
+  ASSERT_FALSE(chunk.full());
+  const AggKind kAggs[] = {AggKind::kCount, AggKind::kSum, AggKind::kMin,
+                           AggKind::kMax, AggKind::kAvg};
+  for (int trial = 0; trial < 120; ++trial) {
+    Query q;
+    q.agg = kAggs[trial % 5];
+    q.agg_dim = trial % 3;
+    if (trial % 4 == 0) {
+      q.SetAggregates({{q.agg, q.agg_dim},
+                       {AggKind::kSum, (trial + 1) % 3},
+                       {AggKind::kMax, (trial + 2) % 3}});
+    }
+    const int num_filters = trial % 3;  // 0, 1, or 2.
+    for (int f = 0; f < num_filters; ++f) {
+      Value lo = rng.UniformValue(-1200000, 1200000);
+      q.filters.push_back(
+          Predicate{static_cast<int>(rng.NextBelow(3)), lo,
+                    lo + rng.UniformValue(0, 800000)});
+    }
+    QueryResult want = InitResult(q);
+    ++want.cell_ranges;
+    want.scanned += static_cast<int64_t>(inserted.size());
+    for (const std::vector<Value>& row : inserted) {
+      bool ok = true;
+      for (const Predicate& p : q.filters) {
+        if (!p.Matches(row[p.dim])) {
+          ok = false;
+          break;
+        }
+      }
+      if (!ok) continue;
+      ++want.matched;
+      for (int a = 0; a < q.num_aggs(); ++a) {
+        const AggregateSpec spec = q.agg_spec(a);
+        AccumulateAgg(spec.op,
+                      spec.op == AggKind::kCount ? 0 : row[spec.column],
+                      want.agg_accumulator(a));
+      }
+    }
+    QueryResult got = InitResult(q);
+    chunk.Scan(q, &got);
+    EXPECT_EQ(got.agg, want.agg) << "trial " << trial;
+    EXPECT_EQ(got.scanned, want.scanned) << "trial " << trial;
+    EXPECT_EQ(got.matched, want.matched) << "trial " << trial;
+    EXPECT_EQ(got.cell_ranges, want.cell_ranges) << "trial " << trial;
+    EXPECT_EQ(got.extra, want.extra) << "trial " << trial;
+    EXPECT_EQ(got.degraded, want.degraded) << "trial " << trial;
+    EXPECT_EQ(got.quarantined_blocks, want.quarantined_blocks)
+        << "trial " << trial;
   }
 }
 
@@ -605,9 +675,9 @@ TEST(IngestConcurrencyTest, WritersReadersAndReorgRaceWithoutTornReads) {
   for (int r = 0; r < kReaders; ++r) {
     threads.emplace_back([&store, &count_all, &torn, kBaseRows] {
       for (int i = 0; i < kReadsPerReader; ++i) {
-        // rows_ingested is incremented after the commit store, so any row
-        // counted "ingested" before the scan starts is already visible in
-        // the snapshot the scan pins.
+        // stats() reads rows_ingested under the writer lock, which writers
+        // hold across commit and count: it is exactly the rows visible at
+        // that instant, so the scan must land between the two readings.
         const int64_t low = kBaseRows + store.stats().rows_ingested;
         const QueryResult got = store.Execute(count_all);
         const int64_t high = kBaseRows + store.stats().rows_ingested;

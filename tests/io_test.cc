@@ -635,18 +635,45 @@ TEST_F(SnapshotTest, LoadedIndexMatchesFullScanOnUnseenQueries) {
   }
 }
 
-TEST_F(SnapshotTest, DeltaBufferSurvivesSnapshot) {
-  index_->Insert({50, 100, 250});
-  index_->Insert({51, 102, 251});
+// The payload's delta section is always written empty. A section that
+// carries rows (the index once buffered inserts itself) must be refused
+// with its row count, not loaded with those rows silently dropped.
+TEST_F(SnapshotTest, DeltaSectionWithRowsRefused) {
   std::string error;
   ASSERT_TRUE(index_->SaveToFile(path_, &error)) << error;
-  std::unique_ptr<TsunamiIndex> loaded =
-      TsunamiIndex::LoadFromFile(path_, &error);
-  ASSERT_NE(loaded, nullptr) << error;
-  EXPECT_EQ(loaded->delta_size(), 2);
-  Query q;
-  q.filters = {Predicate{0, 50, 51}, Predicate{2, 250, 251}};
-  EXPECT_EQ(loaded->Execute(q).agg, index_->Execute(q).agg);
+  std::string payload;
+  ASSERT_TRUE(
+      ReadFramedFile(path_, FileKind::kTsunamiIndex, &payload, &error))
+      << error;
+  // Payload prefix: name, use_grid_tree, then the delta section (dims, row
+  // count, one value vector per dim).
+  BinaryReader reader(payload);
+  const std::string name = reader.GetString();
+  const bool use_grid_tree = reader.GetBool();
+  const int64_t dims = reader.GetVarI64();
+  ASSERT_EQ(dims, 3);
+  ASSERT_EQ(reader.GetVarI64(), 0);
+  std::vector<Value> col;
+  for (int64_t d = 0; d < dims; ++d) {
+    ASSERT_TRUE(reader.GetValueVec(&col));
+    ASSERT_TRUE(col.empty());
+  }
+  const size_t section_end = payload.size() - reader.remaining();
+
+  BinaryWriter writer;
+  writer.PutString(name);
+  writer.PutBool(use_grid_tree);
+  writer.PutVarI64(dims);
+  writer.PutVarI64(1);
+  for (int64_t d = 0; d < dims; ++d) writer.PutValueVec({50 + d});
+  const std::string rewritten = writer.buffer() + payload.substr(section_end);
+  ASSERT_TRUE(
+      WriteFramedFile(path_, FileKind::kTsunamiIndex, rewritten, &error))
+      << error;
+
+  error.clear();
+  EXPECT_EQ(TsunamiIndex::LoadFromFile(path_, &error), nullptr);
+  EXPECT_NE(error.find("carries 1 row"), std::string::npos) << error;
 }
 
 TEST_F(SnapshotTest, CorruptPayloadRejected) {

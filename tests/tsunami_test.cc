@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "src/baselines/full_scan.h"
@@ -153,8 +154,8 @@ TEST(TsunamiIndexTest, EmptyWorkloadBuildsUnindexedRegions) {
 }
 
 TEST(TsunamiIndexTest, RepairsQuarantinedBlocksFromDeltaFold) {
-  // Initial table lives entirely in dim0 <= 10000; the inserted delta rows
-  // live far above, so after the incremental rebuild folds them in, the
+  // Initial table lives entirely in dim0 <= 10000; the folded delta rows
+  // live far above, so after the fold constructor merges them in, the
   // clustered store's tail blocks hold *only* delta-origin rows — exactly
   // the blocks the fold backup can re-materialize if they go corrupt.
   Rng rng(53);
@@ -171,12 +172,12 @@ TEST(TsunamiIndexTest, RepairsQuarantinedBlocksFromDeltaFold) {
     workload.push_back(q);
   }
   TsunamiIndex initial(data, workload, SmallOptions());
+  Dataset delta(2, {});
   for (int i = 0; i < 3000; ++i) {
-    initial.Insert(
+    delta.AppendRow(
         {rng.UniformValue(100000, 110000), rng.UniformValue(0, 500)});
   }
-  TsunamiIndex rebuilt(initial, workload, SmallOptions());
-  ASSERT_EQ(rebuilt.delta_size(), 0);  // Fold consumed the buffer.
+  TsunamiIndex rebuilt(initial, delta, workload, SmallOptions());
 
   Query over_new;
   over_new.filters.push_back(Predicate{0, 100000, 110000});
@@ -209,14 +210,21 @@ TEST(TsunamiIndexTest, RepairsQuarantinedBlocksFromDeltaFold) {
   EXPECT_TRUE(degraded.degraded);
   EXPECT_LT(degraded.matched, want.matched);
 
-  // Repair from the fold backup: every quarantined block was wholly
-  // delta-origin, so every one heals — and the query is exact again.
-  EXPECT_EQ(rebuilt.RepairQuarantinedFromDelta(), quarantined);
-  EXPECT_EQ(store.QuarantinedBlocks(), 0);
-  QueryResult healed = rebuilt.Execute(over_new);
+  // Repair from the fold backup, on a copy: every quarantined block was
+  // wholly delta-origin, so every one heals and the copy is exact again,
+  // while the original stays degraded.
+  int64_t repaired = 0;
+  std::unique_ptr<TsunamiIndex> copy = rebuilt.RepairedCopy(&repaired);
+  EXPECT_EQ(repaired, quarantined);
+  EXPECT_EQ(copy->store().QuarantinedBlocks(), 0);
+  QueryResult healed = copy->Execute(over_new);
   EXPECT_FALSE(healed.degraded);
   EXPECT_EQ(healed.agg, want.agg);
   EXPECT_EQ(healed.matched, want.matched);
+  EXPECT_EQ(store.QuarantinedBlocks(), quarantined);
+  QueryResult original = rebuilt.Execute(over_new);
+  EXPECT_TRUE(original.degraded);
+  EXPECT_EQ(original.matched, degraded.matched);
 }
 
 TEST(FloodIndexTest, ReportsCellsAndTimings) {
