@@ -15,7 +15,7 @@
 #include "bench/bench_util.h"
 #include "src/cdf/cdf_model.h"
 #include "src/core/periodic.h"
-#include "src/exec/thread_pool.h"
+#include "src/exec/task_scheduler.h"
 #include "src/query/bool_expr.h"
 
 using namespace tsunami;
@@ -83,7 +83,7 @@ int main() {
   bench::PrintHeader("Ablation 4: parallel build (Sec 6.1)");
   std::printf("%8s %12s %14s\n", "threads", "build (s)", "query (us)");
   std::printf("(this machine reports %d hardware threads)\n",
-              ThreadPool::DefaultThreads());
+              TaskScheduler::DefaultThreads());
   for (int threads : {1, 2, 4}) {
     TsunamiOptions options = base;
     options.build_threads = threads;

@@ -9,10 +9,9 @@
 
 int main() {
   using namespace tsunami;
-  // Workloads run through ExecuteBatch on a shared pool (the serving path).
-  ThreadPool pool(ThreadPool::DefaultThreads() > 1
-                      ? ThreadPool::DefaultThreads()
-                      : 0);
+  // Workloads run through ExecuteBatch on a shared scheduler (the serving
+  // path).
+  TaskScheduler scheduler(TaskScheduler::DefaultThreads());
 
   bench::PrintHeader("Fig 11a: Dataset size scaling on TPC-H (avg query us)");
   std::vector<int64_t> sizes;
@@ -30,7 +29,7 @@ int main() {
     }
     for (size_t i = 0; i < built.size(); ++i) {
       names[i] = built[i].name;
-      ExecContext ctx(&pool);
+      ExecContext ctx(&scheduler);
       times[i].push_back(
           bench::MeasureAvgQueryNanosBatch(*built[i].index, b.workload, ctx,
                                            2));
@@ -75,7 +74,7 @@ int main() {
     }
     for (size_t i = 0; i < built.size(); ++i) {
       names[i] = built[i].name;
-      ExecContext ctx(&pool);
+      ExecContext ctx(&scheduler);
       times[i].push_back(
           bench::MeasureAvgQueryNanosBatch(*built[i].index, b.workload, ctx,
                                            2));

@@ -4,8 +4,9 @@
 // best non-learned index.
 //
 // Workloads are driven through the batch API (one ExecuteBatch per repeat,
-// scans shared across the pool) so throughput reflects the serving path; a
-// per-query Execute column keeps the legacy dispatch comparable.
+// queries spread over the task scheduler) so throughput reflects the
+// serving path; a per-query Execute column keeps the legacy dispatch
+// comparable.
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -13,9 +14,7 @@
 int main() {
   using namespace tsunami;
   int64_t rows = RowsFromEnv(200000);
-  ThreadPool pool(ThreadPool::DefaultThreads() > 1
-                      ? ThreadPool::DefaultThreads()
-                      : 0);
+  TaskScheduler scheduler(TaskScheduler::DefaultThreads());
   bench::PrintHeader("Fig 7: Query throughput (higher is better)");
   for (const Benchmark& b : MakeAllBenchmarks(rows)) {
     std::printf("\n%s (%lld rows, %zu queries)\n", b.name.c_str(),
@@ -28,13 +27,13 @@ int main() {
     double flood_nanos = 0.0;
     for (const auto& bi : built) {
       if (bi.name == "Flood") {
-        ExecContext warm(&pool);
+        ExecContext warm(&scheduler);
         flood_nanos = bench::MeasureAvgQueryNanosBatch(*bi.index, b.workload,
                                                        warm, kReps);
       }
     }
     for (const auto& bi : built) {
-      ExecContext ctx(&pool);
+      ExecContext ctx(&scheduler);
       double nanos = bench::MeasureAvgQueryNanosBatch(*bi.index, b.workload,
                                                       ctx, kReps);
       double serial_nanos = bench::MeasureAvgQueryNanos(*bi.index, b.workload);

@@ -166,7 +166,7 @@ void RunConcurrentShift(int64_t rows) {
   std::vector<std::string> records;
   records.push_back(
       bench::EnvRecord("concurrent_shift", SimdTierName(DetectSimdTier()),
-                       ThreadPool::DefaultThreads(), /*batch_size=*/1)
+                       TaskScheduler::DefaultThreads(), /*batch_size=*/1)
           .Int("rows", rows)
           .Num("old_p50_us", old_lat.p50_us())
           .Num("old_p99_us", old_lat.p99_us())

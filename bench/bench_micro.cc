@@ -380,7 +380,7 @@ void RunEncodingAB(std::vector<std::string>* records) {
   bench::PrintHeader("encoded blocks (raw vs 8/16/32-bit code scans)");
   const int64_t kRows = 1 << 21;
   const int kDims = 3;
-  const int64_t hw_threads = ThreadPool::DefaultThreads();
+  const int64_t hw_threads = TaskScheduler::DefaultThreads();
   struct WidthCase {
     const char* name;
     int bits;
@@ -462,10 +462,10 @@ void RunEncodingAB(std::vector<std::string>* records) {
 // workload arriving as batches that recur (the steady state an accelerator
 // front-end sees). Per-query dispatch re-plans inside Execute() on every
 // recurrence; the batch API prepares each batch once and replays the plans.
-// Both sides run inline at the auto-dispatched tier — no pool, no forced
-// tier — so the recorded speedup isolates the amortization the API adds and
-// stays comparable across machines (the pool's inter-query parallelism is a
-// separate, additive win).
+// Both sides run inline at the auto-dispatched tier — no scheduler, no
+// forced tier — so the recorded speedup isolates the amortization the API
+// adds and stays comparable across machines (the scheduler's inter-query
+// parallelism is a separate, additive win).
 void RunBatchApiThroughput(std::vector<std::string>* records) {
   bench::PrintHeader("batch API (prepared ExecutePlans vs per-query Execute)");
   const Benchmark& b = SharedBench();
@@ -545,7 +545,7 @@ void RunBatchApiThroughput(std::vector<std::string>* records) {
 //    the cache-hit path (CachedPlan + ExecutePlan) vs end-to-end
 //    service.Run — the hit path must beat cold planning;
 //  * skewed_batch: 1 giant region query + 63 needles at >= 4 threads,
-//    PR-3 ExecuteBatch (across-query pool parallelism only) vs the
+//    ExecuteBatch (across-query parallelism only) vs the
 //    service's work-stealing chunks (across + within): per-batch p50/p99
 //    wall time, plus per-needle completion latency — ExecuteBatch hands
 //    every answer back only when the whole batch returns, the service
@@ -669,13 +669,14 @@ void RunQueryServiceBench(std::vector<std::string>* records) {
     batch.push_back(q);
   }
 
-  for (int threads : {4, ThreadPool::DefaultThreads()}) {
+  for (int threads : {4, TaskScheduler::DefaultThreads()}) {
     if (threads < 4) continue;  // The claim is "at >= 4 threads".
     const int kBatches = 40;
     int64_t sink = 0;
-    // PR-3 path: across-query pool parallelism, no intra-query stealing.
-    ThreadPool pool(threads);
-    ExecContext ctx(&pool);
+    // Batch path: across-query parallelism (one scheduler chunk per query,
+    // each query inline on its worker), no intra-query stealing.
+    TaskScheduler batch_scheduler(threads);
+    ExecContext ctx(&batch_scheduler);
     // Service path: every query decomposed into stealable chunks. Chunks
     // of 64 blocks: coarse enough that per-chunk bookkeeping is noise,
     // fine enough that a 2M-row query still splits ~32 ways.
@@ -752,26 +753,26 @@ void RunQueryServiceBench(std::vector<std::string>* records) {
         "%.2fx, %lld steals)\n"
         "  needle latency: ExecuteBatch p50 %8.2f us (head-of-line: waits "
         "for the region query)  service p50 %8.2f us  (%.1fx)\n",
-        threads, ThreadPool::DefaultThreads(), eb_p50 * 1e6, eb_p99 * 1e6,
+        threads, TaskScheduler::DefaultThreads(), eb_p50 * 1e6, eb_p99 * 1e6,
         sv_p50 * 1e6, sv_p99 * 1e6, sv_p50 > 0 ? eb_p50 / sv_p50 : 0.0,
         sv_p99 > 0 ? eb_p99 / sv_p99 : 0.0, static_cast<long long>(steals),
         eb_needle_p50 * 1e6, sv_needle_p50 * 1e6,
         sv_needle_p50 > 0 ? eb_needle_p50 / sv_needle_p50 : 0.0);
-    if (ThreadPool::DefaultThreads() < threads) {
+    if (TaskScheduler::DefaultThreads() < threads) {
       std::printf(
         "  (host exposes %d core(s): no intra-batch parallelism to "
         "reclaim, so batch wall time is parity at best and its "
         "percentiles are scheduling noise; the claim this host can "
         "support is the needle-latency split above — the full batch "
         "p50 split needs >= %d real cores)\n",
-        ThreadPool::DefaultThreads(), threads);
+        TaskScheduler::DefaultThreads(), threads);
     }
     records->push_back(
         bench::EnvRecord("service_skewed_batch", tier, threads,
                          static_cast<int64_t>(batch.size()))
             .Int("batches", kBatches)
             .Int("rows", kRows)
-            .Int("hw_threads", ThreadPool::DefaultThreads())
+            .Int("hw_threads", TaskScheduler::DefaultThreads())
             .Num("execute_batch_p50_us", eb_p50 * 1e6)
             .Num("execute_batch_p99_us", eb_p99 * 1e6)
             .Num("service_p50_us", sv_p50 * 1e6)
@@ -785,7 +786,7 @@ void RunQueryServiceBench(std::vector<std::string>* records) {
             .Int("steal_count", steals)
             .Int("rng_seed", 404)  // Workload generator for this sweep.
             .Finish());
-    if (threads == ThreadPool::DefaultThreads()) break;  // No duplicate row.
+    if (threads == TaskScheduler::DefaultThreads()) break;  // No duplicate row.
   }
 }
 
@@ -804,7 +805,7 @@ void RunOverloadBench(std::vector<std::string>* records) {
   const Benchmark& b = SharedBench();
   TsunamiIndex index(b.data, b.workload, TsunamiOptions());
   const char* tier = SimdTierName(DetectSimdTier());
-  const int hw = ThreadPool::DefaultThreads();
+  const int hw = TaskScheduler::DefaultThreads();
   const int64_t kQueryCap = 32;
   const int64_t kChunkCap = 256;
 
@@ -933,7 +934,7 @@ void RunClientFairnessBench(std::vector<std::string>* records) {
   const Benchmark& b = SharedBench();
   TsunamiIndex index(b.data, b.workload, TsunamiOptions());
   const char* tier = SimdTierName(DetectSimdTier());
-  const int hw = ThreadPool::DefaultThreads();
+  const int hw = TaskScheduler::DefaultThreads();
 
   Query heavy;
   heavy.filters.push_back(Predicate{0, 0, kValueMax});

@@ -19,7 +19,7 @@
 #include "src/common/types.h"
 #include "src/core/tsunami.h"
 #include "src/datasets/datasets.h"
-#include "src/exec/thread_pool.h"
+#include "src/exec/task_scheduler.h"
 #include "src/flood/flood.h"
 #include "src/storage/simd_dispatch.h"
 
@@ -78,7 +78,7 @@ inline double ThroughputQps(double avg_nanos) {
 
 /// Average wall-clock nanoseconds per query driving the workload through
 /// the batch API: one ExecuteBatch submission per repeat, sharing `ctx`'s
-/// thread pool and scan options.
+/// task scheduler and scan options.
 inline double MeasureAvgQueryNanosBatch(const MultiDimIndex& index,
                                         const Workload& workload,
                                         ExecContext& ctx, int repeats = 1) {

@@ -1,7 +1,7 @@
 // Demo of the batched, multi-aggregate query API:
 //   1. build Tsunami over a synthetic workload;
-//   2. Prepare + ExecuteBatch a shuffled batch through a thread pool and
-//      check it against per-query Execute;
+//   2. ExecuteBatch the workload on a task scheduler (one chunk per query)
+//      and check it against per-query Execute;
 //   3. one multi-aggregate query (SUM+COUNT+MIN+MAX in a single pass);
 //   4. the SQL front-end's Prepare / RunBatch with a multi-aggregate
 //      SELECT list;
@@ -12,7 +12,7 @@
 #include "src/common/random.h"
 #include "src/core/tsunami.h"
 #include "src/exec/runner.h"
-#include "src/exec/thread_pool.h"
+#include "src/exec/task_scheduler.h"
 #include "src/query/engine.h"
 
 using namespace tsunami;
@@ -43,9 +43,9 @@ int main() {
   std::printf("built %s over %lld rows\n", index.Name().c_str(),
               static_cast<long long>(data.size()));
 
-  // --- Batched execution through a shared thread pool -----------------------
-  ThreadPool pool(ThreadPool::DefaultThreads());
-  ExecContext ctx(&pool);
+  // --- Batched execution on a shared task scheduler ------------------------
+  TaskScheduler scheduler(TaskScheduler::DefaultThreads());
+  ExecContext ctx(&scheduler);
   Timer timer;
   std::vector<QueryResult> batch = RunWorkload(index, workload, ctx);
   double batch_seconds = timer.ElapsedSeconds();
@@ -60,7 +60,7 @@ int main() {
   std::printf(
       "batch of %zu queries: %.2f ms on %d threads vs %.2f ms per-query "
       "(%.2fx), %lld mismatches\n",
-      workload.size(), batch_seconds * 1e3, pool.num_threads(),
+      workload.size(), batch_seconds * 1e3, scheduler.num_threads(),
       serial_seconds * 1e3,
       batch_seconds > 0 ? serial_seconds / batch_seconds : 0.0,
       static_cast<long long>(mismatches));
@@ -98,7 +98,7 @@ int main() {
                      "WHERE a BETWEEN 100000 AND 600000"),
       engine.Prepare("SELECT COUNT(*) FROM t WHERE b < 0 OR b > 990000"),
   };
-  ExecContext sql_ctx(&pool);
+  ExecContext sql_ctx(&scheduler);
   std::vector<SqlResult> sql_results = engine.RunBatch(stmts, sql_ctx);
   for (const SqlResult& result : sql_results) {
     if (!result.ok) {
@@ -112,7 +112,7 @@ int main() {
 
   // --- Cooperative cancellation ---------------------------------------------
   std::atomic<bool> cancel{true};
-  ExecContext cancelled(&pool);
+  ExecContext cancelled(&scheduler);
   cancelled.cancel = &cancel;
   std::vector<QueryResult> skipped = RunWorkload(index, workload, cancelled);
   std::printf("cancelled batch executed %lld of %zu queries\n",

@@ -14,7 +14,7 @@
 #include "src/datasets/tpch.h"
 #include "src/datasets/workload_builder.h"
 #include "src/exec/runner.h"
-#include "src/exec/thread_pool.h"
+#include "src/exec/task_scheduler.h"
 
 using namespace tsunami;
 
@@ -26,7 +26,7 @@ int main() {
 
   // 1. Cold build: optimize + sort (regions in parallel, §6.1).
   TsunamiOptions options;
-  options.build_threads = ThreadPool::DefaultThreads();
+  options.build_threads = TaskScheduler::DefaultThreads();
   Timer timer;
   TsunamiIndex index(bench.data, bench.workload, options);
   double build_seconds = timer.ElapsedSeconds();

@@ -18,7 +18,7 @@
 #include "src/core/tsunami.h"
 #include "src/datasets/datasets.h"
 #include "src/exec/runner.h"
-#include "src/exec/thread_pool.h"
+#include "src/exec/task_scheduler.h"
 #include "src/query/engine.h"
 
 using namespace tsunami;
@@ -57,7 +57,7 @@ bool MakeBenchmarkByName(const std::string& name, int64_t rows,
 
 TsunamiIndex BuildIndex(const Benchmark& bench) {
   TsunamiOptions options;
-  options.build_threads = ThreadPool::DefaultThreads();
+  options.build_threads = TaskScheduler::DefaultThreads();
   return TsunamiIndex(bench.data, bench.workload, options);
 }
 
@@ -160,15 +160,16 @@ int main(int argc, char** argv) {
     TsunamiIndex index = BuildIndex(bench);
     double build = timer.ElapsedSeconds();
     WorkloadRunStats serial = MeasureWorkload(index, bench.workload);
-    ThreadPool pool(ThreadPool::DefaultThreads());
-    WorkloadRunStats parallel = MeasureWorkload(index, bench.workload, &pool);
+    TaskScheduler scheduler(TaskScheduler::DefaultThreads());
+    ExecContext ctx(&scheduler);
+    WorkloadRunStats parallel = MeasureWorkload(index, bench.workload, ctx);
     std::printf("build: %.2fs (%d threads)\n", build,
-                ThreadPool::DefaultThreads());
+                TaskScheduler::DefaultThreads());
     std::printf("serial:   %8.1f us/query  (%.0f q/s)\n",
                 serial.avg_query_micros, 1e6 / serial.avg_query_micros);
     std::printf("parallel: %8.1f us/query  (%.0f q/s on %d threads)\n",
                 parallel.avg_query_micros, 1e6 / parallel.avg_query_micros,
-                pool.num_threads());
+                scheduler.num_threads());
     return 0;
   }
   return Usage();

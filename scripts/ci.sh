@@ -14,10 +14,10 @@
 #     TSUNAMI_FORCE_SCALAR, exercising the runtime-degraded dispatch path
 #     in the full-SIMD binary;
 #  5. a ThreadSanitizer build gating the concurrency suites (work-stealing
-#     scheduler, query service, thread pool/runner, the batch API, whose
-#     pooled workers scan live delta chunks, and the network front end,
-#     whose query completions cross from scheduler workers to the
-#     event-loop thread) — the serving path is lock-and-deque code and must
+#     scheduler, query service, the runner and parallel builds, the batch
+#     API, whose scheduler workers scan live delta chunks, and the network
+#     front end, whose query completions cross from scheduler workers to
+#     the event-loop thread) — the serving path is lock-and-deque code and must
 #     stay race-clean, not just correct. Built with
 #     -DTSUNAMI_FAULT_INJECTION=ON so the fault-injection soaks (thrown
 #     chunks, flipped checksums, injected stalls, wire faults) run *under*
@@ -25,7 +25,8 @@
 #  6. an AddressSanitizer+UBSanitizer build, also with fault injection on,
 #     over the robustness-relevant suites — corrupt-block quarantine,
 #     short-read/truncation handling, and exception unwinding through the
-#     scheduler must not scribble, leak-on-throw, or hit UB;
+#     scheduler (failed jobs thrown out of the runner, the batch loop, and
+#     parallel builds) must not scribble, leak-on-throw, or hit UB;
 #  7. the network front end under the same ASan+UBSan+FI build:
 #     tsunami_serverd + net_test (which gates the wire-level NetFaultTest
 #     fault soaks on TSUNAMI_FAULT_INJECTION), a loopback daemon smoke via
@@ -94,9 +95,10 @@ cmake -B build-asan -S . -DTSUNAMI_WERROR=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j"$(nproc)" --target \
   io_test encoded_column_test storage_test scan_kernel_test \
-  task_scheduler_test query_service_test tsunami_test ingest_test
+  task_scheduler_test query_service_test tsunami_test ingest_test \
+  exec_test batch_api_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" -R \
-  'io_test|encoded_column_test|storage_test|scan_kernel_test|task_scheduler_test|query_service_test|tsunami_test|ingest_test'
+  'io_test|encoded_column_test|storage_test|scan_kernel_test|task_scheduler_test|query_service_test|tsunami_test|ingest_test|exec_test|batch_api_test'
 
 # Seventh pass: the network front end, reusing the ASan+UBSan+FI build.
 # net_test's NetFaultTest suite (injected accept failures, short writes,

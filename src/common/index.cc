@@ -1,7 +1,7 @@
 #include "src/common/index.h"
 
 #include "src/exec/runner.h"
-#include "src/exec/thread_pool.h"
+#include "src/exec/task_scheduler.h"
 
 namespace tsunami {
 
@@ -25,12 +25,13 @@ QueryResult MultiDimIndex::ExecutePlan(const QueryPlan& plan,
 
 namespace {
 
-/// Shared batch loop: runs `one(i)` for every position, spread across the
-/// context's pool when it is multi-threaded (each item's scans inline on
-/// its worker — a per-worker context without the pool avoids nested
-/// ParallelFor deadlocks and oversubscription), serially otherwise.
-/// Cancellation is checked before each item; skipped items get their
-/// identity result. Fills ctx.stats from the results.
+/// Shared batch loop: runs `one(i)` for every position, as one scheduler
+/// job of one chunk per item when the context's scheduler has several
+/// workers (each item's scans inline on its worker — a per-item context
+/// without the scheduler never submits a nested job, which would deadlock
+/// the workers blocked in Run, and avoids oversubscription), serially
+/// otherwise. Cancellation is checked before each item; skipped items get
+/// their identity result. Fills ctx.stats from the results.
 template <typename ExecuteOne, typename IdentityOf>
 std::vector<QueryResult> BatchLoop(int64_t count, ExecContext& ctx,
                                    const ExecuteOne& one,
@@ -57,15 +58,19 @@ std::vector<QueryResult> BatchLoop(int64_t count, ExecContext& ctx,
     results[i] = std::move(result);
     executed.fetch_add(1, std::memory_order_relaxed);
   };
-  if (ctx.pool != nullptr && ctx.pool->num_threads() > 1 && count > 1) {
-    ctx.pool->ParallelFor(0, count, 1, [&](int64_t i) {
-      // Fork per item so the batch deadline keeps applying between range
-      // tasks inside the item's scans; drop the pool (no nested
-      // ParallelFor).
-      ExecContext inline_ctx = ctx.Fork();
-      inline_ctx.pool = nullptr;
-      run(i, inline_ctx);
-    });
+  if (ctx.scheduler != nullptr && ctx.scheduler->num_threads() > 1 &&
+      count > 1) {
+    ctx.scheduler->Run(
+        count,
+        [&](int64_t i, int) {
+          // Fork per item so the batch deadline keeps applying between
+          // range tasks inside the item's scans; drop the scheduler (no
+          // nested job).
+          ExecContext inline_ctx = ctx.Fork();
+          inline_ctx.scheduler = nullptr;
+          run(i, inline_ctx);
+        },
+        ctx.priority);
   } else {
     for (int64_t i = 0; i < count; ++i) run(i, ctx);
   }

@@ -6,8 +6,8 @@
 //  * the legacy per-query path — Execute(query) — one synchronous query;
 //  * the batch path — Prepare(query) -> QueryPlan, then
 //    ExecutePlan(plan, ctx) or ExecuteBatch(queries, ctx) — which amortizes
-//    planning, runs scans through the shared thread pool and forced SIMD
-//    tier carried by the ExecContext, and computes every aggregate of a
+//    planning, runs scans on the task scheduler and forced SIMD tier
+//    carried by the ExecContext, and computes every aggregate of a
 //    multi-aggregate query in one pass.
 // Both surfaces are bit-identical: ExecuteBatch over any permutation of a
 // workload returns exactly what per-query Execute returns.
@@ -28,7 +28,6 @@
 namespace tsunami {
 
 class TaskScheduler;
-class ThreadPool;
 
 /// A prepared query: the bound query plus, when the index supports
 /// plan-then-scan execution, the physical row ranges to scan. Plans borrow
@@ -87,28 +86,27 @@ struct BatchStats {
 };
 
 /// Execution context for the batch path. Carries the resources a batch
-/// shares — the thread pool, scan options (kernel mode + forced SIMD tier)
-/// — plus cooperative cancellation (an external flag and/or a deadline,
-/// both checked between range tasks and between queries) and per-batch
-/// stats. Copyable: forwarding layers fork a context per sub-batch and
-/// merge stats back.
+/// shares — the task scheduler, scan options (kernel mode + forced SIMD
+/// tier) — plus cooperative cancellation (an external flag and/or a
+/// deadline, both checked between range tasks and between queries) and
+/// per-batch stats. Copyable: forwarding layers fork a context per
+/// sub-batch and merge stats back.
 class ExecContext {
  public:
   ExecContext() = default;
-  explicit ExecContext(ThreadPool* pool) : pool(pool) {}
-  ExecContext(ThreadPool* pool, const ScanOptions& scan)
-      : pool(pool), scan(scan) {}
+  explicit ExecContext(TaskScheduler* scheduler, const ScanOptions& scan = {})
+      : scheduler(scheduler), scan(scan) {}
 
-  ThreadPool* pool = nullptr;   // Borrowed; null = run inline.
-  /// Borrowed work-stealing scheduler (src/exec/task_scheduler.h); when set
-  /// (and `pool` is not), ExecuteRangeTasks feeds its chunks into the
-  /// shared per-worker deques instead of a private ParallelFor, so chunks
-  /// of concurrent queries interleave and idle workers steal. Only set
-  /// this on contexts executed from OUTSIDE the scheduler's own workers:
-  /// the executor blocks in TaskScheduler::Wait without helping, so a
-  /// worker submitting its own chunks would deadlock the deques. (This is
-  /// why QueryService's chunk closures keep their contexts scheduler-free
-  /// and the service decomposes plans itself.)
+  /// Borrowed work-stealing scheduler (src/exec/task_scheduler.h); null =
+  /// run inline. ExecuteBatch spreads its queries over the workers (each
+  /// query's scans inline on its worker), and a lone ExecutePlan spreads
+  /// its row-balanced chunks, so chunks of concurrent callers interleave
+  /// and idle workers steal. Only set this on contexts executed from
+  /// OUTSIDE the scheduler's own workers: the executors block in
+  /// TaskScheduler::Run without helping, so a worker submitting its own
+  /// chunks would deadlock the deques. (This is why batch items and
+  /// QueryService's chunk closures keep their contexts scheduler-free and
+  /// the service decomposes plans itself.)
   TaskScheduler* scheduler = nullptr;
   ScanOptions scan;             // Kernel mode and SIMD tier for every scan.
   /// External cancellation flag (borrowed, may be null). Once set, the
@@ -117,9 +115,8 @@ class ExecContext {
   const std::atomic<bool>* cancel = nullptr;
   /// Soft deadline in seconds from the last StartBatch(); 0 disables.
   double deadline_seconds = 0.0;
-  /// Serving-path priority (higher = sooner). Not consulted by the batch
-  /// executors themselves; QueryService hands it to the scheduler, which
-  /// queues a high-priority query's chunks ahead of backlog.
+  /// Priority (higher = sooner) of the scheduler jobs that run this
+  /// context's work: a high-priority job's chunks queue ahead of backlog.
   int priority = 0;
 
   BatchStats stats;             // Filled by ExecuteBatch.
@@ -160,13 +157,12 @@ class ExecContext {
   }
 
   /// A child context for running a slice of this batch elsewhere (a routed
-  /// sub-batch, one worker's query, one statement): same pool, scan
+  /// sub-batch, one worker's query, one statement): same scheduler, scan
   /// options, and cancel flag; fresh stats; deadline clipped to this
   /// batch's *remaining* time, so the child's StartBatch cannot extend the
   /// parent's deadline. Forwarding layers must fork rather than copy.
   ExecContext Fork() const {
-    ExecContext child(pool, scan);
-    child.scheduler = scheduler;
+    ExecContext child(scheduler, scan);
     child.cancel = cancel;
     child.priority = priority;
     if (deadline_seconds > 0.0) {
@@ -204,10 +200,11 @@ class MultiDimIndex {
   virtual QueryPlan Prepare(const Query& query) const;
 
   /// Executes a prepared plan. Task-backed plans scan through the context's
-  /// thread pool and scan options (one batched submission, row-balanced
-  /// across threads) and then run FinishPlan(); passthrough plans delegate
-  /// to Execute(). Bit-identical to Execute(plan.query) for any pool size
-  /// and supported tier.
+  /// scheduler and scan options (one job, row-balanced across workers) and
+  /// then run FinishPlan(); passthrough plans delegate to Execute().
+  /// Bit-identical to Execute(plan.query) for any worker count and
+  /// supported tier. Throws std::runtime_error when a scheduler chunk
+  /// fails.
   virtual QueryResult ExecutePlan(const QueryPlan& plan,
                                   ExecContext& ctx) const;
 
@@ -240,21 +237,24 @@ class MultiDimIndex {
   }
 
   /// Executes a batch: plans every query first, then runs the scans. With a
-  /// multi-threaded pool the batch is spread across its threads (each
-  /// query's scans run inline on one worker — no nested parallelism);
-  /// results are positionally stable and bit-identical to per-query
-  /// Execute() either way. Cancellation is checked between queries; skipped
-  /// queries — and the query in flight when cancellation fires, whose scans
-  /// may have stopped early — return their initialized (identity) results,
-  /// so a partial aggregate is never passed off as an answer. Fills
-  /// ctx.stats (counting only fully executed queries).
+  /// multi-worker scheduler the batch is one job of one chunk per query,
+  /// spread across the workers (each query's scans run inline on its
+  /// worker — batch items never submit nested jobs); results are
+  /// positionally stable and bit-identical to per-query Execute() either
+  /// way, and a failed job throws std::runtime_error. Cancellation is
+  /// checked between queries; skipped queries — and the query in flight
+  /// when cancellation fires, whose scans may have stopped early — return
+  /// their initialized (identity) results, so a partial aggregate is never
+  /// passed off as an answer. Fills ctx.stats (counting only fully
+  /// executed queries).
   virtual std::vector<QueryResult> ExecuteBatch(std::span<const Query> queries,
                                                 ExecContext& ctx) const;
 
   /// Executes a batch of already-prepared plans: the amortization lever for
   /// served workloads — Prepare once, ExecutePlans every time the batch
-  /// recurs, paying only the scans. Same pool/cancellation/stats semantics
-  /// as ExecuteBatch, and the same results as executing each plan's query.
+  /// recurs, paying only the scans. Same scheduler/cancellation/stats
+  /// semantics as ExecuteBatch, and the same results as executing each
+  /// plan's query.
   std::vector<QueryResult> ExecutePlans(std::span<const QueryPlan> plans,
                                         ExecContext& ctx) const;
 

@@ -6,7 +6,7 @@
 #include "src/common/random.h"
 #include "src/common/stats.h"
 #include "src/common/workload_stats.h"
-#include "src/exec/thread_pool.h"
+#include "src/exec/task_scheduler.h"
 
 namespace tsunami {
 
@@ -97,8 +97,9 @@ void TsunamiIndex::BuildIndex(const Dataset& data, const Workload& workload,
   regions_.resize(num_regions);
   // Regions are independent: optimize and build them in parallel (§6.1:
   // "optimization and data sorting for index creation are performed in
-  // parallel"). Per-region outputs land in pre-sized vectors, so results
-  // are identical for any thread count.
+  // parallel"), one scheduler chunk per region; a serial build runs them
+  // on this thread with no scheduler at all. Per-region outputs land in
+  // pre-sized vectors, so results are identical for any thread count.
   // Build times are thread-time sums, not wall time: each region times its
   // own optimize and sort phases, and the serial work around the parallel
   // section counts once. With several build threads the sums exceed the
@@ -107,8 +108,7 @@ void TsunamiIndex::BuildIndex(const Dataset& data, const Workload& workload,
   std::vector<double> region_optimize_seconds(num_regions, 0.0);
   std::vector<double> region_sort_seconds(num_regions, 0.0);
   double serial_seconds = optimize_timer.ElapsedSeconds();
-  ThreadPool pool(options.build_threads > 1 ? options.build_threads : 0);
-  pool.ParallelFor(0, num_regions, 1, [&](int64_t region) {
+  auto build_region = [&](int64_t region) {
     Timer region_timer;
     Region& reg = regions_[region];
     if (use_grid_tree_) {
@@ -162,7 +162,16 @@ void TsunamiIndex::BuildIndex(const Dataset& data, const Workload& workload,
                    build_options);
     region_sort_seconds[region] = sort_timer.ElapsedSeconds();
     reg.has_grid = true;
-  });
+  };
+  if (options.build_threads > 1) {
+    // Run throws if a region's chunk failed, so a half-built index never
+    // escapes the constructor.
+    TaskScheduler scheduler(options.build_threads);
+    scheduler.Run(num_regions,
+                  [&](int64_t region, int) { build_region(region); });
+  } else {
+    for (int region = 0; region < num_regions; ++region) build_region(region);
+  }
 
   // Sequential epilogue: physical layout (regions are concatenated in
   // region order) and build statistics.

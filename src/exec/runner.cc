@@ -7,27 +7,35 @@
 
 namespace tsunami {
 
-std::vector<QueryResult> RunWorkload(const MultiDimIndex& index,
-                                     const Workload& workload,
-                                     ThreadPool* pool) {
-  std::vector<QueryResult> results(workload.size());
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    for (size_t i = 0; i < workload.size(); ++i) {
-      results[i] = index.Execute(workload[i]);
-    }
-    return results;
+namespace {
+
+/// Times `run()` and sums the counters of the results it returns.
+template <typename RunFn>
+WorkloadRunStats Measure(size_t num_queries, const RunFn& run) {
+  WorkloadRunStats stats;
+  Timer timer;
+  std::vector<QueryResult> results = run();
+  stats.total_seconds = timer.ElapsedSeconds();
+  if (num_queries > 0) {
+    stats.avg_query_micros = stats.total_seconds * 1e6 / num_queries;
   }
-  pool->ParallelFor(0, static_cast<int64_t>(workload.size()), 4,
-                    [&](int64_t i) { results[i] = index.Execute(workload[i]); });
-  return results;
+  for (const QueryResult& r : results) {
+    stats.total_scanned += r.scanned;
+    stats.total_matched += r.matched;
+    stats.total_cell_ranges += r.cell_ranges;
+  }
+  return stats;
 }
 
-QueryResult ExecuteRangeTasks(const ColumnStore& store,
-                              std::span<const RangeTask> tasks,
-                              const Query& query, ThreadPool* pool,
-                              const ScanOptions& options) {
-  ExecContext ctx(pool, options);
-  return ExecuteRangeTasks(store, tasks, query, ctx);
+}  // namespace
+
+std::vector<QueryResult> RunWorkload(const MultiDimIndex& index,
+                                     const Workload& workload) {
+  std::vector<QueryResult> results(workload.size());
+  for (size_t i = 0; i < workload.size(); ++i) {
+    results[i] = index.Execute(workload[i]);
+  }
+  return results;
 }
 
 std::vector<std::vector<RangeTask>> ChunkRangeTasks(
@@ -66,15 +74,11 @@ std::vector<std::vector<RangeTask>> ChunkRangeTasks(
 QueryResult ExecuteRangeTasks(const ColumnStore& store,
                               std::span<const RangeTask> tasks,
                               const Query& query, ExecContext& ctx) {
-  ThreadPool* pool = ctx.pool;
   QueryResult total = InitResult(query);
   int64_t total_rows = 0;
   for (const RangeTask& task : tasks) total_rows += task.end - task.begin;
   const int threads =
-      pool != nullptr ? pool->num_threads()
-                      : (ctx.scheduler != nullptr
-                             ? ctx.scheduler->num_threads()
-                             : 0);
+      ctx.scheduler != nullptr ? ctx.scheduler->num_threads() : 0;
   // Below ~4 blocks per thread the merge and dispatch overhead exceeds the
   // scan itself; run the batch inline. The stop probe rides in the scan
   // options, so cancellation lands between tasks and mid-task.
@@ -87,24 +91,21 @@ QueryResult ExecuteRangeTasks(const ColumnStore& store,
   const int64_t target = (total_rows + threads * 4 - 1) / (threads * 4);
   std::vector<std::vector<RangeTask>> chunks = ChunkRangeTasks(tasks, target);
   std::vector<QueryResult> partials(chunks.size());
-  auto run_chunk = [&](int64_t i) {
-    partials[i] = InitResult(query);
-    // Cancellation boundary: whole chunks are skipped once the flag is
-    // seen (partials stay exact for the chunks that did run); inside a
-    // chunk the probe stops at the next block-aligned slice.
-    if (ctx.ShouldStop()) return;
-    store.ScanRanges(chunks[i], query, &partials[i], ctx.CancellableScan());
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(0, static_cast<int64_t>(chunks.size()), 1, run_chunk);
-  } else {
-    // Scheduler path: the chunks join the shared work-stealing deques, so
-    // a concurrent caller's idle workers pick them up too.
-    TaskScheduler::JobRef job = ctx.scheduler->Submit(
-        static_cast<int64_t>(chunks.size()),
-        [&](int64_t i, int) { run_chunk(i); }, ctx.priority);
-    ctx.scheduler->Wait(job);
-  }
+  // The chunks join the shared work-stealing deques, so a concurrent
+  // caller's idle workers pick them up too. Run throws when a chunk failed:
+  // its partial is missing, so none of them may be merged.
+  ctx.scheduler->Run(
+      static_cast<int64_t>(chunks.size()),
+      [&](int64_t i, int) {
+        partials[i] = InitResult(query);
+        // Cancellation boundary: whole chunks are skipped once the flag is
+        // seen (partials stay exact for the chunks that did run); inside a
+        // chunk the probe stops at the next block-aligned slice.
+        if (ctx.ShouldStop()) return;
+        store.ScanRanges(chunks[i], query, &partials[i],
+                         ctx.CancellableScan());
+      },
+      ctx.priority);
   for (const QueryResult& partial : partials) {
     MergeQueryResults(query, partial, &total);
   }
@@ -120,37 +121,13 @@ std::vector<QueryResult> RunWorkload(const MultiDimIndex& index,
 
 WorkloadRunStats MeasureWorkload(const MultiDimIndex& index,
                                  const Workload& workload, ExecContext& ctx) {
-  WorkloadRunStats stats;
-  Timer timer;
-  std::vector<QueryResult> results = RunWorkload(index, workload, ctx);
-  stats.total_seconds = timer.ElapsedSeconds();
-  if (!workload.empty()) {
-    stats.avg_query_micros = stats.total_seconds * 1e6 / workload.size();
-  }
-  for (const QueryResult& r : results) {
-    stats.total_scanned += r.scanned;
-    stats.total_matched += r.matched;
-    stats.total_cell_ranges += r.cell_ranges;
-  }
-  return stats;
+  return Measure(workload.size(),
+                 [&] { return RunWorkload(index, workload, ctx); });
 }
 
 WorkloadRunStats MeasureWorkload(const MultiDimIndex& index,
-                                 const Workload& workload,
-                                 ThreadPool* pool) {
-  WorkloadRunStats stats;
-  Timer timer;
-  std::vector<QueryResult> results = RunWorkload(index, workload, pool);
-  stats.total_seconds = timer.ElapsedSeconds();
-  if (!workload.empty()) {
-    stats.avg_query_micros = stats.total_seconds * 1e6 / workload.size();
-  }
-  for (const QueryResult& r : results) {
-    stats.total_scanned += r.scanned;
-    stats.total_matched += r.matched;
-    stats.total_cell_ranges += r.cell_ranges;
-  }
-  return stats;
+                                 const Workload& workload) {
+  return Measure(workload.size(), [&] { return RunWorkload(index, workload); });
 }
 
 }  // namespace tsunami

@@ -1,6 +1,6 @@
-// Batch workload execution over any index, optionally in parallel. Built
-// indexes are immutable and their Execute() paths are thread-safe, so
-// queries parallelize without coordination.
+// Batch workload execution over any index, optionally in parallel on the
+// task scheduler. Built indexes are immutable and their Execute() paths are
+// thread-safe, so queries parallelize without coordination.
 #ifndef TSUNAMI_EXEC_RUNNER_H_
 #define TSUNAMI_EXEC_RUNNER_H_
 
@@ -10,7 +10,6 @@
 
 #include "src/common/index.h"
 #include "src/common/types.h"
-#include "src/exec/thread_pool.h"
 #include "src/storage/column_store.h"
 
 namespace tsunami {
@@ -24,23 +23,21 @@ struct WorkloadRunStats {
   int64_t total_cell_ranges = 0;
 };
 
-/// Executes every query, in workload order. With a non-null pool the
-/// queries are spread across its threads; results are positionally stable
-/// either way.
+/// Executes every query with per-query Execute(), serially and in workload
+/// order: the reference the batch paths are checked against.
 std::vector<QueryResult> RunWorkload(const MultiDimIndex& index,
-                                     const Workload& workload,
-                                     ThreadPool* pool = nullptr);
+                                     const Workload& workload);
 
 /// Batch-API variant: executes the workload through the index's
-/// ExecuteBatch with `ctx` (pool, scan options, cancellation, stats).
+/// ExecuteBatch with `ctx` (scheduler, scan options, cancellation, stats).
 std::vector<QueryResult> RunWorkload(const MultiDimIndex& index,
                                      const Workload& workload,
                                      ExecContext& ctx);
 
-/// Executes and times the workload, returning aggregate counters.
+/// Executes (serially, per query) and times the workload, returning
+/// aggregate counters.
 WorkloadRunStats MeasureWorkload(const MultiDimIndex& index,
-                                 const Workload& workload,
-                                 ThreadPool* pool = nullptr);
+                                 const Workload& workload);
 
 /// Batch-API variant of MeasureWorkload: times one ExecuteBatch call.
 WorkloadRunStats MeasureWorkload(const MultiDimIndex& index,
@@ -50,29 +47,24 @@ WorkloadRunStats MeasureWorkload(const MultiDimIndex& index,
 /// `target_rows` rows each, cutting oversized tasks at zone-map block
 /// boundaries (so full-block fast paths stay aligned and any re-split is
 /// bit-identical). Chunks cover disjoint rows in submission order — the
-/// shared decomposition for the pool executor below and for QueryService's
+/// shared decomposition for ExecuteRangeTasks below and for QueryService's
 /// per-query scheduler jobs.
 std::vector<std::vector<RangeTask>> ChunkRangeTasks(
     std::span<const RangeTask> tasks, int64_t target_rows);
 
 /// Batched multi-range executor: scans every planned RangeTask against the
-/// store, splitting the batch into row-balanced chunks across the pool's
-/// threads (large tasks are split at zone-map block boundaries). Each
-/// thread accumulates a private partial QueryResult; partials are merged
+/// store with ctx's scan options. With a multi-worker ctx.scheduler the
+/// batch is split into row-balanced chunks (large tasks cut at zone-map
+/// block boundaries) and run as one job on the shared work-stealing deques
+/// — chunks of concurrent callers interleave and idle workers steal. Each
+/// chunk accumulates a private partial QueryResult; partials are merged
 /// exactly once, so the result is bit-identical to a serial ScanRanges for
-/// any thread count. Does not touch cell_ranges (the planner counts runs).
-QueryResult ExecuteRangeTasks(const ColumnStore& store,
-                              std::span<const RangeTask> tasks,
-                              const Query& query, ThreadPool* pool,
-                              const ScanOptions& options = {});
-
-/// ExecContext-aware variant: scans through ctx's pool (or, when the
-/// context carries a TaskScheduler instead, through the shared
-/// work-stealing deques — chunks of concurrent callers interleave and idle
-/// workers steal) and honors cooperative cancellation: the deadline/flag
-/// is probed between chunks *and* mid-chunk at block-aligned slices
+/// any worker count, and a failed job throws std::runtime_error instead of
+/// merging. Honors cooperative cancellation: the deadline/flag is probed
+/// between chunks *and* mid-chunk at block-aligned slices
 /// (ScanOptions::stop_probe), so even one giant scan stops promptly — a
-/// cancelled call returns the partial accumulated so far.
+/// cancelled call returns the partial accumulated so far. Does not touch
+/// cell_ranges (the planner counts runs).
 QueryResult ExecuteRangeTasks(const ColumnStore& store,
                               std::span<const RangeTask> tasks,
                               const Query& query, ExecContext& ctx);

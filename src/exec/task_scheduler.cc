@@ -87,6 +87,18 @@ void TaskScheduler::Wait(const JobRef& job) {
   job->cv_.wait(lock, [&] { return job->finished(); });
 }
 
+void TaskScheduler::Run(int64_t num_chunks,
+                        std::function<void(int64_t, int)> fn, int priority) {
+  JobRef job = Submit(num_chunks, std::move(fn), priority);
+  Wait(job);
+  if (job->failed()) throw std::runtime_error("task scheduler job failed");
+}
+
+int TaskScheduler::DefaultThreads() {
+  unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
 TaskScheduler::Stats TaskScheduler::stats() const {
   Stats s;
   s.jobs = jobs_.load(std::memory_order_relaxed);

@@ -1,32 +1,30 @@
-// Work-stealing task scheduler: the serving path's execution substrate.
+// Work-stealing task scheduler: the library's one executor.
 //
-// ThreadPool (thread_pool.h) drains one FIFO queue, which is exactly right
-// for homogeneous build work but wrong for a skewed query batch: once each
-// worker holds one query, a giant region query serializes on its worker
-// while the needle queries finish and the rest of the machine idles. The
-// scheduler closes that gap with the classic per-worker-deque design: each
-// worker owns a deque, submitted jobs spread their chunks round-robin
+// Each worker owns a deque; submitted jobs spread their chunks round-robin
 // across all deques, a worker pops from the front of its own deque and —
 // when empty — steals from the back of a victim's, so the chunks of a
 // decomposed giant query are picked up by every idle core regardless of
-// which deques they landed in.
+// which deques they landed in, and a skewed batch never serializes behind
+// its largest member.
 //
 // Jobs are chunk-indexed fan-outs (`fn(chunk, worker)` for chunk in
-// [0, num_chunks)) with an asynchronous completion handle, which is the
-// shape both clients need: QueryService decomposes each admitted query's
-// QueryPlan into block-aligned RangeTask chunks and submits one job per
-// query (Await blocks on the handle), and ExecuteRangeTasks submits its
-// row-balanced chunk lists and waits inline. Chunks of concurrently
-// submitted jobs interleave in the deques — that is the point: one shared
-// scheduler parallelizes *across* queries and *within* each query at once.
+// [0, num_chunks)) with an asynchronous completion handle. Clients:
+// QueryService decomposes each admitted query's QueryPlan into
+// block-aligned RangeTask chunks and submits one job per query (Await
+// blocks on the handle); ExecuteRangeTasks runs its row-balanced chunk
+// lists, the batch loop behind ExecuteBatch runs one chunk per query, and
+// TsunamiIndex's parallel build (§6.1) runs one chunk per region — those
+// three block in Run(). Chunks of concurrently submitted jobs interleave
+// in the deques — that is the point: one shared scheduler parallelizes
+// *across* queries and *within* each query at once.
 //
 // Chunks must be independent; result aggregation is the caller's job
-// (per-chunk partials merged after Wait, the same disjoint-rows argument
-// ExecuteRangeTasks already relies on). A chunk that throws does not take
-// the worker down: the exception is swallowed, the job is marked failed()
-// and still completes (Wait never hangs), and the caller decides what a
-// failed job's partials are worth — QueryService discards them and reports
-// the query as failed.
+// (per-chunk partials merged after the job finishes, the same
+// disjoint-rows argument ExecuteRangeTasks relies on). A chunk that throws
+// does not take the worker down: the exception is swallowed, the job is
+// marked failed() and still completes (Wait never hangs). A failed job's
+// partials are never an answer: Run() throws, and QueryService discards
+// them and reports the query as failed.
 //
 // Completion can also be pushed instead of waited for: a job submitted with
 // a continuation runs it exactly once, right after finished() is published,
@@ -90,8 +88,7 @@ class TaskScheduler {
   };
 
   /// With `threads <= 0` the scheduler degenerates to inline execution on
-  /// the submitting thread (deterministic chunk order; nothing to steal),
-  /// mirroring ThreadPool's inline mode.
+  /// the submitting thread (deterministic chunk order; nothing to steal).
   explicit TaskScheduler(int threads);
   ~TaskScheduler();
 
@@ -112,8 +109,17 @@ class TaskScheduler {
                 int priority = 0,
                 std::function<void(const Job&)> then = nullptr);
 
-  /// Blocks until every chunk of `job` has finished.
+  /// Blocks until every chunk of `job` has finished. Does not run chunks
+  /// itself, so a chunk must never Wait on (or Run) a job of its own
+  /// scheduler: with every worker blocked the deques would deadlock.
   void Wait(const JobRef& job);
+
+  /// Submit + Wait: runs `fn(chunk, worker)` for every chunk and returns
+  /// once all have finished. Throws std::runtime_error when any chunk
+  /// threw (the job failed), so a failed job's partials never reach a
+  /// caller. Same no-nesting rule as Wait().
+  void Run(int64_t num_chunks, std::function<void(int64_t, int)> fn,
+           int priority = 0);
 
   /// Moves every still-queued chunk of `job` to the front of its deque,
   /// preserving their relative order — the dynamic half of prioritization:
@@ -128,6 +134,9 @@ class TaskScheduler {
   static bool Finished(const JobRef& job) { return job->finished(); }
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
+
+  /// A sensible default worker count: hardware concurrency, at least 1.
+  static int DefaultThreads();
 
   /// Chunks currently queued (not yet picked up); the service's queue-depth
   /// gauge.

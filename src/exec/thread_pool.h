@@ -1,62 +1,12 @@
-// Fixed-size thread pool used for parallel index construction (§6.1:
-// "Optimization and data sorting for index creation are performed in
-// parallel for Tsunami and all baselines") and for batch query execution.
+// Old name of the executor, kept only for callers not yet migrated; new
+// code uses TaskScheduler directly.
 #ifndef TSUNAMI_EXEC_THREAD_POOL_H_
 #define TSUNAMI_EXEC_THREAD_POOL_H_
 
-#include <condition_variable>
-#include <cstdint>
-#include <deque>
-#include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
+#include "src/exec/task_scheduler.h"
 
 namespace tsunami {
-
-/// A fixed pool of worker threads draining a FIFO task queue.
-///
-/// Tasks must not throw. Destruction waits for all submitted tasks to
-/// finish. With `threads == 0` the pool degenerates to inline execution on
-/// the calling thread, which keeps single-threaded code paths allocation-
-/// and synchronization-free.
-class ThreadPool {
- public:
-  explicit ThreadPool(int threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues one task. Inline pools run it before returning.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every task submitted so far has finished.
-  void Wait();
-
-  /// Runs `fn(i)` for i in [begin, end), splitting the range into chunks of
-  /// at least `grain` iterations. Blocks until complete. Iterations must be
-  /// independent.
-  void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                   const std::function<void(int64_t)>& fn);
-
-  int num_threads() const { return static_cast<int>(workers_.size()); }
-
-  /// A sensible default: hardware concurrency, at least 1.
-  static int DefaultThreads();
-
- private:
-  void WorkerLoop();
-
-  std::mutex mu_;
-  std::condition_variable work_available_;
-  std::condition_variable idle_;
-  std::deque<std::function<void()>> queue_;
-  int64_t in_flight_ = 0;  // Queued + currently executing tasks.
-  bool shutting_down_ = false;
-  std::vector<std::thread> workers_;
-};
-
+using ThreadPool = TaskScheduler;
 }  // namespace tsunami
 
 #endif  // TSUNAMI_EXEC_THREAD_POOL_H_

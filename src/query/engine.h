@@ -8,8 +8,8 @@
 //  * Prepare(sql) -> PreparedStatement, then RunPrepared / RunBatch with an
 //    ExecContext — planning (parse, bind, disjunctive normalization, index
 //    range planning) happens once at Prepare time; execution reuses the
-//    plan, shares the context's thread pool and scan options, and honors
-//    its cancellation/deadline.
+//    plan, shares the context's task scheduler and scan options, and
+//    honors its cancellation/deadline.
 // Statements may compute several aggregates in one pass:
 // `SELECT SUM(x), COUNT(*), MIN(y) FROM t WHERE ...`.
 #ifndef TSUNAMI_QUERY_ENGINE_H_

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "src/exec/runner.h"
-#include "src/exec/thread_pool.h"
 
 namespace tsunami {
 
@@ -76,7 +75,7 @@ QueryService::QueryService(const MultiDimIndex* index,
       options_(SanitizeOptions(options)),
       cache_(options.plan_cache_capacity, options.plan_cache_max_bytes,
              options.governor),
-      scheduler_(options.threads < 0 ? ThreadPool::DefaultThreads()
+      scheduler_(options.threads < 0 ? TaskScheduler::DefaultThreads()
                                      : options.threads) {}
 
 QueryService::~QueryService() = default;

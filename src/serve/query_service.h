@@ -16,11 +16,11 @@
 // keyed on the normalized filter rectangle + aggregate list, so repeated
 // ad-hoc traffic replays prepared plans instead of re-routing and
 // re-planning. The admitted plan's RangeTasks are decomposed into
-// block-aligned chunks (the same ChunkRangeTasks decomposition the pool
-// executor uses) and submitted as one job to the shared work-stealing
-// TaskScheduler: chunks of *all* in-flight queries interleave in the
-// per-worker deques and idle workers steal, so a skewed batch — one giant
-// region query among needles — keeps every core busy instead of
+// block-aligned chunks (the same ChunkRangeTasks decomposition
+// ExecuteRangeTasks uses) and submitted as one job to the shared
+// work-stealing TaskScheduler: chunks of *all* in-flight queries interleave
+// in the per-worker deques and idle workers steal, so a skewed batch — one
+// giant region query among needles — keeps every core busy instead of
 // serializing behind its largest member. Per-query deadline / cancel flag /
 // priority ride in SubmitOptions; the deadline clock starts at admission
 // (queue wait counts) and is probed mid-scan at block-aligned slices.
@@ -360,7 +360,7 @@ class QueryService {
 
     std::shared_ptr<const QueryPlan> plan;
     const MultiDimIndex* target = nullptr;  // PlanTarget(*plan).
-    ExecContext ctx;  // Deadline/cancel/scan; pool- and scheduler-free.
+    ExecContext ctx;  // Deadline/cancel/scan; scheduler-free.
     std::vector<std::vector<RangeTask>> chunks;
     std::vector<QueryResult> partials;  // One per chunk, disjoint rows.
     /// Chunks not yet finished; the closure that takes it to zero stamps

@@ -30,7 +30,7 @@
 #include "src/common/random.h"
 #include "src/core/tsunami.h"
 #include "src/exec/runner.h"
-#include "src/exec/thread_pool.h"
+#include "src/exec/task_scheduler.h"
 #include "src/flood/flood.h"
 #include "src/ingest/ingest_store.h"
 #include "src/query/engine.h"
@@ -151,9 +151,9 @@ TEST_F(BatchApiTest, ExecuteBatchMatchesPerQueryExecuteShuffled) {
       std::swap(shuffled[i - 1], shuffled[rng.NextBelow(i)]);
     }
     for (int threads : {0, 4}) {
-      ThreadPool pool(threads);
+      TaskScheduler scheduler(threads);
       for (ScanMode mode : {ScanMode::kSimd, ScanMode::kScalar}) {
-        ExecContext ctx(&pool, ScanOptions{mode});
+        ExecContext ctx(&scheduler, ScanOptions{mode});
         std::vector<QueryResult> batch = RunWorkload(*index, shuffled, ctx);
         ASSERT_EQ(batch.size(), shuffled.size());
         for (size_t i = 0; i < shuffled.size(); ++i) {
@@ -169,9 +169,9 @@ TEST_F(BatchApiTest, ExecuteBatchMatchesPerQueryExecuteShuffled) {
 
 TEST_F(BatchApiTest, PrepareThenExecutePlanMatchesExecute) {
   Roster roster = BuildRoster();
-  ThreadPool pool(2);
+  TaskScheduler scheduler(2);
   for (const MultiDimIndex* index : roster.All()) {
-    ExecContext ctx(&pool);
+    ExecContext ctx(&scheduler);
     for (size_t i = 0; i < workload_.size(); ++i) {
       QueryPlan plan = index->Prepare(workload_[i]);
       ExpectBitIdentical(index->ExecutePlan(plan, ctx),
@@ -270,9 +270,10 @@ TEST_F(BatchApiTest, AggsListWithoutMirrorSyncStillCorrect) {
   EXPECT_EQ(got.extra[0], want.extra[0]);
 
   // The parallel partial-merge path (MergeQueryResults over MIN) too: the
-  // unfiltered 16k-row scan exceeds a 2-thread pool's inline threshold.
-  ThreadPool pool(2);
-  ExecContext ctx(&pool);
+  // unfiltered 16k-row scan exceeds a 2-worker scheduler's inline
+  // threshold.
+  TaskScheduler scheduler(2);
+  ExecContext ctx(&scheduler);
   QueryResult parallel = index.ExecutePlan(index.Prepare(q), ctx);
   EXPECT_EQ(parallel.agg, want.agg);
   EXPECT_EQ(parallel.extra[0], want.extra[0]);
@@ -302,8 +303,8 @@ TEST_F(BatchApiTest, DeadlineStopsBatchAndSurvivesForking) {
   EXPECT_LT(ctx.stats.queries, static_cast<int64_t>(workload_.size()));
   // Forked children inherit the *remaining* deadline — an expired parent
   // must hand out an immediately-expiring child, never 0 ("no deadline"),
-  // so forwarding layers (router sub-batches, engine statements, pooled
-  // workers) cannot restart the clock.
+  // so forwarding layers (router sub-batches, engine statements, batch
+  // items on scheduler workers) cannot restart the clock.
   EXPECT_TRUE(ctx.ShouldStop());
   ExecContext child = ctx.Fork();
   EXPECT_GT(child.deadline_seconds, 0.0);
@@ -315,8 +316,8 @@ TEST_F(BatchApiTest, DeadlineStopsBatchAndSurvivesForking) {
 
 TEST_F(BatchApiTest, BatchStatsMatchPerQueryCounters) {
   FloodIndex index(data_, workload_);
-  ThreadPool pool(3);
-  ExecContext ctx(&pool);
+  TaskScheduler scheduler(3);
+  ExecContext ctx(&scheduler);
   std::vector<QueryResult> results = RunWorkload(index, workload_, ctx);
   int64_t scanned = 0, matched = 0, ranges = 0;
   for (const QueryResult& r : results) {
@@ -331,9 +332,39 @@ TEST_F(BatchApiTest, BatchStatsMatchPerQueryCounters) {
   EXPECT_GE(ctx.stats.seconds, 0.0);
 }
 
+TEST_F(BatchApiTest, BatchSubmitsExactlyOneSchedulerJob) {
+  // ExecuteBatch runs as one job of one chunk per query, each query's scans
+  // inline on its worker. TaskScheduler::Run waits without helping run
+  // chunks, so a batch item that submitted a nested job could deadlock
+  // once every worker waited on one; this pins that items never do. The
+  // store is large enough that an unfiltered query would split into its
+  // own job if its context still carried the scheduler.
+  Rng rng(75);
+  Dataset data(3, {});
+  for (int64_t i = 0; i < 4 * 16384; ++i) {
+    Value x = rng.UniformValue(0, 40000);
+    data.AppendRow(
+        {x, x + rng.UniformValue(-300, 300), rng.UniformValue(0, 1000)});
+  }
+  FloodIndex index(data, workload_);
+  const std::span<const Query> batch(workload_.data(), 24);
+  TaskScheduler scheduler(4);
+  ExecContext ctx(&scheduler);
+  const TaskScheduler::Stats before = scheduler.stats();
+  std::vector<QueryResult> results = index.ExecuteBatch(batch, ctx);
+  const TaskScheduler::Stats after = scheduler.stats();
+  EXPECT_EQ(after.jobs - before.jobs, 1);
+  EXPECT_EQ(after.chunks - before.chunks, 24);
+  ASSERT_EQ(results.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ExpectBitIdentical(results[i], index.Execute(batch[i]),
+                       "query " + std::to_string(i));
+  }
+}
+
 TEST_F(BatchApiTest, DeltaBufferCoveredByBatchPath) {
   // Unfolded rows live in the store's delta chunks, which only FinishPlan
-  // scans: the pooled batch path must run it after the range scans.
+  // scans: the scheduled batch path must run it after the range scans.
   ingest::IngestOptions options;
   options.index.cluster_queries = false;
   options.background_compaction = false;
@@ -342,8 +373,8 @@ TEST_F(BatchApiTest, DeltaBufferCoveredByBatchPath) {
   store.Insert({35000, 34800, 200});
   const auto snapshot = store.CurrentSnapshot();  // Owns the sorted index.
   const TsunamiIndex& sorted = snapshot->index();
-  ThreadPool pool(2);
-  ExecContext ctx(&pool);
+  TaskScheduler scheduler(2);
+  ExecContext ctx(&scheduler);
   std::vector<QueryResult> batch = RunWorkload(store, workload_, ctx);
   for (size_t i = 0; i < workload_.size(); ++i) {
     ExpectBitIdentical(batch[i], store.Execute(workload_[i]),
@@ -386,8 +417,8 @@ TEST_F(BatchApiTest, EngineMultiAggregateAndRunBatch) {
   };
   std::vector<PreparedStatement> stmts;
   for (const std::string& sql : sqls) stmts.push_back(engine.Prepare(sql));
-  ThreadPool pool(2);
-  ExecContext ctx(&pool);
+  TaskScheduler scheduler(2);
+  ExecContext ctx(&scheduler);
   std::vector<SqlResult> batch = engine.RunBatch(stmts, ctx);
   ASSERT_EQ(batch.size(), sqls.size());
   for (size_t i = 0; i < sqls.size(); ++i) {

@@ -1,94 +1,31 @@
-// Tests for the parallel execution substrate: thread pool semantics,
-// parallel workload runs, and parallel index builds being bit-identical to
-// serial builds.
+// Tests for parallel execution on the task scheduler: intra-query and batch
+// runs bit-identical to serial execution, parallel index builds
+// bit-identical to serial builds, and (with fault injection) a failed
+// scheduler job surfacing as an exception instead of a wrong answer.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <memory>
-#include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "src/common/fault_injection.h"
 #include "src/common/random.h"
 #include "src/core/tsunami.h"
 #include "src/exec/runner.h"
 #include "src/exec/task_scheduler.h"
-#include "src/exec/thread_pool.h"
 #include "src/flood/flood.h"
 #include "src/ingest/ingest_store.h"
 
 namespace tsunami {
 namespace {
 
-TEST(ThreadPoolTest, InlinePoolRunsOnCaller) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 0);
-  std::thread::id caller = std::this_thread::get_id();
-  std::thread::id ran_on;
-  pool.Submit([&] { ran_on = std::this_thread::get_id(); });
-  EXPECT_EQ(ran_on, caller);
-}
-
-TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.Submit([&] { counter.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1000);
-}
-
-TEST(ThreadPoolTest, WaitWithNoTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // Must not hang.
-  SUCCEED();
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueue) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 200; ++i) {
-      pool.Submit([&] { counter.fetch_add(1); });
-    }
-  }  // Destructor joins after draining.
-  EXPECT_EQ(counter.load(), 200);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> touched(10000);
-  pool.ParallelFor(0, 10000, 16, [&](int64_t i) { touched[i].fetch_add(1); });
-  for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForEmptyAndSingleRanges) {
-  ThreadPool pool(2);
-  int calls = 0;
-  pool.ParallelFor(5, 5, 1, [&](int64_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  pool.ParallelFor(7, 8, 1, [&](int64_t i) {
-    ++calls;
-    EXPECT_EQ(i, 7);
-  });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ThreadPoolTest, ParallelForUsesMultipleThreads) {
-  ThreadPool pool(4);
-  std::atomic<int> distinct{0};
-  std::mutex mu;
-  std::vector<std::thread::id> seen;
-  pool.ParallelFor(0, 64, 1, [&](int64_t) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    std::lock_guard<std::mutex> lock(mu);
-    auto id = std::this_thread::get_id();
-    if (std::find(seen.begin(), seen.end(), id) == seen.end()) {
-      seen.push_back(id);
-      distinct.fetch_add(1);
-    }
-  });
-  EXPECT_GE(distinct.load(), 2);
+void ExpectSameResult(const QueryResult& got, const QueryResult& want,
+                      const std::string& context) {
+  EXPECT_EQ(got.agg, want.agg) << context;
+  EXPECT_EQ(got.matched, want.matched) << context;
+  EXPECT_EQ(got.scanned, want.scanned) << context;
+  EXPECT_EQ(got.cell_ranges, want.cell_ranges) << context;
+  EXPECT_EQ(got.extra, want.extra) << context;
 }
 
 // --- Parallel workload execution ---------------------------------------------
@@ -124,59 +61,32 @@ TEST_F(ParallelRunTest, IntraQueryParallelismMatchesSerialExecute) {
   options.cluster_queries = false;
   TsunamiIndex index(data_, workload_, options);
   // A query spanning many regions, plus the regular workload, must return
-  // identical results and counters for every pool size (regions are
-  // disjoint, so partial merges are exact).
+  // identical results and counters for every worker count (regions are
+  // disjoint, so partial merges are exact). The plan's row-balanced chunks
+  // run as one job on the scheduler's deques; that is only legal from
+  // outside its workers (see ExecContext::scheduler).
   Workload probes = workload_;
   Query wide;
   wide.filters = {Predicate{0, 0, 50000}};
   probes.push_back(wide);
   Query everything;
   probes.push_back(everything);
+  const std::vector<std::vector<AggregateSpec>> aggregate_lists = {
+      {{AggKind::kCount, 1}},
+      {{AggKind::kSum, 1}},
+      {{AggKind::kMin, 1}},
+      {{AggKind::kSum, 1}, {AggKind::kCount, 0}}};
   for (int threads : {0, 1, 2, 4}) {
-    ThreadPool pool(threads);
-    ExecContext ctx(&pool);
+    TaskScheduler scheduler(threads);
+    ExecContext ctx(&scheduler);
     for (Query q : probes) {
-      for (AggKind agg : {AggKind::kCount, AggKind::kSum, AggKind::kMin}) {
-        q.agg = agg;
-        q.agg_dim = 1;
+      for (const std::vector<AggregateSpec>& aggs : aggregate_lists) {
+        q.SetAggregates(aggs);
         QueryResult serial = index.Execute(q);
         QueryResult parallel = index.ExecutePlan(index.Prepare(q), ctx);
-        ASSERT_EQ(parallel.agg, serial.agg) << threads << " threads";
-        ASSERT_EQ(parallel.matched, serial.matched);
-        ASSERT_EQ(parallel.scanned, serial.scanned);
-        ASSERT_EQ(parallel.cell_ranges, serial.cell_ranges);
-      }
-    }
-  }
-}
-
-TEST_F(ParallelRunTest, SchedulerBackedExecuteRangeTasksMatchesSerial) {
-  // A pool-less context with a work-stealing scheduler attached: the
-  // runner submits its row-balanced chunks to the shared deques instead of
-  // ParallelFor. Must be bit-identical to serial Execute for every worker
-  // count. (Only legal from outside the scheduler's workers — the runner
-  // blocks in Wait; see ExecContext::scheduler.)
-  TsunamiOptions options;
-  options.cluster_queries = false;
-  TsunamiIndex index(data_, workload_, options);
-  Workload probes = workload_;
-  Query wide;
-  wide.filters = {Predicate{0, 0, 50000}};
-  probes.push_back(wide);
-  for (int threads : {1, 2, 4}) {
-    TaskScheduler scheduler(threads);
-    ExecContext ctx;
-    ctx.scheduler = &scheduler;
-    for (Query q : probes) {
-      q.SetAggregates({{AggKind::kSum, 1}, {AggKind::kCount, 0}});
-      QueryResult serial = index.Execute(q);
-      QueryResult stolen = index.ExecutePlan(index.Prepare(q), ctx);
-      ASSERT_EQ(stolen.agg, serial.agg) << threads << " workers";
-      ASSERT_EQ(stolen.matched, serial.matched);
-      ASSERT_EQ(stolen.scanned, serial.scanned);
-      ASSERT_EQ(stolen.cell_ranges, serial.cell_ranges);
-      for (size_t i = 0; i < stolen.extra.size(); ++i) {
-        ASSERT_EQ(stolen.extra[i], serial.extra[i]);
+        ExpectSameResult(parallel, serial,
+                         std::to_string(threads) + " workers");
+        if (HasFailure()) return;
       }
     }
   }
@@ -184,15 +94,15 @@ TEST_F(ParallelRunTest, SchedulerBackedExecuteRangeTasksMatchesSerial) {
 
 TEST_F(ParallelRunTest, IntraQueryParallelismCoversDeltaBuffer) {
   // Unfolded rows live in the store's delta chunks, which only FinishPlan
-  // scans: the pooled plan path must run it after the range scans.
+  // scans: the scheduled plan path must run it after the range scans.
   ingest::IngestOptions options;
   options.index.cluster_queries = false;
   options.background_compaction = false;
   ingest::IngestStore store(data_, workload_, options);
   store.Insert({100, 100, 100});
   store.Insert({200, 250, 500});
-  ThreadPool pool(2);
-  ExecContext ctx(&pool);
+  TaskScheduler scheduler(2);
+  ExecContext ctx(&scheduler);
   Query q;
   q.filters = {Predicate{0, 0, 50000}};
   QueryResult serial = store.Execute(q);
@@ -210,14 +120,12 @@ TEST_F(ParallelRunTest, ParallelResultsEqualSerial) {
   options.cluster_queries = false;
   TsunamiIndex index(data_, workload_, options);
   std::vector<QueryResult> serial = RunWorkload(index, workload_);
-  ThreadPool pool(4);
-  std::vector<QueryResult> parallel = RunWorkload(index, workload_, &pool);
+  TaskScheduler scheduler(4);
+  ExecContext ctx(&scheduler);
+  std::vector<QueryResult> parallel = RunWorkload(index, workload_, ctx);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(parallel[i].agg, serial[i].agg);
-    EXPECT_EQ(parallel[i].matched, serial[i].matched);
-    EXPECT_EQ(parallel[i].scanned, serial[i].scanned);
-    EXPECT_EQ(parallel[i].cell_ranges, serial[i].cell_ranges);
+    ExpectSameResult(parallel[i], serial[i], "query " + std::to_string(i));
   }
 }
 
@@ -299,6 +207,134 @@ TEST_P(BuildThreadSweepTest, AnyThreadCountMatchesFullScan) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, BuildThreadSweepTest,
                          ::testing::Values(1, 2, 3, 8));
+
+// --- Failed scheduler jobs ---------------------------------------------------
+//
+// The scheduler swallows a chunk's exception and marks its job failed; the
+// failed chunk's partial is left empty. Every blocking client (the range
+// executor, the batch loop, the parallel build) must throw rather than
+// consume such a job. sched.task_throw fires before the chunk body runs.
+
+class SchedulerFaultTest : public ParallelRunTest {
+ protected:
+  void TearDown() override {
+#if defined(TSUNAMI_FAULT_INJECTION)
+    fault::DisarmAll();
+#endif
+  }
+
+#if defined(TSUNAMI_FAULT_INJECTION)
+  /// Arms sched.task_throw to fire on exactly the next chunk to run.
+  static void FailNextChunk() {
+    fault::FaultSpec spec;
+    spec.max_fires = 1;
+    fault::Arm("sched.task_throw", spec);
+  }
+#endif
+};
+
+TEST_F(SchedulerFaultTest, ExecutePlanThrowsInsteadOfMergingFailedChunk) {
+#if !defined(TSUNAMI_FAULT_INJECTION)
+  GTEST_SKIP() << "built without TSUNAMI_FAULT_INJECTION";
+#else
+  // ~24k planned rows split across 4 workers. Merging around the failed
+  // chunk's empty partial would drop its rows and fold its zero into MIN;
+  // with several aggregates the empty partial has no extra accumulators at
+  // all.
+  FloodIndex index(data_, workload_, FloodOptions());
+  TaskScheduler scheduler(4);
+  ExecContext ctx(&scheduler);
+  Query min_only;
+  min_only.filters = {Predicate{0, 1000, 50000}};
+  min_only.SetAggregates({{AggKind::kMin, 0}});
+  Query three = min_only;
+  three.SetAggregates(
+      {{AggKind::kMin, 0}, {AggKind::kSum, 1}, {AggKind::kMax, 2}});
+  for (const Query& q : {min_only, three}) {
+    const QueryPlan plan = index.Prepare(q);
+    FailNextChunk();
+    EXPECT_THROW(index.ExecutePlan(plan, ctx), std::runtime_error);
+    EXPECT_EQ(fault::FireCount("sched.task_throw"), 1);
+    fault::DisarmAll();
+    ExpectSameResult(index.ExecutePlan(plan, ctx), index.Execute(q),
+                     "after the fault");
+  }
+#endif
+}
+
+TEST_F(SchedulerFaultTest, ExecuteBatchThrowsOnFailedItem) {
+#if !defined(TSUNAMI_FAULT_INJECTION)
+  GTEST_SKIP() << "built without TSUNAMI_FAULT_INJECTION";
+#else
+  FloodIndex index(data_, workload_, FloodOptions());
+  TaskScheduler scheduler(4);
+  ExecContext ctx(&scheduler);
+  FailNextChunk();
+  EXPECT_THROW(RunWorkload(index, workload_, ctx), std::runtime_error);
+  EXPECT_EQ(fault::FireCount("sched.task_throw"), 1);
+#endif
+}
+
+TEST_F(SchedulerFaultTest, ParallelBuildThrowsSerialBuildNeverSchedules) {
+#if !defined(TSUNAMI_FAULT_INJECTION)
+  GTEST_SKIP() << "built without TSUNAMI_FAULT_INJECTION";
+#else
+  TsunamiOptions options;
+  options.cluster_queries = false;
+  options.build_threads = 2;
+  FailNextChunk();
+  EXPECT_THROW(TsunamiIndex parallel(data_, workload_, options),
+               std::runtime_error);
+  EXPECT_EQ(fault::FireCount("sched.task_throw"), 1);
+
+  // A serial build runs its regions on the calling thread, so the armed
+  // site is never reached.
+  FailNextChunk();
+  options.build_threads = 1;
+  TsunamiIndex serial(data_, workload_, options);
+  EXPECT_EQ(fault::FireCount("sched.task_throw"), 0);
+  ColumnStore reference(data_);
+  for (const Query& q : workload_) {
+    EXPECT_EQ(serial.Execute(q).agg, ExecuteFullScan(reference, q).agg);
+  }
+#endif
+}
+
+TEST_F(SchedulerFaultTest, FailedFoldBuildFailsCompactionClosed) {
+#if !defined(TSUNAMI_FAULT_INJECTION)
+  GTEST_SKIP() << "built without TSUNAMI_FAULT_INJECTION";
+#else
+  ingest::IngestOptions options;
+  options.index.cluster_queries = false;
+  options.index.build_threads = 2;
+  options.background_compaction = false;
+  ingest::IngestStore store(data_, workload_, options);
+  Dataset expect = data_;
+  Rng rng(29);
+  for (int i = 0; i < 500; ++i) {
+    Value x = rng.UniformValue(0, 50000);
+    std::vector<Value> row = {x, x + rng.UniformValue(-200, 200),
+                              rng.UniformValue(0, 1000)};
+    store.Insert(row);
+    expect.AppendRow(row);
+  }
+  store.ForceRoll();
+  const uint64_t version = store.version();
+  const int64_t failed = store.stats().failed_compactions;
+
+  FailNextChunk();
+  EXPECT_EQ(store.CompactNow(), version);
+  EXPECT_EQ(fault::FireCount("sched.task_throw"), 1);
+  EXPECT_EQ(store.stats().failed_compactions, failed + 1);
+  ColumnStore reference(expect);
+  for (const Query& q : workload_) {
+    QueryResult got = store.Execute(q);
+    QueryResult want = ExecuteFullScan(reference, q);
+    EXPECT_EQ(got.agg, want.agg);
+    EXPECT_EQ(got.matched, want.matched);
+  }
+#endif
+}
 
 }  // namespace
 }  // namespace tsunami

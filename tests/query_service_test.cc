@@ -26,7 +26,7 @@
 #include "src/baselines/zorder.h"
 #include "src/common/random.h"
 #include "src/core/tsunami.h"
-#include "src/exec/thread_pool.h"
+#include "src/exec/task_scheduler.h"
 #include "src/flood/flood.h"
 #include "src/ingest/ingest_store.h"
 #include "src/query/engine.h"
@@ -146,8 +146,8 @@ TEST_F(QueryServiceTest, SubmitAwaitBitIdenticalToExecuteAndExecuteBatch) {
             service.SubmitBatch(std::span<const Query>(batch), sub);
         ASSERT_EQ(tickets.size(), batch.size());
         // Also the ExecuteBatch path, as the second reference.
-        ThreadPool pool(threads);
-        ExecContext ctx(&pool, ScanOptions{mode});
+        TaskScheduler batch_scheduler(threads);
+        ExecContext ctx(&batch_scheduler, ScanOptions{mode});
         std::vector<QueryResult> via_batch = index->ExecuteBatch(
             std::span<const Query>(batch.data(), batch.size()), ctx);
         for (size_t i = 0; i < batch.size(); ++i) {

@@ -11,7 +11,7 @@
 #include "src/common/random.h"
 #include "src/core/augmented_grid.h"
 #include "src/exec/runner.h"
-#include "src/exec/thread_pool.h"
+#include "src/exec/task_scheduler.h"
 #include "src/storage/column_store.h"
 #include "src/storage/scan_kernel.h"
 #include "src/storage/scan_kernel_simd.h"
@@ -297,7 +297,9 @@ TEST(ScanKernelTest, BatchMatchesSequentialScans) {
 TEST(ScanKernelTest, ParallelRangeTasksMatchSerial) {
   Dataset data = MakeData(50000, 3, /*clustered=*/true, 909);
   ColumnStore store(data);
-  ThreadPool pool(4);
+  TaskScheduler scheduler(4);
+  ExecContext parallel_ctx(&scheduler);
+  ExecContext serial_ctx;
   Rng rng(910);
   for (int trial = 0; trial < 40; ++trial) {
     Query q = RandomQuery(&rng, 3, 1 + trial % 3, kAggs[trial % 5]);
@@ -309,8 +311,8 @@ TEST(ScanKernelTest, ParallelRangeTasksMatchSerial) {
       int64_t end = std::min(store.size(), begin + rng.UniformValue(0, 2000));
       tasks.push_back(RangeTask{begin, end, /*exact=*/t % 4 == 0});
     }
-    QueryResult parallel = ExecuteRangeTasks(store, tasks, q, &pool);
-    QueryResult serial = ExecuteRangeTasks(store, tasks, q, nullptr);
+    QueryResult parallel = ExecuteRangeTasks(store, tasks, q, parallel_ctx);
+    QueryResult serial = ExecuteRangeTasks(store, tasks, q, serial_ctx);
     ExpectSameResult(parallel, serial, "parallel");
   }
 }

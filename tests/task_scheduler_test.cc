@@ -1,5 +1,5 @@
 // Tests for the work-stealing task scheduler: every chunk runs exactly
-// once (any thread count, concurrent submitters), Wait/Finished semantics,
+// once (any thread count, concurrent submitters), Wait/Finished/Run semantics,
 // inline determinism, priority jumping the queue, stealing actually firing
 // on a skewed job mix, and job continuations running exactly once after
 // completion (threaded, inline, zero-chunk, and failed jobs).
@@ -196,6 +196,31 @@ TEST(TaskSchedulerTest, ThrowingChunkFailsJobWithoutHangingWait) {
   scheduler.Wait(ok);
   EXPECT_FALSE(ok->failed());
   EXPECT_EQ(healthy.load(), 8);
+}
+
+// Run() is Submit + Wait for blocking callers: it returns once every chunk
+// ran, and turns a failed job into an exception (after all its chunks
+// finished, so nothing still writes the caller's partials).
+TEST(TaskSchedulerTest, RunWaitsForEveryChunkAndThrowsOnFailedJob) {
+  for (int threads : {0, 2}) {
+    TaskScheduler scheduler(threads);
+    std::atomic<int64_t> ran{0};
+    scheduler.Run(16, [&](int64_t, int) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(ran.load(), 16) << threads << " workers";
+
+    ran = 0;
+    EXPECT_THROW(scheduler.Run(16,
+                               [&](int64_t c, int) {
+                                 ran.fetch_add(1, std::memory_order_relaxed);
+                                 if (c == 5) {
+                                   throw std::runtime_error("chunk fault");
+                                 }
+                               }),
+                 std::runtime_error);
+    EXPECT_EQ(ran.load(), 16) << threads << " workers";
+  }
 }
 
 // Boost() moves a job's still-queued chunks to the deque front: with one
