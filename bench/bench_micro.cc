@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the core primitives, including
 // the two ablations DESIGN.md calls out: the exact-range scan skip and the
 // sort-dimension binary-search refinement. main() additionally runs the
-// scalar-vs-vectorized scan-kernel A/B sweep and writes
+// scan kernel's portable-vs-SIMD tier sweep and writes
 // BENCH_scan_kernel.json before the registered benchmarks.
 #include <algorithm>
 #include <chrono>
@@ -226,14 +226,14 @@ void BM_RouterDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_RouterDispatch);
 
-// --- Scan-kernel A/B/C: scalar vs vectorized vs SIMD over selectivities --
+// --- Scan-kernel tiers: portable (kNone) vs SIMD over selectivities ------
 //
 // Clustered data (sorted by dim 0, the layout every clustering index
 // produces) so the zone maps see the locality they were built for. Two
-// shapes: full-store scans at swept selectivities (the "large range" case
-// where the kernel must win big) and short ranges at the sizes grid cells
-// produce after refinement (where it must at least not lose). The C column
-// is the SIMD tier at the best runtime-dispatched instruction set.
+// shapes: full-store scans at swept selectivities (the "large range" case)
+// and short ranges at the sizes grid cells produce after refinement. The
+// SIMD column is the best runtime-dispatched instruction set, or the tier
+// forced with --simd.
 
 Dataset MakeClusteredData(int64_t rows, int dims, uint64_t seed) {
   Rng rng(seed);
@@ -257,16 +257,15 @@ Dataset MakeClusteredData(int64_t rows, int dims, uint64_t seed) {
   return sorted;
 }
 
-// Best-of-`reps` seconds for scanning `tasks` in `mode` at `tier`.
+// Best-of-`reps` seconds for scanning `tasks` at `tier`.
 double TimeScan(const ColumnStore& store, std::span<const RangeTask> tasks,
-                const Query& query, ScanMode mode, int reps,
-                SimdTier tier = SimdTier::kAuto) {
+                const Query& query, SimdTier tier, int reps) {
   double best = 0.0;
   int64_t sink = 0;
   for (int rep = 0; rep < reps; ++rep) {
     Timer timer;
     QueryResult r = InitResult(query);
-    store.ScanRanges(tasks, query, &r, ScanOptions{mode, tier});
+    store.ScanRanges(tasks, query, &r, ScanOptions{tier});
     double seconds = timer.ElapsedSeconds();
     sink += r.agg;
     if (rep == 0 || seconds < best) best = seconds;
@@ -275,12 +274,14 @@ double TimeScan(const ColumnStore& store, std::span<const RangeTask> tasks,
   return best;
 }
 
+// The scan kernel at the portable tier (SimdTier::kNone) against the
+// detected tier, or the one forced with --simd.
 void RunScanKernelAB(SimdTier forced_tier,
                      std::vector<std::string>* records) {
-  const char* tier =
-      SimdTierName(forced_tier == SimdTier::kAuto ? DetectSimdTier()
-                                                  : forced_tier);
-  bench::PrintHeader("scan kernel A/B/C (scalar vs vectorized vs SIMD)");
+  const SimdTier simd_tier =
+      forced_tier == SimdTier::kAuto ? DetectSimdTier() : forced_tier;
+  const char* tier = SimdTierName(simd_tier);
+  bench::PrintHeader("scan kernel tiers (portable vs SIMD)");
   std::printf("SIMD tier: %s%s\n", tier,
               forced_tier == SimdTier::kAuto ? "" : " (forced via --simd)");
   const int64_t kRows = 1 << 20;
@@ -291,8 +292,8 @@ void RunScanKernelAB(SimdTier forced_tier,
 
   // Full-range scans over swept selectivities: a filter on the clustered
   // dimension sized to the target fraction plus a 50% filter on dim 1.
-  std::printf("%-22s %13s %13s %13s %10s %10s\n", "shape", "scalar ns/row",
-              "vector ns/row", "simd ns/row", "vec/scal", "simd/vec");
+  std::printf("%-22s %13s %13s %10s\n", "shape", "none ns/row",
+              "simd ns/row", "simd/none");
   for (double sel : {0.001, 0.01, 0.1, 0.5, 0.9}) {
     Query q;
     Value width = static_cast<Value>(sel * (1 << 20));
@@ -302,26 +303,18 @@ void RunScanKernelAB(SimdTier forced_tier,
     q.agg = AggKind::kSum;
     q.agg_dim = 2;
     RangeTask task{0, store.size(), false};
-    double scalar = TimeScan(store, {&task, 1}, q, ScanMode::kScalar, 5);
-    double vec = TimeScan(store, {&task, 1}, q, ScanMode::kVectorized, 5);
-    double simd =
-        TimeScan(store, {&task, 1}, q, ScanMode::kSimd, 5, forced_tier);
-    double speedup = vec > 0 ? scalar / vec : 0.0;
-    double simd_vs_vec = simd > 0 ? vec / simd : 0.0;
-    std::printf("full sel=%-13g %13.3f %13.3f %13.3f %9.2fx %9.2fx\n", sel,
-                scalar * 1e9 / kRows, vec * 1e9 / kRows, simd * 1e9 / kRows,
-                speedup, simd_vs_vec);
+    double none = TimeScan(store, {&task, 1}, q, SimdTier::kNone, 5);
+    double simd = TimeScan(store, {&task, 1}, q, simd_tier, 5);
+    double speedup = simd > 0 ? none / simd : 0.0;
+    std::printf("full sel=%-13g %13.3f %13.3f %9.2fx\n", sel,
+                none * 1e9 / kRows, simd * 1e9 / kRows, speedup);
     records->push_back(bench::EnvRecord("full_range", tier, /*threads=*/1,
                                         /*batch_size=*/1)
                            .Num("selectivity", sel)
                            .Int("rows_per_scan", kRows)
-                           .Num("scalar_ns_per_row", scalar * 1e9 / kRows)
-                           .Num("vector_ns_per_row", vec * 1e9 / kRows)
+                           .Num("none_ns_per_row", none * 1e9 / kRows)
                            .Num("simd_ns_per_row", simd * 1e9 / kRows)
-                           .Num("speedup", speedup)
-                           .Num("simd_speedup_vs_vector", simd_vs_vec)
-                           .Num("simd_speedup_vs_scalar",
-                                simd > 0 ? scalar / simd : 0.0)
+                           .Num("simd_speedup_vs_none", speedup)
                            .Finish());
   }
 
@@ -341,26 +334,19 @@ void RunScanKernelAB(SimdTier forced_tier,
       tasks.push_back(RangeTask{begin, begin + range_len, false});
     }
     int64_t scanned = range_len * kTasks;
-    double scalar = TimeScan(store, tasks, q, ScanMode::kScalar, 5);
-    double vec = TimeScan(store, tasks, q, ScanMode::kVectorized, 5);
-    double simd = TimeScan(store, tasks, q, ScanMode::kSimd, 5, forced_tier);
-    double speedup = vec > 0 ? scalar / vec : 0.0;
-    double simd_vs_vec = simd > 0 ? vec / simd : 0.0;
-    std::printf("cell rows=%-12lld %13.3f %13.3f %13.3f %9.2fx %9.2fx\n",
-                static_cast<long long>(range_len), scalar * 1e9 / scanned,
-                vec * 1e9 / scanned, simd * 1e9 / scanned, speedup,
-                simd_vs_vec);
+    double none = TimeScan(store, tasks, q, SimdTier::kNone, 5);
+    double simd = TimeScan(store, tasks, q, simd_tier, 5);
+    double speedup = simd > 0 ? none / simd : 0.0;
+    std::printf("cell rows=%-12lld %13.3f %13.3f %9.2fx\n",
+                static_cast<long long>(range_len), none * 1e9 / scanned,
+                simd * 1e9 / scanned, speedup);
     records->push_back(bench::EnvRecord("per_cell_range", tier, /*threads=*/1,
                                         /*batch_size=*/kTasks)
                            .Int("rows_per_scan", range_len)
                            .Int("num_ranges", kTasks)
-                           .Num("scalar_ns_per_row", scalar * 1e9 / scanned)
-                           .Num("vector_ns_per_row", vec * 1e9 / scanned)
+                           .Num("none_ns_per_row", none * 1e9 / scanned)
                            .Num("simd_ns_per_row", simd * 1e9 / scanned)
-                           .Num("speedup", speedup)
-                           .Num("simd_speedup_vs_vector", simd_vs_vec)
-                           .Num("simd_speedup_vs_scalar",
-                                simd > 0 ? scalar / simd : 0.0)
+                           .Num("simd_speedup_vs_none", speedup)
                            .Finish());
   }
 }
@@ -426,10 +412,8 @@ void RunEncodingAB(std::vector<std::string>* records) {
         q.agg = AggKind::kSum;
         q.agg_dim = 1;
         RangeTask task{0, raw.size(), false};
-        double t_raw =
-            TimeScan(raw, {&task, 1}, q, ScanMode::kSimd, 5, tier);
-        double t_coded =
-            TimeScan(coded, {&task, 1}, q, ScanMode::kSimd, 5, tier);
+        double t_raw = TimeScan(raw, {&task, 1}, q, tier, 5);
+        double t_coded = TimeScan(coded, {&task, 1}, q, tier, 5);
         double speedup = t_coded > 0 ? t_raw / t_coded : 0.0;
         std::printf("%-6s %-8s %-6g %14.3f %14.3f %9.2fx\n", wc.name,
                     tier_name, sel, t_raw * 1e9 / kRows,

@@ -26,7 +26,11 @@
 #     over the robustness-relevant suites — corrupt-block quarantine,
 #     short-read/truncation handling, and exception unwinding through the
 #     scheduler (failed jobs thrown out of the runner, the batch loop, and
-#     parallel builds) must not scribble, leak-on-throw, or hit UB;
+#     parallel builds) must not scribble, leak-on-throw, or hit UB — plus
+#     the property suite, whose extreme-value sweeps drive every SUM path
+#     through int64 wraparound. UBSan is fatal here
+#     (-fno-sanitize-recover=undefined), so passes 6, 7, 9 and 10 fail on
+#     any report;
 #  7. the network front end under the same ASan+UBSan+FI build:
 #     tsunami_serverd + net_test (which gates the wire-level NetFaultTest
 #     fault soaks on TSUNAMI_FAULT_INJECTION), a loopback daemon smoke via
@@ -96,9 +100,9 @@ cmake -B build-asan -S . -DTSUNAMI_WERROR=ON \
 cmake --build build-asan -j"$(nproc)" --target \
   io_test encoded_column_test storage_test scan_kernel_test \
   task_scheduler_test query_service_test tsunami_test ingest_test \
-  exec_test batch_api_test
+  exec_test batch_api_test property_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" -R \
-  'io_test|encoded_column_test|storage_test|scan_kernel_test|task_scheduler_test|query_service_test|tsunami_test|ingest_test|exec_test|batch_api_test'
+  'io_test|encoded_column_test|storage_test|scan_kernel_test|task_scheduler_test|query_service_test|tsunami_test|ingest_test|exec_test|batch_api_test|property_test'
 
 # Seventh pass: the network front end, reusing the ASan+UBSan+FI build.
 # net_test's NetFaultTest suite (injected accept failures, short writes,

@@ -86,11 +86,11 @@ struct BatchStats {
 };
 
 /// Execution context for the batch path. Carries the resources a batch
-/// shares — the task scheduler, scan options (kernel mode + forced SIMD
-/// tier) — plus cooperative cancellation (an external flag and/or a
-/// deadline, both checked between range tasks and between queries) and
-/// per-batch stats. Copyable: forwarding layers fork a context per
-/// sub-batch and merge stats back.
+/// shares — the task scheduler, scan options (forced SIMD tier) — plus
+/// cooperative cancellation (an external flag and/or a deadline, both
+/// checked between range tasks and between queries) and per-batch stats.
+/// Copyable: forwarding layers fork a context per sub-batch and merge
+/// stats back.
 class ExecContext {
  public:
   ExecContext() = default;
@@ -108,7 +108,7 @@ class ExecContext {
   /// QueryService's chunk closures keep their contexts scheduler-free and
   /// the service decomposes plans itself.)
   TaskScheduler* scheduler = nullptr;
-  ScanOptions scan;             // Kernel mode and SIMD tier for every scan.
+  ScanOptions scan;             // SIMD tier for every scan.
   /// External cancellation flag (borrowed, may be null). Once set, the
   /// remaining work is skipped and unexecuted queries return their
   /// initialized (identity) results.

@@ -56,6 +56,13 @@ constexpr int64_t AggIdentity(AggKind kind) {
   }
 }
 
+/// a + b modulo 2^64: the ring every SUM accumulates in, so overflow wraps
+/// the same way in every scan path instead of being undefined.
+constexpr int64_t WrappingAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
 /// Folds one matching row's value `v` into the accumulator `agg`. AVG
 /// accumulates the sum; the mean is `agg / matched` at finalization.
 inline void AccumulateAgg(AggKind kind, Value v, int64_t* agg) {
@@ -65,7 +72,7 @@ inline void AccumulateAgg(AggKind kind, Value v, int64_t* agg) {
       break;
     case AggKind::kSum:
     case AggKind::kAvg:
-      *agg += v;
+      *agg = WrappingAdd(*agg, v);
       break;
     case AggKind::kMin:
       if (v < *agg) *agg = v;
@@ -182,42 +189,15 @@ struct QueryResult {
   int64_t* agg_accumulator(int i) { return i == 0 ? &agg : &extra[i - 1]; }
 };
 
-/// Merges a partial result into `out`: counters add; the accumulator
-/// combines per the aggregate kind (COUNT/SUM/AVG add, MIN/MAX take the
-/// extremum). Partials must cover disjoint row sets for counts to be
-/// exact. Used by parallel region execution and disjoint-box unions.
-/// This overload merges the primary accumulator only; use the Query
-/// overload when multi-aggregate extras may be present.
-inline void MergeQueryResults(AggKind kind, const QueryResult& in,
-                              QueryResult* out) {
-  out->scanned += in.scanned;
-  out->matched += in.matched;
-  out->cell_ranges += in.cell_ranges;
-  out->degraded = out->degraded || in.degraded;
-  out->quarantined_blocks += in.quarantined_blocks;
-  switch (kind) {
-    case AggKind::kCount:
-    case AggKind::kSum:
-    case AggKind::kAvg:
-      out->agg += in.agg;
-      break;
-    case AggKind::kMin:
-      if (in.agg < out->agg) out->agg = in.agg;
-      break;
-    case AggKind::kMax:
-      if (in.agg > out->agg) out->agg = in.agg;
-      break;
-  }
-}
-
 /// Folds one accumulator value into another per the aggregate kind
-/// (COUNT/SUM/AVG add, MIN/MAX take the extremum).
+/// (COUNT/SUM/AVG add modulo 2^64, MIN/MAX take the extremum). Scan
+/// kernels fold each block's partial with it too.
 inline void MergeAggValue(AggKind kind, int64_t in, int64_t* out) {
   switch (kind) {
     case AggKind::kCount:
     case AggKind::kSum:
     case AggKind::kAvg:
-      *out += in;
+      *out = WrappingAdd(*out, in);
       break;
     case AggKind::kMin:
       if (in < *out) *out = in;
@@ -228,11 +208,13 @@ inline void MergeAggValue(AggKind kind, int64_t in, int64_t* out) {
   }
 }
 
-/// Multi-aggregate merge: counters add once; every accumulator (primary +
-/// extras) combines per its aggregate's kind from `query`. Kinds are read
-/// through agg_spec() — the same source the scan kernels use — so a Query
-/// whose `aggs` was filled directly (without SetAggregates keeping the
-/// `agg` mirror in sync) still merges every accumulator correctly.
+/// Merges a partial result into `out`: counters add once; every
+/// accumulator (primary + extras) combines per its aggregate's kind from
+/// `query`. Partials must cover disjoint row sets for counts to be exact.
+/// Used by parallel region execution and disjoint-box unions. Kinds are
+/// read through agg_spec() — the same source the scan kernels use — so a
+/// Query whose `aggs` was filled directly (without SetAggregates keeping
+/// the `agg` mirror in sync) still merges every accumulator correctly.
 inline void MergeQueryResults(const Query& query, const QueryResult& in,
                               QueryResult* out) {
   out->scanned += in.scanned;

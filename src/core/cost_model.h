@@ -59,8 +59,8 @@ struct CostWeights {
 /// costs match the tier used at execution time.
 CostWeights CalibrateCostWeights(const ScanOptions& options = {});
 
-/// Calibrates with the scan options (kernel mode + SIMD tier) of the
-/// context that will execute the queries.
+/// Calibrates with the scan options (SIMD tier) of the context that will
+/// execute the queries.
 CostWeights CalibrateCostWeights(const ExecContext& ctx);
 
 /// Predicted execution time in nanoseconds for an already-prepared plan,

@@ -3,18 +3,17 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/storage/scan_kernel_simd.h"
 #include "src/storage/simd_dispatch.h"
 
 namespace tsunami {
 namespace ingest {
 
 DeltaChunk::DeltaChunk(int dims, int64_t capacity, uint64_t id)
-    : dims_(dims), capacity_(capacity), id_(id), cols_(dims) {
+    : dims_(dims),
+      capacity_(capacity),
+      id_(id),
+      values_(static_cast<size_t>(dims) * static_cast<size_t>(capacity)) {
   assert(dims > 0 && capacity > 0);
-  for (int d = 0; d < dims; ++d) {
-    cols_[d] = std::make_unique<Value[]>(static_cast<size_t>(capacity));
-  }
 }
 
 DeltaChunk::~DeltaChunk() {
@@ -24,7 +23,7 @@ DeltaChunk::~DeltaChunk() {
 bool DeltaChunk::Append(const Value* row) {
   const int64_t pos = committed_.load(std::memory_order_relaxed);
   if (pos == capacity_) return false;
-  for (int d = 0; d < dims_; ++d) cols_[d][pos] = row[d];
+  for (int d = 0; d < dims_; ++d) values_[d * capacity_ + pos] = row[d];
   // Release: the row's values happen-before any reader that observes the
   // new count.
   committed_.store(pos + 1, std::memory_order_release);
@@ -41,7 +40,7 @@ void DeltaChunk::Seal() const {
   data.Reserve(capacity_);
   std::vector<Value> row(dims_);
   for (int64_t r = 0; r < capacity_; ++r) {
-    for (int d = 0; d < dims_; ++d) row[d] = cols_[d][r];
+    for (int d = 0; d < dims_; ++d) row[d] = Get(r, d);
     data.AppendRow(row);
   }
   const ColumnStore* store = new ColumnStore(data);
@@ -66,73 +65,27 @@ void DeltaChunk::Scan(const Query& query, QueryResult* result,
     store->ScanRange(0, rows, query, /*exact=*/false, result, options);
     return;
   }
+  // Unsealed: each kScanBlockRows slice of the raw columns is one block.
   result->scanned += rows;
-  ScanRaw(rows, query, result);
-}
-
-void DeltaChunk::ScanRaw(int64_t rows, const Query& query,
-                         QueryResult* result) const {
-  const SimdOps& ops = OpsForTier(SimdTier::kAuto);
-  const std::vector<Predicate>& filters = query.filters;
-  const int num_aggs = query.num_aggs();
+  const SimdOps& ops = OpsForTier(options.tier);
   uint32_t sel[kScanBlockRows];
   for (int64_t begin = 0; begin < rows; begin += kScanBlockRows) {
     const int count = static_cast<int>(std::min(kScanBlockRows, rows - begin));
-    int n;
-    if (filters.empty()) {
-      for (int i = 0; i < count; ++i) sel[i] = static_cast<uint32_t>(i);
-      n = count;
-    } else {
-      const Predicate& first = filters[0];
-      n = ops.first_pass(cols_[first.dim].get() + begin, count, first.lo,
-                         first.hi, sel);
-      for (size_t f = 1; f < filters.size() && n > 0; ++f) {
-        const Predicate& p = filters[f];
-        n = ops.refine_pass(cols_[p.dim].get() + begin, sel, n, p.lo, p.hi);
-      }
-    }
-    if (n == 0) continue;
-    result->matched += n;
-    for (int a = 0; a < num_aggs; ++a) {
-      const AggregateSpec spec = query.agg_spec(a);
-      int64_t* acc = result->agg_accumulator(a);
-      if (spec.op == AggKind::kCount) {
-        *acc += n;
-        continue;
-      }
-      const Value* col = cols_[spec.column].get() + begin;
-      switch (spec.op) {
-        case AggKind::kCount:
-          break;
-        case AggKind::kSum:
-        case AggKind::kAvg:
-          *acc += ops.sum_gather(col, sel, n);
-          break;
-        case AggKind::kMin: {
-          Value m = ops.min_gather(col, sel, n);
-          if (m < *acc) *acc = m;
-          break;
-        }
-        case AggKind::kMax: {
-          Value m = ops.max_gather(col, sel, n);
-          if (m > *acc) *acc = m;
-          break;
-        }
-      }
-    }
+    const BlockColumns slice(values_.data() + begin, capacity_);
+    ScanBlockSlice(slice, /*off=*/0, count, query, ops, sel, result);
   }
 }
 
 Value DeltaChunk::Get(int64_t row, int dim) const {
   assert(row < committed());
-  return cols_[dim][row];
+  return values_[dim * capacity_ + row];
 }
 
 void DeltaChunk::AppendRowsTo(Dataset* out, int64_t rows) const {
   assert(rows <= committed());
   std::vector<Value> row(dims_);
   for (int64_t r = 0; r < rows; ++r) {
-    for (int d = 0; d < dims_; ++d) row[d] = cols_[d][r];
+    for (int d = 0; d < dims_; ++d) row[d] = Get(r, d);
     out->AppendRow(row);
   }
 }

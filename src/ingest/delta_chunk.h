@@ -10,14 +10,15 @@
 // A full chunk can be Seal()ed: the committed rows are re-encoded through
 // the block codecs (frame-of-reference + width narrowing, checksums, zone
 // maps) into an internal ColumnStore published behind an atomic pointer.
-// Scans use the encoded form once sealed and the raw columns before —
-// bit-identical either way (the scan kernel counts `scanned` as the rows a
-// range is responsible for, not the rows touched after block skipping).
+// Scans use the encoded form once sealed and the raw columns before. Both
+// run the scan kernel's per-block step (an unsealed chunk's
+// kScanBlockRows-row slice is a block of raw views), so they are
+// bit-identical (the kernel counts `scanned` as the rows a range is
+// responsible for, not the rows touched after block skipping).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/common/types.h"
@@ -75,12 +76,13 @@ class DeltaChunk {
   int64_t MemoryBytes() const;
 
  private:
-  void ScanRaw(int64_t rows, const Query& query, QueryResult* result) const;
-
   const int dims_;
   const int64_t capacity_;
   const uint64_t id_;
-  std::vector<std::unique_ptr<Value[]>> cols_;
+  // Column-major: column d's rows start at values_[d * capacity_]. Sized
+  // once at construction and never resized, so readers may index it while
+  // the writer stores rows past `committed_`.
+  std::vector<Value> values_;
   std::atomic<int64_t> committed_{0};
   // Owned; set once by Seal(). Plain pointer (not shared_ptr) so readers
   // pay one acquire load — the chunk outlives every scan because snapshots

@@ -73,9 +73,37 @@ class TsunamiServer::CompletionInbox {
   std::vector<QueryService::Ticket> tickets_;
 };
 
+namespace {
+
+// Describes the first column `query` reads (a filter dim or an aggregate
+// column) that an index of `dims` columns lacks; empty when none.
+std::string MissingColumn(const Query& query, int dims) {
+  for (const Predicate& p : query.filters) {
+    if (p.dim >= dims) {
+      return "filter column " + std::to_string(p.dim) + " not in the " +
+             std::to_string(dims) + "-column index";
+    }
+  }
+  for (int a = 0; a < query.num_aggs(); ++a) {
+    const int column = query.agg_spec(a).column;
+    if (column >= dims) {
+      return "aggregate column " + std::to_string(column) + " not in the " +
+             std::to_string(dims) + "-column index";
+    }
+  }
+  return {};
+}
+
+}  // namespace
+
+// The column count is read here, once: store() of a versioned index
+// returns a reference into its current snapshot, which a concurrent fold
+// may retire, so the serving loop never calls it.
 TsunamiServer::TsunamiServer(QueryService* service,
                              const ServerOptions& options)
-    : service_(service), options_(options) {}
+    : service_(service),
+      options_(options),
+      dims_(service->index().store().dims()) {}
 
 TsunamiServer::~TsunamiServer() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
@@ -428,6 +456,12 @@ bool TsunamiServer::HandleQuery(Conn* c, const FrameHeader& header,
     ++stats_.malformed_frames;
     return SendError(c, header.request_id, WireError::kMalformedFrame,
                      "query payload failed strict decode");
+  }
+  const std::string missing = MissingColumn(query, dims_);
+  if (!missing.empty()) {
+    ++stats_.malformed_frames;
+    return SendError(c, header.request_id, WireError::kMalformedFrame,
+                     missing);
   }
   if (draining_active_ || service_->draining()) {
     ++stats_.drain_rejected;

@@ -29,8 +29,9 @@
 //     service's per-client cap (each connection submits with its own
 //     client_id) and the service's global bounded admission.
 //   - Malformed input is answered, never trusted: a payload that fails its
-//     strict decode gets a kMalformedFrame error and the connection lives
-//     on (frame sync held); a bad magic closes silently (sync is gone).
+//     strict decode, or a query naming a column the index lacks, gets a
+//     kMalformedFrame error and the connection lives on (frame sync held);
+//     a bad magic closes silently (sync is gone).
 //   - Graceful drain. RequestDrain() (async-signal-safe; wired to SIGTERM
 //     by tsunami_serverd) stops accepting, puts the service into drain mode
 //     (new submissions anywhere are rejected kDraining), answers every
@@ -318,6 +319,9 @@ class TsunamiServer {
 
   QueryService* service_;
   const ServerOptions options_;
+  // The index's column count, read once: queries naming a column at or
+  // past it are rejected before they reach the kernel.
+  const int dims_;
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;

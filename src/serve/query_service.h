@@ -187,7 +187,7 @@ struct SubmitOptions {
   int priority = 0;
   /// External cancel flag (borrowed; may be null).
   const std::atomic<bool>* cancel = nullptr;
-  /// Kernel mode / forced SIMD tier for this query's scans.
+  /// Forced SIMD tier for this query's scans.
   ScanOptions scan;
   /// Stable client identity for the per-client fairness cap (the network
   /// front end stamps one per connection). -1 = anonymous, never capped.

@@ -74,9 +74,8 @@ class ColumnStore {
   /// Scans physical rows [begin, end), accumulating the query's aggregate
   /// over rows matching every filter into `out`. Updates out->scanned /
   /// matched. If `exact` is true, all rows in the range are known to match
-  /// and per-row filter checks are skipped. Runs the vectorized block
-  /// kernel by default; pass ScanOptions{ScanOptions::kScalar} for the
-  /// row-at-a-time reference path (both produce bit-identical results).
+  /// and per-row filter checks are skipped. `options.tier` picks the
+  /// kernel's SIMD tier; every tier produces bit-identical results.
   void ScanRange(int64_t begin, int64_t end, const Query& query, bool exact,
                  QueryResult* out, const ScanOptions& options = {}) const;
 

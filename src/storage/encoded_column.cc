@@ -358,7 +358,10 @@ void EncodedColumn::Serialize(BinaryWriter* writer) const {
   writer->PutVarU64(raw_.size());
   Value prev = 0;
   for (Value v : raw_) {
-    writer->PutVarI64(v - prev);
+    // Deltas wrap modulo 2^64 (raw blocks hold values spanning the int64
+    // range); Deserialize's wrapping add inverts them exactly.
+    writer->PutVarI64(static_cast<Value>(static_cast<uint64_t>(v) -
+                                         static_cast<uint64_t>(prev)));
     prev = v;
   }
   // Format v3: per-block checksums ride at the tail so v2 layouts are a
@@ -420,7 +423,7 @@ bool EncodedColumn::Deserialize(BinaryReader* reader) {
   raw_.resize(raw_elems);
   Value prev = 0;
   for (uint64_t i = 0; i < raw_elems; ++i) {
-    prev += reader->GetVarI64();
+    prev = WrappingAdd(prev, reader->GetVarI64());
     raw_[i] = prev;
   }
   if (!reader->ok()) return false;

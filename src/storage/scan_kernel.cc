@@ -8,166 +8,130 @@ namespace tsunami {
 
 namespace {
 
-// ---- Aggregation over one block's codes -----------------------------------
+// ---- Aggregate partials over one block slice ------------------------------
 //
-// The compare+compress passes run on codes; only the surviving rows are
-// materialized, and for narrow blocks materialization is a single
-// frame-of-reference add folded into the accumulator algebraically:
-// sum(ref + c_j) = n * ref + sum(c_j) (exact modulo 2^64, the same ring the
-// scalar kernel accumulates in), min(ref + c_j) = ref + min(c_j) (exact —
-// it reconstructs an original value), likewise max. Raw fallback blocks
-// gather values directly through the tier's SIMD ops.
+// Each aggregate computes its partial over the slice's rows (a count, sum,
+// min or max) and folds it into its accumulator through MergeAggValue, the
+// rule that also merges partial QueryResults. Narrow blocks fold codes and
+// lift the result into value space algebraically: sum(ref + c_j) =
+// n * ref + sum(c_j) (exact modulo 2^64, the ring every SUM wraps in),
+// min(ref + c_j) = ref + min(c_j) (exact — it reconstructs an original
+// value), likewise max. Raw blocks fold values through the tier's SIMD
+// ops; a block the rows cover whole answers from its zone-map entry.
 
-template <typename T>
-int64_t SumCodesGather(const T* codes, Value ref, const uint32_t* sel,
-                       int n) {
-  uint64_t s = 0;
-  for (int j = 0; j < n; ++j) s += codes[sel[j]];
-  return static_cast<int64_t>(
-      s + static_cast<uint64_t>(ref) * static_cast<uint64_t>(n));
-}
+// The rows a partial folds, as offsets into the slice: the selection
+// sel[0, n), or the contiguous run [0, n).
+struct Selected {
+  const uint32_t* sel;
+  uint32_t operator[](int64_t j) const { return sel[j]; }
+};
+struct Run {
+  int64_t operator[](int64_t j) const { return j; }
+};
 
-template <typename T>
-Value MinCodesGather(const T* codes, Value ref, const uint32_t* sel, int n) {
-  T m = codes[sel[0]];
-  for (int j = 1; j < n; ++j) m = codes[sel[j]] < m ? codes[sel[j]] : m;
-  return static_cast<Value>(static_cast<uint64_t>(ref) + m);
-}
+// Folds over a narrow block's codes. Min/Max need n >= 1.
+template <typename T, typename Rows>
+struct CodeFolds {
+  const T* codes;
+  uint64_t ref;
+  Rows rows;
+  int64_t n;
 
-template <typename T>
-Value MaxCodesGather(const T* codes, Value ref, const uint32_t* sel, int n) {
-  T m = codes[sel[0]];
-  for (int j = 1; j < n; ++j) m = codes[sel[j]] > m ? codes[sel[j]] : m;
-  return static_cast<Value>(static_cast<uint64_t>(ref) + m);
-}
-
-template <typename T>
-int64_t SumCodesRange(const T* codes, Value ref, int64_t n) {
-  uint64_t s = 0;
-  for (int64_t i = 0; i < n; ++i) s += codes[i];
-  return static_cast<int64_t>(s + static_cast<uint64_t>(ref) *
-                                      static_cast<uint64_t>(n));
-}
-
-template <typename T>
-Value MinCodesRange(const T* codes, Value ref, int64_t n) {
-  T m = codes[0];
-  for (int64_t i = 1; i < n; ++i) m = codes[i] < m ? codes[i] : m;
-  return static_cast<Value>(static_cast<uint64_t>(ref) + m);
-}
-
-template <typename T>
-Value MaxCodesRange(const T* codes, Value ref, int64_t n) {
-  T m = codes[0];
-  for (int64_t i = 1; i < n; ++i) m = codes[i] > m ? codes[i] : m;
-  return static_cast<Value>(static_cast<uint64_t>(ref) + m);
-}
-
-// Width dispatchers: `view` is the block, `off` the first row's offset
-// inside it. n >= 1 for min/max.
-
-int64_t GatherSum(const EncodedColumn::BlockView& view, int64_t off,
-                  const SimdOps& ops, const uint32_t* sel, int n) {
-  switch (view.width) {
-    case 1:
-      return SumCodesGather(static_cast<const uint8_t*>(view.codes) + off,
-                            view.ref, sel, n);
-    case 2:
-      return SumCodesGather(static_cast<const uint16_t*>(view.codes) + off,
-                            view.ref, sel, n);
-    case 4:
-      return SumCodesGather(static_cast<const uint32_t*>(view.codes) + off,
-                            view.ref, sel, n);
-    default:
-      return ops.sum_gather(static_cast<const Value*>(view.codes) + off, sel,
-                            n);
+  int64_t Sum() const {
+    uint64_t s = 0;
+    for (int64_t j = 0; j < n; ++j) s += codes[rows[j]];
+    return static_cast<int64_t>(s + ref * static_cast<uint64_t>(n));
   }
-}
-
-Value GatherMin(const EncodedColumn::BlockView& view, int64_t off,
-                const SimdOps& ops, const uint32_t* sel, int n) {
-  switch (view.width) {
-    case 1:
-      return MinCodesGather(static_cast<const uint8_t*>(view.codes) + off,
-                            view.ref, sel, n);
-    case 2:
-      return MinCodesGather(static_cast<const uint16_t*>(view.codes) + off,
-                            view.ref, sel, n);
-    case 4:
-      return MinCodesGather(static_cast<const uint32_t*>(view.codes) + off,
-                            view.ref, sel, n);
-    default:
-      return ops.min_gather(static_cast<const Value*>(view.codes) + off, sel,
-                            n);
+  Value Min() const {
+    T m = codes[rows[0]];
+    for (int64_t j = 1; j < n; ++j) m = codes[rows[j]] < m ? codes[rows[j]] : m;
+    return static_cast<Value>(ref + m);
   }
-}
-
-Value GatherMax(const EncodedColumn::BlockView& view, int64_t off,
-                const SimdOps& ops, const uint32_t* sel, int n) {
-  switch (view.width) {
-    case 1:
-      return MaxCodesGather(static_cast<const uint8_t*>(view.codes) + off,
-                            view.ref, sel, n);
-    case 2:
-      return MaxCodesGather(static_cast<const uint16_t*>(view.codes) + off,
-                            view.ref, sel, n);
-    case 4:
-      return MaxCodesGather(static_cast<const uint32_t*>(view.codes) + off,
-                            view.ref, sel, n);
-    default:
-      return ops.max_gather(static_cast<const Value*>(view.codes) + off, sel,
-                            n);
+  Value Max() const {
+    T m = codes[rows[0]];
+    for (int64_t j = 1; j < n; ++j) m = codes[rows[j]] > m ? codes[rows[j]] : m;
+    return static_cast<Value>(ref + m);
   }
-}
+};
 
-int64_t RangeSum(const EncodedColumn::BlockView& view, int64_t off,
-                 const SimdOps& ops, int64_t n) {
-  switch (view.width) {
-    case 1:
-      return SumCodesRange(static_cast<const uint8_t*>(view.codes) + off,
-                           view.ref, n);
-    case 2:
-      return SumCodesRange(static_cast<const uint16_t*>(view.codes) + off,
-                           view.ref, n);
-    case 4:
-      return SumCodesRange(static_cast<const uint32_t*>(view.codes) + off,
-                           view.ref, n);
-    default:
-      return ops.sum_range(static_cast<const Value*>(view.codes) + off, n);
+// Folds over a raw block's values through the tier's gather (selection)
+// or range (run) loops.
+template <typename Rows>
+struct RawFolds;
+
+template <>
+struct RawFolds<Selected> {
+  const Value* values;
+  Selected rows;
+  int64_t n;
+  const SimdOps* ops;
+
+  int64_t Sum() const { return ops->sum_gather(values, rows.sel, Count()); }
+  Value Min() const { return ops->min_gather(values, rows.sel, Count()); }
+  Value Max() const { return ops->max_gather(values, rows.sel, Count()); }
+  int Count() const { return static_cast<int>(n); }
+};
+
+template <>
+struct RawFolds<Run> {
+  const Value* values;
+  Run rows;
+  int64_t n;
+  const SimdOps* ops;
+
+  int64_t Sum() const { return ops->sum_range(values, n); }
+  Value Min() const { return ops->min_range(values, n); }
+  Value Max() const { return ops->max_range(values, n); }
+};
+
+// Folds of a block the rows cover whole: its zone-map entry.
+struct ZoneFolds {
+  const ZoneMaps* zones;
+  int dim;
+  int64_t block;
+
+  int64_t Sum() const { return zones->Sum(dim, block); }
+  Value Min() const { return zones->Min(dim, block); }
+  Value Max() const { return zones->Max(dim, block); }
+};
+
+// The one aggregate switch: `op`'s partial over n rows (COUNT reads no
+// folds).
+template <typename Folds>
+int64_t Partial(AggKind op, int64_t n, const Folds& folds) {
+  switch (op) {
+    case AggKind::kCount:
+      break;
+    case AggKind::kSum:
+    case AggKind::kAvg:
+      return folds.Sum();
+    case AggKind::kMin:
+      return folds.Min();
+    case AggKind::kMax:
+      return folds.Max();
   }
+  return n;
 }
 
-Value RangeMin(const EncodedColumn::BlockView& view, int64_t off,
-               const SimdOps& ops, int64_t n) {
+// The one code-width switch for partials: `op` over the `rows` of the
+// slice that starts `off` rows into the block `view`.
+template <typename Rows>
+int64_t SlicePartial(AggKind op, const EncodedColumn::BlockView& view,
+                     int64_t off, Rows rows, int64_t n, const SimdOps& ops) {
+  const uint64_t ref = static_cast<uint64_t>(view.ref);
   switch (view.width) {
     case 1:
-      return MinCodesRange(static_cast<const uint8_t*>(view.codes) + off,
-                           view.ref, n);
+      return Partial(op, n, CodeFolds<uint8_t, Rows>{
+          static_cast<const uint8_t*>(view.codes) + off, ref, rows, n});
     case 2:
-      return MinCodesRange(static_cast<const uint16_t*>(view.codes) + off,
-                           view.ref, n);
+      return Partial(op, n, CodeFolds<uint16_t, Rows>{
+          static_cast<const uint16_t*>(view.codes) + off, ref, rows, n});
     case 4:
-      return MinCodesRange(static_cast<const uint32_t*>(view.codes) + off,
-                           view.ref, n);
+      return Partial(op, n, CodeFolds<uint32_t, Rows>{
+          static_cast<const uint32_t*>(view.codes) + off, ref, rows, n});
     default:
-      return ops.min_range(static_cast<const Value*>(view.codes) + off, n);
-  }
-}
-
-Value RangeMax(const EncodedColumn::BlockView& view, int64_t off,
-               const SimdOps& ops, int64_t n) {
-  switch (view.width) {
-    case 1:
-      return MaxCodesRange(static_cast<const uint8_t*>(view.codes) + off,
-                           view.ref, n);
-    case 2:
-      return MaxCodesRange(static_cast<const uint16_t*>(view.codes) + off,
-                           view.ref, n);
-    case 4:
-      return MaxCodesRange(static_cast<const uint32_t*>(view.codes) + off,
-                           view.ref, n);
-    default:
-      return ops.max_range(static_cast<const Value*>(view.codes) + off, n);
+      return Partial(op, n, RawFolds<Rows>{
+          static_cast<const Value*>(view.codes) + off, rows, n, &ops});
   }
 }
 
@@ -245,19 +209,61 @@ void ScanKernel::Scan(int64_t begin, int64_t end, const Query& query,
                       bool exact, QueryResult* out,
                       const ScanOptions& options) const {
   if (begin >= end) return;
-  if (options.mode == ScanMode::kScalar) {
-    ScanScalar(begin, end, query, exact, out);
-    return;
-  }
-  // kVectorized is pinned to the scalar-branchless ops; kSimd resolves the
-  // requested tier (kAuto -> best supported) through runtime dispatch.
-  const SimdOps& ops = options.mode == ScanMode::kSimd
-                           ? OpsForTier(options.tier)
-                           : ScalarSimdOps();
+  const int num_aggs = query.num_aggs();
   if (exact) {
-    ScanExactVectorized(begin, end, query, ops, out);
-  } else {
-    ScanVectorized(begin, end, query, ops, out);
+    bool all_count = true;
+    for (int a = 0; a < num_aggs; ++a) {
+      all_count = all_count && query.agg_spec(a).op == AggKind::kCount;
+    }
+    if (all_count) {
+      // Pure counting touches no column bytes: exact even over a
+      // quarantined store, so no integrity gate.
+      out->matched += end - begin;
+      for (int a = 0; a < num_aggs; ++a) {
+        *out->agg_accumulator(a) += end - begin;
+      }
+      return;
+    }
+  }
+  const SimdOps& ops = OpsForTier(options.tier);
+  const std::vector<Predicate>& filters = query.filters;
+  out->scanned += end - begin;
+  uint32_t sel[kScanBlockRows];
+  const int64_t b_last = (end - 1) / kScanBlockRows;
+  for (int64_t b = begin / kScanBlockRows; b <= b_last; ++b) {
+    const int64_t lo = std::max(begin, b * kScanBlockRows);
+    const int64_t hi = std::min(end, (b + 1) * kScanBlockRows);
+    // Integrity gate before zone triage: a quarantined block's zone entries
+    // may themselves derive from the corrupt bytes (Deserialize rebuilds
+    // zones by decoding), so they cannot be trusted even to skip it.
+    if (!BlockReadable(b, query, exact, out)) {
+      out->scanned -= hi - lo;  // Skipped, never read: not scanned.
+      continue;
+    }
+    // Zone-map triage: a block disjoint from any filter contributes
+    // nothing; a block inside every filter needs no per-row checks.
+    bool all_match = exact || filters.empty();
+    if (!all_match && !zones_->empty()) {
+      all_match = true;
+      bool skip = false;
+      for (const Predicate& p : filters) {
+        const Value zmin = zones_->Min(p.dim, b);
+        const Value zmax = zones_->Max(p.dim, b);
+        if (zmin > p.hi || zmax < p.lo) {
+          skip = true;
+          break;
+        }
+        all_match = all_match && p.lo <= zmin && zmax <= p.hi;
+      }
+      if (skip) continue;
+    }
+    if (all_match) {
+      out->matched += hi - lo;
+      AggregateRun(lo, hi, b, query, ops, out);
+      continue;
+    }
+    ScanBlockSlice(BlockColumns(*columns_, b), lo - b * kScanBlockRows,
+                   static_cast<int>(hi - lo), query, ops, sel, out);
   }
 }
 
@@ -293,88 +299,6 @@ void ScanKernel::ScanBatch(std::span<const RangeTask> tasks,
   }
 }
 
-// The pre-kernel reference path: row-at-a-time with early exit. Kept
-// verbatim (modulo the multi-aggregate loop, which runs once for
-// single-aggregate queries, and per-row decode through EncodedColumn::Get)
-// so ScanMode::kScalar A/Bs against exactly the old behavior.
-void ScanKernel::ScanScalar(int64_t begin, int64_t end, const Query& query,
-                            bool exact, QueryResult* out) const {
-  const std::vector<EncodedColumn>& columns = *columns_;
-  const int num_aggs = query.num_aggs();
-  if (exact) {
-    // Exact ranges skip per-value checks entirely; COUNT touches no data
-    // (so it needs no integrity gate and stays exact even over a
-    // quarantined store).
-    const int64_t n = end - begin;
-    bool touches_data = false;
-    for (int a = 0; a < num_aggs; ++a) {
-      touches_data = touches_data || query.agg_spec(a).op != AggKind::kCount;
-    }
-    if (!touches_data) {
-      out->matched += n;
-      for (int a = 0; a < num_aggs; ++a) *out->agg_accumulator(a) += n;
-      return;
-    }
-    out->scanned += n;
-    for (int64_t lo = begin; lo < end;) {
-      const int64_t b = lo / kScanBlockRows;
-      const int64_t hi = std::min(end, (b + 1) * kScanBlockRows);
-      if (!BlockReadable(b, query, /*exact=*/true, out)) {
-        out->scanned -= hi - lo;  // Skipped, never read: not scanned.
-        lo = hi;
-        continue;
-      }
-      const int64_t seg = hi - lo;
-      out->matched += seg;
-      for (int a = 0; a < num_aggs; ++a) {
-        const AggregateSpec spec = query.agg_spec(a);
-        int64_t* acc = out->agg_accumulator(a);
-        if (spec.op == AggKind::kCount) {
-          *acc += seg;
-          continue;
-        }
-        const EncodedColumn& agg_col = columns[spec.column];
-        for (int64_t r = lo; r < hi; ++r) {
-          AccumulateAgg(spec.op, agg_col.Get(r), acc);
-        }
-      }
-      lo = hi;
-    }
-    return;
-  }
-  out->scanned += end - begin;
-  const std::vector<Predicate>& filters = query.filters;
-  for (int64_t lo = begin; lo < end;) {
-    const int64_t b = lo / kScanBlockRows;
-    const int64_t hi = std::min(end, (b + 1) * kScanBlockRows);
-    if (!BlockReadable(b, query, /*exact=*/false, out)) {
-      out->scanned -= hi - lo;  // Skipped, never read: not scanned.
-      lo = hi;
-      continue;
-    }
-    for (int64_t r = lo; r < hi; ++r) {
-      bool ok = true;
-      for (const Predicate& p : filters) {
-        Value v = columns[p.dim].Get(r);
-        if (v < p.lo || v > p.hi) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
-      ++out->matched;
-      for (int a = 0; a < num_aggs; ++a) {
-        const AggregateSpec spec = query.agg_spec(a);
-        AccumulateAgg(
-            spec.op,
-            spec.op == AggKind::kCount ? 0 : columns[spec.column].Get(r),
-            out->agg_accumulator(a));
-      }
-    }
-    lo = hi;
-  }
-}
-
 bool ScanKernel::BlockReadable(int64_t block, const Query& query, bool exact,
                                QueryResult* out) const {
   const std::vector<EncodedColumn>& columns = *columns_;
@@ -399,29 +323,26 @@ bool ScanKernel::BlockReadable(int64_t block, const Query& query, bool exact,
   return ok;
 }
 
-int ScanKernel::BuildSelection(int64_t begin, int64_t end, int64_t block,
-                               const std::vector<Predicate>& filters,
-                               const SimdOps& ops, uint32_t* sel) const {
-  const std::vector<EncodedColumn>& columns = *columns_;
-  const int count = static_cast<int>(end - begin);
-  const int64_t off = begin - block * kScanBlockRows;
+void ScanBlockSlice(const BlockColumns& columns, int64_t off, int count,
+                    const Query& query, const SimdOps& ops, uint32_t* sel,
+                    QueryResult* out) {
   // First effective predicate compacts [0, count) into sel; later ones
   // compact the survivors in place. All passes are compare+compress at the
   // block's code width, lane-parallel under the SIMD tiers. n == -1 means
   // no pass has run yet (every predicate so far covered the whole block's
   // code domain).
   int n = -1;
-  for (const Predicate& p : filters) {
-    const EncodedColumn::BlockView view = columns[p.dim].block(block);
+  for (const Predicate& p : query.filters) {
+    const EncodedColumn::BlockView view = columns.view(p.dim);
     if (view.width == 8) {
-      // Raw fallback block: compare values directly, untranslated.
+      // Raw block: compare values directly, untranslated.
       const Value* col = static_cast<const Value*>(view.codes) + off;
       n = n < 0 ? ops.first_pass(col, count, p.lo, p.hi, sel)
                 : ops.refine_pass(col, sel, n, p.lo, p.hi);
     } else {
       const CodeRange cr = TranslateToCodeSpace(p.lo, p.hi, view.ref,
                                                 CodeDomainMax(view.width));
-      if (cr.state == CodeRange::kEmpty) return 0;
+      if (cr.state == CodeRange::kEmpty) return;
       if (cr.state == CodeRange::kAll) continue;  // Pass is the identity.
       switch (view.width) {
         case 1: {
@@ -455,170 +376,44 @@ int ScanKernel::BuildSelection(int64_t begin, int64_t end, int64_t block,
         }
       }
     }
-    if (n == 0) return 0;
+    if (n == 0) return;
   }
   if (n < 0) {
-    // Every predicate covered the whole code domain: identity selection.
-    // (With zone maps present this block would have been aggregated as
-    // all-match before reaching here; kept for the no-zones path.)
+    // No filters, or every predicate covered the whole code domain.
     for (int i = 0; i < count; ++i) sel[i] = static_cast<uint32_t>(i);
     n = count;
   }
-  return n;
+  out->matched += n;
+  // One selection vector feeds every aggregate: the compare+compress
+  // passes above run once per block regardless of how many aggregates the
+  // query computes; only the partials repeat per aggregate.
+  for (int a = 0; a < query.num_aggs(); ++a) {
+    const AggregateSpec spec = query.agg_spec(a);
+    const int64_t partial =
+        spec.op == AggKind::kCount
+            ? n
+            : SlicePartial(spec.op, columns.view(spec.column), off,
+                           Selected{sel}, n, ops);
+    MergeAggValue(spec.op, partial, out->agg_accumulator(a));
+  }
 }
 
 void ScanKernel::AggregateRun(int64_t begin, int64_t end, int64_t block,
                               const Query& query, const SimdOps& ops,
                               QueryResult* out) const {
-  const int num_aggs = query.num_aggs();
-  if (num_aggs == 1 && query.agg_spec(0).op == AggKind::kCount) {
-    out->agg += end - begin;
-    return;
-  }
+  const int64_t n = end - begin;
   const bool full = !zones_->empty() && CoversBlock(begin, end, block);
   const int64_t off = begin - block * kScanBlockRows;
-  for (int a = 0; a < num_aggs; ++a) {
-    const AggregateSpec spec = query.agg_spec(a);
-    int64_t* acc = out->agg_accumulator(a);
-    if (spec.op == AggKind::kCount) {
-      *acc += end - begin;
-      continue;
-    }
-    const EncodedColumn::BlockView view =
-        (*columns_)[spec.column].block(block);
-    switch (spec.op) {
-      case AggKind::kCount:
-        break;
-      case AggKind::kSum:
-      case AggKind::kAvg:
-        *acc += full ? zones_->Sum(spec.column, block)
-                     : RangeSum(view, off, ops, end - begin);
-        break;
-      case AggKind::kMin: {
-        Value m = full ? zones_->Min(spec.column, block)
-                       : RangeMin(view, off, ops, end - begin);
-        if (m < *acc) *acc = m;
-        break;
-      }
-      case AggKind::kMax: {
-        Value m = full ? zones_->Max(spec.column, block)
-                       : RangeMax(view, off, ops, end - begin);
-        if (m > *acc) *acc = m;
-        break;
-      }
-    }
-  }
-}
-
-void ScanKernel::ScanVectorized(int64_t begin, int64_t end,
-                                const Query& query, const SimdOps& ops,
-                                QueryResult* out) const {
-  out->scanned += end - begin;
-  const std::vector<Predicate>& filters = query.filters;
-  const int64_t b_first = begin / kScanBlockRows;
-  const int64_t b_last = (end - 1) / kScanBlockRows;
-  uint32_t sel[kScanBlockRows];
-  for (int64_t b = b_first; b <= b_last; ++b) {
-    const int64_t lo = std::max(begin, b * kScanBlockRows);
-    const int64_t hi = std::min(end, (b + 1) * kScanBlockRows);
-    // Integrity gate before zone triage: a quarantined block's zone entries
-    // may themselves derive from the corrupt bytes (Deserialize rebuilds
-    // zones by decoding), so they cannot be trusted even to skip it.
-    if (!BlockReadable(b, query, /*exact=*/false, out)) {
-      out->scanned -= hi - lo;  // Skipped, never read: not scanned.
-      continue;
-    }
-    // Zone-map triage: a block disjoint from any filter contributes
-    // nothing; a block inside every filter needs no per-row checks.
-    bool all_match = true;
-    bool skip = false;
-    if (!zones_->empty()) {
-      for (const Predicate& p : filters) {
-        const Value zmin = zones_->Min(p.dim, b);
-        const Value zmax = zones_->Max(p.dim, b);
-        if (zmin > p.hi || zmax < p.lo) {
-          skip = true;
-          break;
-        }
-        all_match = all_match && p.lo <= zmin && zmax <= p.hi;
-      }
-    } else {
-      all_match = filters.empty();
-    }
-    if (skip) continue;
-    if (all_match) {
-      out->matched += hi - lo;
-      AggregateRun(lo, hi, b, query, ops, out);
-      continue;
-    }
-    const int n = BuildSelection(lo, hi, b, filters, ops, sel);
-    if (n == 0) continue;
-    out->matched += n;
-    // One selection vector feeds every aggregate: the compare+compress
-    // passes above run once per block regardless of how many aggregates
-    // the query computes; only the gather tails repeat per aggregate.
-    const int64_t off = lo - b * kScanBlockRows;
-    for (int a = 0; a < query.num_aggs(); ++a) {
-      const AggregateSpec spec = query.agg_spec(a);
-      int64_t* acc = out->agg_accumulator(a);
-      if (spec.op == AggKind::kCount) {
-        *acc += n;
-        continue;
-      }
-      const EncodedColumn::BlockView view = (*columns_)[spec.column].block(b);
-      switch (spec.op) {
-        case AggKind::kCount:
-          break;
-        case AggKind::kSum:
-        case AggKind::kAvg:
-          *acc += GatherSum(view, off, ops, sel, n);
-          break;
-        case AggKind::kMin: {
-          Value m = GatherMin(view, off, ops, sel, n);
-          if (m < *acc) *acc = m;
-          break;
-        }
-        case AggKind::kMax: {
-          Value m = GatherMax(view, off, ops, sel, n);
-          if (m > *acc) *acc = m;
-          break;
-        }
-      }
-    }
-  }
-}
-
-// Exact ranges: every row matches, so only the aggregate remains. COUNT is
-// arithmetic; SUM reads block sums for fully covered blocks (and only the
-// ragged edges through the decode-and-fold tail); MIN/MAX read block
-// extrema the same way.
-void ScanKernel::ScanExactVectorized(int64_t begin, int64_t end,
-                                     const Query& query, const SimdOps& ops,
-                                     QueryResult* out) const {
-  const int64_t n = end - begin;
-  bool all_count = true;
   for (int a = 0; a < query.num_aggs(); ++a) {
-    all_count = all_count && query.agg_spec(a).op == AggKind::kCount;
-  }
-  if (all_count) {
-    // Pure counting touches no column bytes: exact even over a quarantined
-    // store, so no integrity gate (matching ScanScalar's exact path).
-    out->matched += n;
-    for (int a = 0; a < query.num_aggs(); ++a) *out->agg_accumulator(a) += n;
-    return;
-  }
-  out->scanned += n;
-  const int64_t b_first = begin / kScanBlockRows;
-  const int64_t b_last = (end - 1) / kScanBlockRows;
-  for (int64_t b = b_first; b <= b_last; ++b) {
-    const int64_t lo = std::max(begin, b * kScanBlockRows);
-    const int64_t hi = std::min(end, (b + 1) * kScanBlockRows);
-    if (!BlockReadable(b, query, /*exact=*/true, out)) {
-      out->scanned -= hi - lo;  // Skipped, never read: not scanned.
-      continue;
+    const AggregateSpec spec = query.agg_spec(a);
+    int64_t partial = n;
+    if (full) {
+      partial = Partial(spec.op, n, ZoneFolds{zones_, spec.column, block});
+    } else if (spec.op != AggKind::kCount) {
+      partial = SlicePartial(spec.op, (*columns_)[spec.column].block(block),
+                             off, Run{}, n, ops);
     }
-    out->matched += hi - lo;
-    AggregateRun(lo, hi, b, query, ops, out);
+    MergeAggValue(spec.op, partial, out->agg_accumulator(a));
   }
 }
 

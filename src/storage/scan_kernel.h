@@ -7,14 +7,13 @@
 // checks (fully covered by every filter, with SUM served straight from the
 // block sums).
 //
-// The kernel's inner loops (predicate compare+compress, selection-driven
-// aggregation, run folds, zone-map builds) come in three tiers: the
-// row-at-a-time reference path (ScanMode::kScalar), the scalar-branchless
-// block kernel (kVectorized), and lane-parallel SIMD (kSimd — AVX-512,
-// AVX2, or NEON, chosen at startup by runtime CPU dispatch, falling back
-// to the branchless loops on unsupported hardware; see simd_dispatch.h).
-// All tiers produce bit-identical QueryResults; ScanOptions can force any
-// tier for tests and benchmarks.
+// There is one kernel body. Its data-parallel inner loops (predicate
+// compare+compress, selection-driven aggregation, run folds, zone-map
+// builds) come from the SimdOps table of one instruction-set tier: the
+// portable branchless loops (SimdTier::kNone) or lane-parallel SIMD
+// (AVX-512, AVX2 or NEON), chosen at startup by runtime CPU dispatch; see
+// simd_dispatch.h. Every tier produces bit-identical QueryResults;
+// ScanOptions::tier can force one for tests and benchmarks.
 #ifndef TSUNAMI_STORAGE_SCAN_KERNEL_H_
 #define TSUNAMI_STORAGE_SCAN_KERNEL_H_
 
@@ -35,21 +34,14 @@ struct SimdOps;
 // encoded_column.h, which this header re-exports: the zone maps and the
 // per-block codecs share one block grid by construction.
 
-enum class ScanMode {
-  kScalar,      // Row-at-a-time loop with early exit (the pre-kernel path).
-  kVectorized,  // Block-at-a-time selection-vector kernel with zone maps.
-  kSimd,        // kVectorized with SIMD inner loops (runtime-dispatched).
-};
-
 /// Rows between cooperative-stop probes inside a batched scan: frequent
 /// enough that a deadline lands within tens of microseconds even on one
 /// giant range, rare enough that the probe (a clock read at worst) is noise.
 inline constexpr int64_t kScanStopProbeRows = 16 * 1024;
 
-/// Per-scan execution options. Defaults to the SIMD kernel at the best
-/// runtime-supported tier; `tier` pins a specific instruction set when
-/// `mode` is kSimd (an unsupported tier degrades to the scalar ops, which
-/// is exactly the kVectorized behavior).
+/// Per-scan execution options. `tier` picks the SIMD tier of the kernel's
+/// inner loops; the default is the best runtime-supported one, and a forced
+/// tier the CPU lacks degrades to the portable kNone loops.
 ///
 /// `stop_probe` is the cooperative-cancellation seam: when non-null,
 /// ScanBatch slices ranges at block-aligned kScanStopProbeRows boundaries
@@ -60,11 +52,6 @@ inline constexpr int64_t kScanStopProbeRows = 16 * 1024;
 /// integer aggregation is associative, so a probed scan that is never
 /// stopped stays bit-identical to an unprobed one.
 struct ScanOptions {
-  static constexpr ScanMode kScalar = ScanMode::kScalar;
-  static constexpr ScanMode kVectorized = ScanMode::kVectorized;
-  static constexpr ScanMode kSimd = ScanMode::kSimd;
-
-  ScanMode mode = ScanMode::kSimd;
   SimdTier tier = SimdTier::kAuto;
   bool (*stop_probe)(const void*) = nullptr;  // Borrowed; null = never stop.
   const void* stop_arg = nullptr;
@@ -118,17 +105,49 @@ class ZoneMaps {
   std::vector<std::vector<int64_t>> sum_;  // [dim][block]
 };
 
+/// One block's columns as the per-block scan step reads them. A store
+/// block resolves each column's codec view; a raw block (an unsealed delta
+/// chunk's kScanBlockRows-row slice) is width-8 views with ref 0, column
+/// `dim` starting at `raw + dim * stride`.
+class BlockColumns {
+ public:
+  BlockColumns(const std::vector<EncodedColumn>& columns, int64_t block)
+      : columns_(&columns), block_(block) {}
+  BlockColumns(const Value* raw, int64_t stride) : raw_(raw), stride_(stride) {}
+
+  EncodedColumn::BlockView view(int dim) const {
+    if (columns_ != nullptr) return (*columns_)[dim].block(block_);
+    return {raw_ + dim * stride_, 0, 8};
+  }
+
+ private:
+  const std::vector<EncodedColumn>* columns_ = nullptr;
+  int64_t block_ = 0;
+  const Value* raw_ = nullptr;
+  int64_t stride_ = 0;
+};
+
+/// The per-block scan step every scan path shares: selects the rows
+/// [off, off + count) of the block whose values match every filter, counts
+/// them into out->matched, and folds them into every aggregate accumulator.
+/// Each predicate runs compare+compress at its column's code width, with
+/// bounds translated into code space (a predicate empty after translation
+/// ends the block without reading a code; one covering the whole code
+/// domain skips its pass). `sel` is scratch for `count` <= kScanBlockRows
+/// row offsets.
+void ScanBlockSlice(const BlockColumns& columns, int64_t off, int count,
+                    const Query& query, const SimdOps& ops, uint32_t* sel,
+                    QueryResult* out);
+
 /// A non-owning view over a table's encoded columns plus its zone maps that
 /// executes scans. Construction is two pointers; ColumnStore hands one out
-/// per call. Predicates are evaluated on the per-block codes (bounds
-/// translated into code space once per block, with empty/full fast-outs);
-/// values are materialized only for the surviving selection vector, via a
+/// per call. Predicates are evaluated on the per-block codes; values are
+/// materialized only for the surviving selection vector, via a
 /// frame-of-reference add — or gathered raw for fallback blocks.
 ///
-/// All kernels accumulate into the same QueryResult fields with identical
-/// semantics: `scanned` counts the rows the range was responsible for (not
-/// the rows actually touched after block skipping), so results are
-/// bit-for-bit comparable across modes, tiers, and codecs.
+/// `scanned` counts the rows a range was responsible for (not the rows
+/// actually touched after block skipping), so results are bit-for-bit
+/// comparable across tiers and codecs.
 class ScanKernel {
  public:
   ScanKernel(const std::vector<EncodedColumn>& columns, const ZoneMaps& zones)
@@ -140,6 +159,8 @@ class ScanKernel {
   /// matching rows into `out` (does not touch out->cell_ranges). Multi-
   /// aggregate queries share one compare+compress pass; only the aggregate
   /// tails repeat, so SUM+COUNT+MIN+MAX cost one pass over the predicates.
+  /// Exact ranges skip the filters: fully covered blocks aggregate from
+  /// their zone maps, and an all-COUNT query touches no column at all.
   void Scan(int64_t begin, int64_t end, const Query& query, bool exact,
             QueryResult* out, const ScanOptions& options = {}) const;
 
@@ -149,34 +170,16 @@ class ScanKernel {
                  QueryResult* out, const ScanOptions& options = {}) const;
 
  private:
-  void ScanScalar(int64_t begin, int64_t end, const Query& query, bool exact,
-                  QueryResult* out) const;
-  void ScanVectorized(int64_t begin, int64_t end, const Query& query,
-                      const SimdOps& ops, QueryResult* out) const;
-  void ScanExactVectorized(int64_t begin, int64_t end, const Query& query,
-                           const SimdOps& ops, QueryResult* out) const;
-
-  // Integrity gate, shared by all three scan modes so they skip the same
-  // blocks: true when every column this query must read — filter dims for
-  // non-exact ranges, plus non-COUNT aggregate columns — is readable
-  // (checksum-verified, not quarantined) in `block`. On failure the block
-  // is counted into out->quarantined_blocks and the result flagged
-  // degraded; the caller skips the block. Columns the query never reads
-  // (e.g. everything, for an exact COUNT) are not checked, so zone-map- or
-  // count-only answers stay exact even over a quarantined store.
+  // Integrity gate: true when every column this query must read — filter
+  // dims for non-exact ranges, plus non-COUNT aggregate columns — is
+  // readable (checksum-verified, not quarantined) in `block`. On failure
+  // the block is counted into out->quarantined_blocks and the result
+  // flagged degraded; the caller skips the block. Columns the query never
+  // reads (e.g. everything, for an exact COUNT) are not checked, so
+  // zone-map- or count-only answers stay exact even over a quarantined
+  // store.
   bool BlockReadable(int64_t block, const Query& query, bool exact,
                      QueryResult* out) const;
-
-  // Fills `sel` with the block-relative indices (offsets from `begin`) of
-  // rows in [begin, end) matching every filter; returns the match count.
-  // [begin, end) must lie inside block `block`. Each predicate runs at the
-  // block's code width with bounds translated into code space; a predicate
-  // empty after translation returns 0 without reading a code, and one that
-  // covers the whole code domain skips its pass. Requires a non-empty
-  // filter list and end - begin <= kScanBlockRows.
-  int BuildSelection(int64_t begin, int64_t end, int64_t block,
-                     const std::vector<Predicate>& filters, const SimdOps& ops,
-                     uint32_t* sel) const;
 
   // Folds rows [begin, end) — all known to match — inside block `block`
   // into every aggregate accumulator, using zone-map sums/extrema when the

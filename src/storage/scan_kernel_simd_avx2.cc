@@ -61,11 +61,13 @@ inline int InRangeMask(__m256i v, __m256i vlo, __m256i vhi) {
   return ~_mm256_movemask_pd(_mm256_castsi256_pd(out)) & 0xF;
 }
 
-inline int64_t HorizontalSum(__m256i v) {
+// Lane sum modulo 2^64; unsigned, so a wrapping sum is not UB.
+inline uint64_t HorizontalSum(__m256i v) {
   __m128i lo = _mm256_castsi256_si128(v);
   __m128i hi = _mm256_extracti128_si256(v, 1);
   __m128i s = _mm_add_epi64(lo, hi);
-  return _mm_cvtsi128_si64(s) + _mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s));
+  return static_cast<uint64_t>(_mm_cvtsi128_si64(s)) +
+         static_cast<uint64_t>(_mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s)));
 }
 
 inline Value HorizontalMin(__m256i v) {
@@ -290,9 +292,9 @@ int64_t Avx2SumGather(const Value* col, const uint32_t* sel, int n) {
     __m128i idx = _mm_loadu_si128(reinterpret_cast<const __m128i*>(sel + j));
     acc = _mm256_add_epi64(acc, _mm256_i32gather_epi64(AsLL(col), idx, 8));
   }
-  int64_t s = HorizontalSum(acc);
-  for (; j < n; ++j) s += col[sel[j]];
-  return s;
+  uint64_t s = HorizontalSum(acc);
+  for (; j < n; ++j) s += static_cast<uint64_t>(col[sel[j]]);
+  return static_cast<int64_t>(s);
 }
 
 Value Avx2MinGather(const Value* col, const uint32_t* sel, int n) {
@@ -338,9 +340,9 @@ int64_t Avx2SumRange(const Value* col, int64_t n) {
     acc = _mm256_add_epi64(
         acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col + r)));
   }
-  int64_t s = HorizontalSum(acc);
-  for (; r < n; ++r) s += col[r];
-  return s;
+  uint64_t s = HorizontalSum(acc);
+  for (; r < n; ++r) s += static_cast<uint64_t>(col[r]);
+  return static_cast<int64_t>(s);
 }
 
 Value Avx2MinRange(const Value* col, int64_t n) {
@@ -376,7 +378,7 @@ Value Avx2MaxRange(const Value* col, int64_t n) {
 void Avx2BlockStats(const Value* col, int64_t n, Value* mn, Value* mx,
                     int64_t* sum) {
   Value lo = col[0], hi = col[0];
-  int64_t s = 0;
+  uint64_t s = 0;
   int64_t r = 0;
   if (n >= 4) {
     __m256i vmin = _mm256_set1_epi64x(lo);
@@ -397,11 +399,11 @@ void Avx2BlockStats(const Value* col, int64_t n, Value* mn, Value* mx,
     Value v = col[r];
     lo = v < lo ? v : lo;
     hi = v > hi ? v : hi;
-    s += v;
+    s += static_cast<uint64_t>(v);
   }
   *mn = lo;
   *mx = hi;
-  *sum = s;
+  *sum = static_cast<int64_t>(s);
 }
 
 constexpr SimdOps kAvx2Ops = {

@@ -179,6 +179,17 @@ int Avx512RefinePassU32(const uint32_t* codes, uint32_t* sel, int n,
   return m;
 }
 
+// Lane sum modulo 2^64. _mm512_reduce_add_epi64 is not used: GCC's
+// version ends in a signed scalar add, which is UB when the sum wraps.
+inline uint64_t ReduceAdd(__m512i v) {
+  __m256i s4 = _mm256_add_epi64(_mm512_castsi512_si256(v),
+                                _mm512_extracti64x4_epi64(v, 1));
+  __m128i s2 = _mm_add_epi64(_mm256_castsi256_si128(s4),
+                             _mm256_extracti128_si256(s4, 1));
+  return static_cast<uint64_t>(
+      _mm_cvtsi128_si64(_mm_add_epi64(s2, _mm_unpackhi_epi64(s2, s2))));
+}
+
 int64_t Avx512SumGather(const Value* col, const uint32_t* sel, int n) {
   __m512i acc = _mm512_setzero_si512();
   int j = 0;
@@ -186,9 +197,9 @@ int64_t Avx512SumGather(const Value* col, const uint32_t* sel, int n) {
     __m256i idx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sel + j));
     acc = _mm512_add_epi64(acc, _mm512_i32gather_epi64(idx, col, 8));
   }
-  int64_t s = _mm512_reduce_add_epi64(acc);
-  for (; j < n; ++j) s += col[sel[j]];
-  return s;
+  uint64_t s = ReduceAdd(acc);
+  for (; j < n; ++j) s += static_cast<uint64_t>(col[sel[j]]);
+  return static_cast<int64_t>(s);
 }
 
 Value Avx512MinGather(const Value* col, const uint32_t* sel, int n) {
@@ -235,9 +246,9 @@ int64_t Avx512SumRange(const Value* col, int64_t n) {
   for (; r + 8 <= n; r += 8) {
     acc = _mm512_add_epi64(acc, _mm512_loadu_si512(col + r));
   }
-  int64_t s = _mm512_reduce_add_epi64(acc);
-  for (; r < n; ++r) s += col[r];
-  return s;
+  uint64_t s = ReduceAdd(acc);
+  for (; r < n; ++r) s += static_cast<uint64_t>(col[r]);
+  return static_cast<int64_t>(s);
 }
 
 Value Avx512MinRange(const Value* col, int64_t n) {
@@ -271,7 +282,7 @@ Value Avx512MaxRange(const Value* col, int64_t n) {
 void Avx512BlockStats(const Value* col, int64_t n, Value* mn, Value* mx,
                       int64_t* sum) {
   Value lo = col[0], hi = col[0];
-  int64_t s = 0;
+  uint64_t s = 0;
   int64_t r = 0;
   if (n >= 8) {
     __m512i vmin = _mm512_set1_epi64(lo);
@@ -285,17 +296,17 @@ void Avx512BlockStats(const Value* col, int64_t n, Value* mn, Value* mx,
     }
     lo = _mm512_reduce_min_epi64(vmin);
     hi = _mm512_reduce_max_epi64(vmax);
-    s = _mm512_reduce_add_epi64(vsum);
+    s = ReduceAdd(vsum);
   }
   for (; r < n; ++r) {
     Value v = col[r];
     lo = v < lo ? v : lo;
     hi = v > hi ? v : hi;
-    s += v;
+    s += static_cast<uint64_t>(v);
   }
   *mn = lo;
   *mx = hi;
-  *sum = s;
+  *sum = static_cast<int64_t>(s);
 }
 
 constexpr SimdOps kAvx512Ops = {

@@ -124,13 +124,19 @@ int NeonFirstPassU32(const uint32_t* codes, int count, uint32_t lo,
   return n;
 }
 
+// Lane sum modulo 2^64; unsigned, so a wrapping sum is not UB.
+inline uint64_t LaneSum(int64x2_t v) {
+  return static_cast<uint64_t>(vgetq_lane_s64(v, 0)) +
+         static_cast<uint64_t>(vgetq_lane_s64(v, 1));
+}
+
 int64_t NeonSumRange(const Value* col, int64_t n) {
   int64x2_t acc = vdupq_n_s64(0);
   int64_t r = 0;
   for (; r + 2 <= n; r += 2) acc = vaddq_s64(acc, vld1q_s64(col + r));
-  int64_t s = vgetq_lane_s64(acc, 0) + vgetq_lane_s64(acc, 1);
-  for (; r < n; ++r) s += col[r];
-  return s;
+  uint64_t s = LaneSum(acc);
+  for (; r < n; ++r) s += static_cast<uint64_t>(col[r]);
+  return static_cast<int64_t>(s);
 }
 
 Value NeonMinRange(const Value* col, int64_t n) {
@@ -162,7 +168,7 @@ Value NeonMaxRange(const Value* col, int64_t n) {
 void NeonBlockStats(const Value* col, int64_t n, Value* mn, Value* mx,
                     int64_t* sum) {
   Value lo = col[0], hi = col[0];
-  int64_t s = 0;
+  uint64_t s = 0;
   int64_t r = 0;
   if (n >= 2) {
     int64x2_t vmin = vdupq_n_s64(lo);
@@ -179,17 +185,17 @@ void NeonBlockStats(const Value* col, int64_t n, Value* mn, Value* mx,
     a = vgetq_lane_s64(vmax, 0);
     b = vgetq_lane_s64(vmax, 1);
     hi = a > b ? a : b;
-    s = vgetq_lane_s64(vsum, 0) + vgetq_lane_s64(vsum, 1);
+    s = LaneSum(vsum);
   }
   for (; r < n; ++r) {
     Value v = col[r];
     lo = v < lo ? v : lo;
     hi = v > hi ? v : hi;
-    s += v;
+    s += static_cast<uint64_t>(v);
   }
   *mn = lo;
   *mx = hi;
-  *sum = s;
+  *sum = static_cast<int64_t>(s);
 }
 
 constexpr SimdOps kNeonOps = {

@@ -88,10 +88,12 @@ int RefinePassU32(const uint32_t* codes, uint32_t* sel, int n, uint32_t lo,
   return RefinePassCodes(codes, sel, n, lo, hi);
 }
 
+// Sums accumulate in uint64: int64 addition modulo 2^64, without the UB of
+// signed overflow.
 int64_t SumGather(const Value* col, const uint32_t* sel, int n) {
-  int64_t s = 0;
-  for (int j = 0; j < n; ++j) s += col[sel[j]];
-  return s;
+  uint64_t s = 0;
+  for (int j = 0; j < n; ++j) s += static_cast<uint64_t>(col[sel[j]]);
+  return static_cast<int64_t>(s);
 }
 
 Value MinGather(const Value* col, const uint32_t* sel, int n) {
@@ -113,9 +115,9 @@ Value MaxGather(const Value* col, const uint32_t* sel, int n) {
 }
 
 int64_t SumRange(const Value* col, int64_t n) {
-  int64_t s = 0;
-  for (int64_t r = 0; r < n; ++r) s += col[r];
-  return s;
+  uint64_t s = 0;
+  for (int64_t r = 0; r < n; ++r) s += static_cast<uint64_t>(col[r]);
+  return static_cast<int64_t>(s);
 }
 
 Value MinRange(const Value* col, int64_t n) {
@@ -133,16 +135,16 @@ Value MaxRange(const Value* col, int64_t n) {
 void BlockStats(const Value* col, int64_t n, Value* mn, Value* mx,
                 int64_t* sum) {
   Value lo = col[0], hi = col[0];
-  int64_t s = 0;
+  uint64_t s = 0;
   for (int64_t r = 0; r < n; ++r) {
     Value v = col[r];
     lo = v < lo ? v : lo;
     hi = v > hi ? v : hi;
-    s += v;
+    s += static_cast<uint64_t>(v);
   }
   *mn = lo;
   *mx = hi;
-  *sum = s;
+  *sum = static_cast<int64_t>(s);
 }
 
 }  // namespace scalar_ops

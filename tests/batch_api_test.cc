@@ -1,11 +1,11 @@
 // Randomized equivalence suite for the batched, multi-aggregate query API:
 //  * ExecuteBatch over shuffled batches is bit-identical to per-query
 //    Execute for every index (all baselines, Flood, Tsunami, the secondary
-//    indexes, and the access-path router), across thread counts and scan
-//    modes;
+//    indexes, and the access-path router), across thread counts and SIMD
+//    tiers;
 //  * Prepare + ExecutePlan equals Execute;
 //  * one multi-aggregate pass equals N single-aggregate runs, down at the
-//    scan-kernel level too;
+//    scan-kernel level too, where it also equals the row-at-a-time oracle;
 //  * cancellation skips the remaining work and batch stats add up;
 //  * the SQL engine's Prepare/RunBatch surface matches per-statement Run.
 #include <gtest/gtest.h>
@@ -36,6 +36,7 @@
 #include "src/query/engine.h"
 #include "src/query/router.h"
 #include "src/secondary/secondary_index.h"
+#include "tests/scan_oracle.h"
 
 namespace tsunami {
 namespace {
@@ -152,8 +153,8 @@ TEST_F(BatchApiTest, ExecuteBatchMatchesPerQueryExecuteShuffled) {
     }
     for (int threads : {0, 4}) {
       TaskScheduler scheduler(threads);
-      for (ScanMode mode : {ScanMode::kSimd, ScanMode::kScalar}) {
-        ExecContext ctx(&scheduler, ScanOptions{mode});
+      for (SimdTier tier : {SimdTier::kAuto, SimdTier::kNone}) {
+        ExecContext ctx(&scheduler, ScanOptions{tier});
         std::vector<QueryResult> batch = RunWorkload(*index, shuffled, ctx);
         ASSERT_EQ(batch.size(), shuffled.size());
         for (size_t i = 0; i < shuffled.size(); ++i) {
@@ -214,8 +215,8 @@ TEST_F(BatchApiTest, MultiAggregateMatchesSingleAggregateRuns) {
 }
 
 // Acceptance check at the kernel level: one scan pass produces
-// SUM+COUNT+MIN+MAX simultaneously, equal to four single-aggregate passes,
-// in every scan mode (scalar reference, branchless block kernel, SIMD).
+// SUM+COUNT+MIN+MAX simultaneously, equal to four single-aggregate passes
+// and to the row-at-a-time oracle, at every SIMD tier.
 TEST_F(BatchApiTest, KernelSinglePassComputesFourAggregates) {
   ColumnStore store(data_);
   Rng rng(74);
@@ -230,20 +231,25 @@ TEST_F(BatchApiTest, KernelSinglePassComputesFourAggregates) {
     multi.SetAggregates(specs);
     int64_t begin = rng.NextBelow(store.size() / 2);
     int64_t end = begin + 1 + rng.NextBelow(store.size() - begin - 1);
-    for (ScanMode mode :
-         {ScanMode::kScalar, ScanMode::kVectorized, ScanMode::kSimd}) {
+    for (SimdTier tier : {SimdTier::kAuto, SimdTier::kNone, SimdTier::kNeon,
+                          SimdTier::kAvx2, SimdTier::kAvx512}) {
       for (bool exact : {false, true}) {
         QueryResult got = InitResult(multi);
-        store.ScanRange(begin, end, multi, exact, &got, ScanOptions{mode});
+        store.ScanRange(begin, end, multi, exact, &got, ScanOptions{tier});
+        QueryResult oracle = InitResult(multi);
+        OracleScan(store, begin, end, multi, exact, &oracle);
+        EXPECT_EQ(got.agg, oracle.agg) << SimdTierName(tier);
+        EXPECT_EQ(got.extra, oracle.extra) << SimdTierName(tier);
+        EXPECT_EQ(got.matched, oracle.matched) << SimdTierName(tier);
+        EXPECT_EQ(got.scanned, oracle.scanned) << SimdTierName(tier);
         for (size_t a = 0; a < specs.size(); ++a) {
           Query single = multi;
           single.SetAggregates({specs[a]});
           QueryResult want = InitResult(single);
           store.ScanRange(begin, end, single, exact, &want,
-                          ScanOptions{mode});
+                          ScanOptions{tier});
           EXPECT_EQ(got.agg_value(static_cast<int>(a)), want.agg)
-              << "mode " << static_cast<int>(mode) << " exact " << exact
-              << " agg " << a;
+              << SimdTierName(tier) << " exact " << exact << " agg " << a;
           EXPECT_EQ(got.matched, want.matched);
         }
       }
@@ -439,16 +445,16 @@ TEST_F(BatchApiTest, CalibrationAcceptsForcedTier) {
   // The calibration path must honor forced scan options (the ScanOptions
   // plumbing gap): a forced-tier calibration runs that kernel and still
   // produces sane positive weights.
-  CostWeights simd = CalibrateCostWeights(ScanOptions{ScanMode::kSimd});
-  CostWeights scalar = CalibrateCostWeights(ScanOptions{ScanMode::kScalar});
+  CostWeights simd = CalibrateCostWeights(ScanOptions{SimdTier::kAuto});
+  CostWeights scalar = CalibrateCostWeights(ScanOptions{SimdTier::kNone});
   EXPECT_GT(simd.w0, 0.0);
   EXPECT_GT(simd.w1, 0.0);
   EXPECT_GT(scalar.w0, 0.0);
   EXPECT_GT(scalar.w1, 0.0);
   ExecContext ctx;
-  ctx.scan = ScanOptions{ScanMode::kVectorized};
-  CostWeights vec = CalibrateCostWeights(ctx);
-  EXPECT_GT(vec.w1, 0.0);
+  ctx.scan = ScanOptions{SimdTier::kNone};
+  CostWeights forced = CalibrateCostWeights(ctx);
+  EXPECT_GT(forced.w1, 0.0);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Concurrent-ingest suite: EpochManager pin/retire/reclaim ordering,
-// DeltaChunk encoded-vs-raw and raw-vs-row-at-a-time bit identity,
+// DeltaChunk encoded-vs-raw and raw-vs-oracle bit identity,
 // IngestStore correctness against the full-scan reference across inserts /
 // folds / reorganizations / repairs, snapshot isolation for pinned readers,
 // plan-cache staleness, and a writers-vs-readers-vs-compaction stress run
@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "src/ingest/ingest_store.h"
 #include "src/ingest/snapshot.h"
 #include "src/serve/query_service.h"
+#include "tests/scan_oracle.h"
 
 namespace tsunami {
 namespace {
@@ -33,6 +35,10 @@ using ingest::EpochManager;
 using ingest::EpochPin;
 using ingest::IngestOptions;
 using ingest::IngestStore;
+
+constexpr SimdTier kTiers[] = {SimdTier::kAuto, SimdTier::kNone,
+                               SimdTier::kNeon, SimdTier::kAvx2,
+                               SimdTier::kAvx512};
 
 IngestOptions SmallIngestOptions() {
   IngestOptions options;
@@ -128,18 +134,21 @@ TEST(EpochManagerTest, RaiiPinReleasesOnce) {
 
 // ---- DeltaChunk -----------------------------------------------------------
 
-// Satellite: a sealed (block-encoded) chunk must answer every query with
-// results bit-identical to the raw columnar path — aggregates, match
-// counts, and the scanned/cell_ranges accounting all included.
+// A sealed (block-encoded) chunk and the raw columnar path before sealing
+// must both answer every query, at every tier, bit-identically to the
+// oracle over the inserted rows — aggregates, match counts, and the
+// scanned/cell_ranges accounting all included.
 TEST(DeltaChunkTest, SealedScanBitIdenticalToRaw) {
   Rng rng(91);
   const int64_t capacity = 3 * kScanBlockRows;
   DeltaChunk chunk(/*dims=*/3, capacity, /*id=*/1);
+  Dataset inserted(3, {});
   std::vector<Value> row(3);
   for (int64_t i = 0; i < capacity; ++i) {
     row[0] = rng.UniformValue(0, 100000);
     row[1] = rng.UniformValue(-5000, 5000);
     row[2] = rng.UniformValue(0, 100);
+    inserted.AppendRow(row);
     ASSERT_TRUE(chunk.Append(row.data()));
   }
   ASSERT_TRUE(chunk.full());
@@ -172,47 +181,58 @@ TEST(DeltaChunkTest, SealedScanBitIdenticalToRaw) {
     queries.push_back(q);
   }
 
-  std::vector<QueryResult> raw;
+  const ColumnStore reference(inserted, /*encode=*/false);
+  std::vector<QueryResult> want;
   for (const Query& q : queries) {
     QueryResult r = InitResult(q);
-    chunk.Scan(q, &r, ScanOptions{});
-    raw.push_back(r);
+    ++r.cell_ranges;
+    OracleScan(reference, 0, reference.size(), q, /*exact=*/false, &r);
+    want.push_back(r);
   }
+  auto expect_oracle = [&](const char* state) {
+    for (SimdTier tier : kTiers) {
+      for (size_t i = 0; i < queries.size(); ++i) {
+        QueryResult r = InitResult(queries[i]);
+        chunk.Scan(queries[i], &r, ScanOptions{tier});
+        SCOPED_TRACE(std::string(state) + " " + SimdTierName(tier) +
+                     " query " + std::to_string(i));
+        EXPECT_EQ(r.agg, want[i].agg);
+        EXPECT_EQ(r.matched, want[i].matched);
+        EXPECT_EQ(r.extra, want[i].extra);
+        EXPECT_EQ(r.scanned, want[i].scanned);
+        EXPECT_EQ(r.cell_ranges, want[i].cell_ranges);
+      }
+    }
+  };
 
   ASSERT_FALSE(chunk.sealed());
+  expect_oracle("unsealed");
   chunk.Seal();
   ASSERT_TRUE(chunk.sealed());
-
-  for (size_t i = 0; i < queries.size(); ++i) {
-    QueryResult r = InitResult(queries[i]);
-    chunk.Scan(queries[i], &r, ScanOptions{});
-    EXPECT_EQ(r.agg, raw[i].agg) << "query " << i;
-    EXPECT_EQ(r.matched, raw[i].matched) << "query " << i;
-    EXPECT_EQ(r.extra, raw[i].extra) << "query " << i;
-    EXPECT_EQ(r.scanned, raw[i].scanned) << "query " << i;
-    EXPECT_EQ(r.cell_ranges, raw[i].cell_ranges) << "query " << i;
-  }
+  expect_oracle("sealed");
 }
 
-// The raw columnar scan (chunked SimdOps compare+compress, then the
-// aggregate tails) must be bit-identical to a row-at-a-time loop over the
-// rows in insert order — every QueryResult field, every aggregate kind,
-// multi-aggregate lists included. The chunk is unsealed and partly full, so
-// the scan crosses several blocks and ends in a partial one.
+// The raw columnar scan (the kernel's per-block step over raw slices) must
+// be bit-identical, at every tier, to the row-at-a-time oracle over an
+// unencoded ColumnStore of the rows in insert order — every QueryResult
+// field, every aggregate kind, multi-aggregate lists included. The chunk is
+// unsealed and partly full, so the scan crosses several blocks and ends in
+// a partial one.
 TEST(DeltaChunkTest, RawScanBitIdenticalToRowMajorLoop) {
   Rng rng(408);
   DeltaChunk chunk(/*dims=*/3, /*capacity=*/4 * kScanBlockRows, /*id=*/1);
-  std::vector<std::vector<Value>> inserted;
+  Dataset inserted(3, {});
   for (int i = 0; i < 2600; ++i) {
     std::vector<Value> row = {rng.UniformValue(-1000000, 1000000),
                               rng.UniformValue(-1000000, 1000000),
                               rng.UniformValue(-1000000, 1000000)};
     if (i % 97 == 0) row[1] = kValueMax - i;
     if (i % 89 == 0) row[2] = kValueMin + i;
-    inserted.push_back(row);
+    inserted.AppendRow(row);
     ASSERT_TRUE(chunk.Append(row.data()));
   }
   ASSERT_FALSE(chunk.full());
+  const ColumnStore reference(inserted, /*encode=*/false);
   const AggKind kAggs[] = {AggKind::kCount, AggKind::kSum, AggKind::kMin,
                            AggKind::kMax, AggKind::kAvg};
   for (int trial = 0; trial < 120; ++trial) {
@@ -233,34 +253,20 @@ TEST(DeltaChunkTest, RawScanBitIdenticalToRowMajorLoop) {
     }
     QueryResult want = InitResult(q);
     ++want.cell_ranges;
-    want.scanned += static_cast<int64_t>(inserted.size());
-    for (const std::vector<Value>& row : inserted) {
-      bool ok = true;
-      for (const Predicate& p : q.filters) {
-        if (!p.Matches(row[p.dim])) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
-      ++want.matched;
-      for (int a = 0; a < q.num_aggs(); ++a) {
-        const AggregateSpec spec = q.agg_spec(a);
-        AccumulateAgg(spec.op,
-                      spec.op == AggKind::kCount ? 0 : row[spec.column],
-                      want.agg_accumulator(a));
-      }
+    OracleScan(reference, 0, reference.size(), q, /*exact=*/false, &want);
+    for (SimdTier tier : kTiers) {
+      QueryResult got = InitResult(q);
+      chunk.Scan(q, &got, ScanOptions{tier});
+      SCOPED_TRACE(SimdTierName(tier));
+      EXPECT_EQ(got.agg, want.agg) << "trial " << trial;
+      EXPECT_EQ(got.scanned, want.scanned) << "trial " << trial;
+      EXPECT_EQ(got.matched, want.matched) << "trial " << trial;
+      EXPECT_EQ(got.cell_ranges, want.cell_ranges) << "trial " << trial;
+      EXPECT_EQ(got.extra, want.extra) << "trial " << trial;
+      EXPECT_EQ(got.degraded, want.degraded) << "trial " << trial;
+      EXPECT_EQ(got.quarantined_blocks, want.quarantined_blocks)
+          << "trial " << trial;
     }
-    QueryResult got = InitResult(q);
-    chunk.Scan(q, &got);
-    EXPECT_EQ(got.agg, want.agg) << "trial " << trial;
-    EXPECT_EQ(got.scanned, want.scanned) << "trial " << trial;
-    EXPECT_EQ(got.matched, want.matched) << "trial " << trial;
-    EXPECT_EQ(got.cell_ranges, want.cell_ranges) << "trial " << trial;
-    EXPECT_EQ(got.extra, want.extra) << "trial " << trial;
-    EXPECT_EQ(got.degraded, want.degraded) << "trial " << trial;
-    EXPECT_EQ(got.quarantined_blocks, want.quarantined_blocks)
-        << "trial " << trial;
   }
 }
 

@@ -512,6 +512,51 @@ TEST_F(NetTest, MalformedPayloadGetsTypedErrorAndConnectionSurvives) {
   EXPECT_TRUE(ok.ok()) << net::ToString(ok.error);
 }
 
+// A query naming a column the index lacks — a filter dim or an aggregate
+// column — passes the strict decode but is still malformed: a typed error
+// instead of an out-of-bounds read in the kernel, and the connection keeps
+// serving.
+TEST_F(NetTest, QueryNamingMissingColumnGetsTypedError) {
+  Rng rng(13);
+  Dataset data(2, {});
+  for (int64_t i = 0; i < 5000; ++i) {
+    data.AppendRow({rng.UniformValue(0, 1000), rng.UniformValue(0, 1000)});
+  }
+  FullScanIndex index(data);
+  ServiceOptions service_options;
+  service_options.threads = 2;
+  QueryService service(&index, service_options);
+  ServerHarness harness(&service);
+  TsunamiClient client(harness.ClientFor());
+  ASSERT_TRUE(client.Ping());
+
+  const AggregateSpec count{AggKind::kCount, 0};
+  const Query bad[] = {
+      Query({Predicate{2, 0, 500}}, {count}),
+      Query({Predicate{1000, 0, 500}}, {count}),
+      Query({Predicate{0, 0, 500}}, {AggregateSpec{AggKind::kSum, 2}}),
+  };
+  for (const Query& q : bad) {
+    const ClientResult got = client.Run(q);
+    EXPECT_TRUE(got.transport_ok);
+    EXPECT_EQ(got.error, WireError::kMalformedFrame)
+        << net::ToString(got.error);
+    EXPECT_NE(got.error_message.find("column"), std::string::npos)
+        << got.error_message;
+  }
+  const Query valid({Predicate{0, 100, 600}},
+                    {AggregateSpec{AggKind::kSum, 1}, count});
+  const ClientResult got = client.Run(valid);
+  ASSERT_TRUE(got.ok()) << net::ToString(got.error);
+  const QueryResult want = index.Execute(valid);
+  EXPECT_EQ(got.result.agg, want.agg);
+  EXPECT_EQ(got.result.extra, want.extra);
+  EXPECT_EQ(got.result.matched, want.matched);
+  EXPECT_EQ(got.result.scanned, want.scanned);
+  harness.Stop();
+  EXPECT_EQ(harness.server().stats().malformed_frames, 3);
+}
+
 TEST_F(NetTest, OversizedFrameRejectedAndConnectionCloses) {
   QueryService service(index_.get());
   ServerOptions so;

@@ -33,6 +33,7 @@
 #include "src/query/router.h"
 #include "src/secondary/secondary_index.h"
 #include "src/serve/query_service.h"
+#include "tests/scan_oracle.h"
 
 namespace tsunami {
 namespace {
@@ -136,18 +137,18 @@ TEST_F(QueryServiceTest, SubmitAwaitBitIdenticalToExecuteAndExecuteBatch) {
   for (const auto& index : roster) {
     Workload batch = SkewedBatch(rng, 24);
     for (int threads : {0, 2, 4}) {
-      for (ScanMode mode : {ScanMode::kSimd, ScanMode::kScalar}) {
+      for (SimdTier tier : {SimdTier::kAuto, SimdTier::kNone}) {
         ServiceOptions options;
         options.threads = threads;
         QueryService service(index.get(), options);
         SubmitOptions sub;
-        sub.scan = ScanOptions{mode};
+        sub.scan = ScanOptions{tier};
         std::vector<QueryService::Admission> tickets =
             service.SubmitBatch(std::span<const Query>(batch), sub);
         ASSERT_EQ(tickets.size(), batch.size());
         // Also the ExecuteBatch path, as the second reference.
         TaskScheduler batch_scheduler(threads);
-        ExecContext ctx(&batch_scheduler, ScanOptions{mode});
+        ExecContext ctx(&batch_scheduler, ScanOptions{tier});
         std::vector<QueryResult> via_batch = index->ExecuteBatch(
             std::span<const Query>(batch.data(), batch.size()), ctx);
         for (size_t i = 0; i < batch.size(); ++i) {
@@ -383,7 +384,7 @@ TEST_F(QueryServiceTest, CancelLandsMidScanInsideOneGiantRange) {
 
 TEST_F(QueryServiceTest, ProbedUncancelledScanIsBitIdentical) {
   // The probe slices the scan into sub-ranges; when the probe never fires,
-  // the sliced scan must equal the unsliced one bit for bit, in every mode.
+  // the sliced scan must equal the unsliced one bit for bit, at every tier.
   ColumnStore store(data_);
   std::atomic<bool> cancel{false};
   ExecContext ctx;
@@ -391,18 +392,17 @@ TEST_F(QueryServiceTest, ProbedUncancelledScanIsBitIdentical) {
   Rng rng(97);
   for (int trial = 0; trial < 6; ++trial) {
     Query q = trial % 2 == 0 ? Region() : Needle(rng);
-    for (ScanMode mode :
-         {ScanMode::kScalar, ScanMode::kVectorized, ScanMode::kSimd}) {
+    for (SimdTier tier : {SimdTier::kAuto, SimdTier::kNone}) {
       for (bool exact : {false, true}) {
-        ctx.scan = ScanOptions{mode};
+        ctx.scan = ScanOptions{tier};
         RangeTask whole{0, store.size(), exact};
         QueryResult probed = InitResult(q);
         store.ScanRanges({&whole, 1}, q, &probed, ctx.CancellableScan());
         QueryResult plain = InitResult(q);
-        store.ScanRanges({&whole, 1}, q, &plain, ScanOptions{mode});
+        store.ScanRanges({&whole, 1}, q, &plain, ScanOptions{tier});
         ExpectBitIdentical(probed, plain,
-                           "mode " + std::to_string(static_cast<int>(mode)) +
-                               " exact " + std::to_string(exact));
+                           std::string(SimdTierName(tier)) + " exact " +
+                               std::to_string(exact));
       }
     }
   }
@@ -753,27 +753,25 @@ TEST_F(QueryServiceTest, QuarantinedBlockDegradesInsteadOfWrongOrCrash) {
   QueryService service(&index, options);
 
   // A SUM over the quarantined column: the answer is degraded — flagged,
-  // not wrong-and-silent, not a crash — and identical across kernel modes.
+  // not wrong-and-silent, not a crash — and at every tier equal to the
+  // row-at-a-time oracle over the same store, which skips the same block.
   Query sum;
   sum.filters.push_back(Predicate{0, 0, 40000});
   sum.SetAggregates({{AggKind::kSum, 1}});
-  QueryResult got_default;
-  for (ScanMode mode : {ScanMode::kSimd, ScanMode::kVectorized,
-                        ScanMode::kScalar}) {
+  QueryResult want = InitResult(sum);
+  OracleScan(index.store(), 0, index.store().size(), sum, /*exact=*/false,
+             &want);
+  EXPECT_TRUE(want.degraded);
+  for (SimdTier tier : {SimdTier::kAuto, SimdTier::kNone}) {
     SubmitOptions sub;
-    sub.scan = ScanOptions{mode};
+    sub.scan = ScanOptions{tier};
     AwaitInfo info;
     QueryResult got = service.Await(service.Submit(sum, sub), &info);
     EXPECT_EQ(info.outcome, QueryOutcome::kCompleted);
     EXPECT_TRUE(got.degraded);
     EXPECT_GE(got.quarantined_blocks, 1);
-    if (mode == ScanMode::kSimd) {
-      got_default = got;
-    } else {
-      EXPECT_EQ(got.agg, got_default.agg) << "mode diverged";
-      EXPECT_EQ(got.matched, got_default.matched) << "mode diverged";
-      EXPECT_EQ(got.quarantined_blocks, got_default.quarantined_blocks);
-    }
+    EXPECT_EQ(got.agg, want.agg) << SimdTierName(tier);
+    EXPECT_EQ(got.matched, want.matched) << SimdTierName(tier);
   }
 
   // A COUNT that never reads the quarantined column stays exact.

@@ -1,8 +1,9 @@
-// Cross-checks for the vectorized block-based scan kernel: the vectorized,
-// SIMD (every compiled tier), and scalar paths must agree bit-for-bit on
-// every QueryResult field, for every aggregate, range shape (empty / exact
-// / ragged block edges / sub-SIMD-width tails), filter count, and through
-// the batched multi-range executor and the grid's outlier buffer.
+// Cross-checks for the block-based scan kernel: every SIMD tier (forced
+// tiers the CPU lacks fall back to the portable kNone loops) must agree
+// bit-for-bit with the row-at-a-time oracle (tests/scan_oracle.h) on every
+// QueryResult field, for every aggregate, range shape (empty / exact /
+// ragged block edges / sub-SIMD-width tails), filter count, and through the
+// batched multi-range executor and the grid's outlier buffer.
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -12,13 +13,19 @@
 #include "src/core/augmented_grid.h"
 #include "src/exec/runner.h"
 #include "src/exec/task_scheduler.h"
+#include "src/ingest/delta_chunk.h"
 #include "src/storage/column_store.h"
 #include "src/storage/scan_kernel.h"
 #include "src/storage/scan_kernel_simd.h"
 #include "src/storage/simd_dispatch.h"
+#include "tests/scan_oracle.h"
 
 namespace tsunami {
 namespace {
+
+constexpr SimdTier kTiers[] = {SimdTier::kAuto, SimdTier::kNone,
+                               SimdTier::kNeon, SimdTier::kAvx2,
+                               SimdTier::kAvx512};
 
 constexpr AggKind kAggs[] = {AggKind::kCount, AggKind::kSum, AggKind::kMin,
                              AggKind::kMax, AggKind::kAvg};
@@ -66,16 +73,17 @@ Query RandomQuery(Rng* rng, int dims, int num_filters, AggKind agg) {
   return q;
 }
 
-void ExpectSameResult(const QueryResult& vec, const QueryResult& scalar,
+void ExpectSameResult(const QueryResult& got, const QueryResult& want,
                       const char* what) {
-  EXPECT_EQ(vec.agg, scalar.agg) << what;
-  EXPECT_EQ(vec.scanned, scalar.scanned) << what;
-  EXPECT_EQ(vec.matched, scalar.matched) << what;
-  EXPECT_EQ(vec.cell_ranges, scalar.cell_ranges) << what;
+  EXPECT_EQ(got.agg, want.agg) << what;
+  EXPECT_EQ(got.scanned, want.scanned) << what;
+  EXPECT_EQ(got.matched, want.matched) << what;
+  EXPECT_EQ(got.cell_ranges, want.cell_ranges) << what;
+  EXPECT_EQ(got.extra, want.extra) << what;
 }
 
 TEST(ScanKernelTest, RandomizedCrossCheckAgainstScalar) {
-  for (ScanMode mode : {ScanMode::kVectorized, ScanMode::kSimd}) {
+  for (SimdTier tier : kTiers) {
     for (bool clustered : {false, true}) {
       Dataset data = MakeData(20000, 4, clustered, 901);
       ColumnStore store(data);
@@ -92,26 +100,22 @@ TEST(ScanKernelTest, RandomizedCrossCheckAgainstScalar) {
           begin = 0;
           end = store.size();
         }
-        QueryResult vec = InitResult(q), scalar = InitResult(q);
-        store.ScanRange(begin, end, q, /*exact=*/false, &vec,
-                        ScanOptions{mode});
-        store.ScanRange(begin, end, q, /*exact=*/false, &scalar,
-                        ScanOptions{ScanOptions::kScalar});
-        ExpectSameResult(vec, scalar, clustered ? "clustered" : "random");
+        QueryResult got = InitResult(q), want = InitResult(q);
+        store.ScanRange(begin, end, q, /*exact=*/false, &got,
+                        ScanOptions{tier});
+        OracleScan(store, begin, end, q, /*exact=*/false, &want);
+        ExpectSameResult(got, want, clustered ? "clustered" : "random");
       }
     }
   }
 }
 
 // Every SIMD tier (including forced-but-unsupported ones, which must fall
-// back to the scalar ops) agrees bit-for-bit with the scalar kernel on
-// adversarial range shapes: begin/end straddling block boundaries, tails
-// shorter than one SIMD width, empty-filter queries, no-match filters, and
-// all-match blocks.
+// back to the kNone ops) agrees bit-for-bit with the oracle on adversarial
+// range shapes: begin/end straddling block boundaries, tails shorter than
+// one SIMD width, empty-filter queries, no-match filters, and all-match
+// blocks.
 TEST(ScanKernelTest, SimdTiersBitForBitOnUnalignedRanges) {
-  const SimdTier kTiers[] = {SimdTier::kAuto, SimdTier::kNone,
-                             SimdTier::kNeon, SimdTier::kAvx2,
-                             SimdTier::kAvx512};
   for (bool clustered : {false, true}) {
     Dataset data = MakeData(3 * kScanBlockRows + 117, 3, clustered, 921);
     ColumnStore store(data);
@@ -134,9 +138,6 @@ TEST(ScanKernelTest, SimdTiersBitForBitOnUnalignedRanges) {
         {},                                                 // No filters.
     };
     for (SimdTier tier : kTiers) {
-      ScanOptions options;
-      options.mode = ScanMode::kSimd;
-      options.tier = tier;
       for (const auto& filters : filter_sets) {
         for (const auto& [begin, end] : ranges) {
           for (AggKind agg : kAggs) {
@@ -144,11 +145,11 @@ TEST(ScanKernelTest, SimdTiersBitForBitOnUnalignedRanges) {
             q.agg = agg;
             q.agg_dim = 2;
             q.filters = filters;
-            QueryResult simd = InitResult(q), scalar = InitResult(q);
-            store.ScanRange(begin, end, q, /*exact=*/false, &simd, options);
-            store.ScanRange(begin, end, q, /*exact=*/false, &scalar,
-                            ScanOptions{ScanOptions::kScalar});
-            ExpectSameResult(simd, scalar, SimdTierName(tier));
+            QueryResult got = InitResult(q), want = InitResult(q);
+            store.ScanRange(begin, end, q, /*exact=*/false, &got,
+                            ScanOptions{tier});
+            OracleScan(store, begin, end, q, /*exact=*/false, &want);
+            ExpectSameResult(got, want, SimdTierName(tier));
           }
         }
       }
@@ -235,19 +236,25 @@ TEST(ScanKernelTest, ExactRangesCrossCheck) {
     Query q;
     q.agg = kAggs[trial % 5];
     q.agg_dim = static_cast<int>(rng.NextBelow(3));
+    if (trial % 4 == 0) {
+      q.SetAggregates({{q.agg, q.agg_dim},
+                       {AggKind::kCount, 0},
+                       {AggKind::kMax, (q.agg_dim + 1) % 3}});
+    }
     int64_t begin = rng.UniformValue(0, store.size());
     int64_t end = rng.UniformValue(begin, store.size());
-    QueryResult vec = InitResult(q), scalar = InitResult(q);
-    store.ScanRange(begin, end, q, /*exact=*/true, &vec,
-                    ScanOptions{ScanOptions::kVectorized});
-    store.ScanRange(begin, end, q, /*exact=*/true, &scalar,
-                    ScanOptions{ScanOptions::kScalar});
-    ExpectSameResult(vec, scalar, "exact");
+    QueryResult want = InitResult(q);
+    OracleScan(store, begin, end, q, /*exact=*/true, &want);
+    for (SimdTier tier : kTiers) {
+      QueryResult got = InitResult(q);
+      store.ScanRange(begin, end, q, /*exact=*/true, &got, ScanOptions{tier});
+      ExpectSameResult(got, want, SimdTierName(tier));
+    }
   }
 }
 
 TEST(ScanKernelTest, ExactSumUsesZoneMapSums) {
-  // Beyond agreeing with the scalar path, the exact-range SUM must equal a
+  // Beyond agreeing with the oracle, the exact-range SUM must equal a
   // directly computed sum — block sums included.
   Dataset data = MakeData(5000, 2, /*clustered=*/false, 905);
   ColumnStore store(data);
@@ -286,10 +293,7 @@ TEST(ScanKernelTest, BatchMatchesSequentialScans) {
     }
     QueryResult batched = InitResult(q), sequential = InitResult(q);
     store.ScanRanges(tasks, q, &batched);
-    for (const RangeTask& t : tasks) {
-      store.ScanRange(t.begin, t.end, q, t.exact, &sequential,
-                      ScanOptions{ScanOptions::kScalar});
-    }
+    OracleScanTasks(store, tasks, q, &sequential);
     ExpectSameResult(batched, sequential, "batch");
   }
 }
@@ -377,6 +381,81 @@ TEST(ScanKernelTest, PlanRangesMatchesExecute) {
     grid.PlanRanges(q, &tasks, &planned);
     store.ScanRanges(tasks, q, &planned);
     ExpectSameResult(planned, direct, "plan+scan");
+  }
+}
+
+// SUM and AVG whose true sum overflows int64 wrap modulo 2^64, and every
+// path wraps identically: the oracle, every tier over encoded and raw
+// stores (exact and filtered ranges), an unsealed and a sealed delta
+// chunk, and a merge of two partial results.
+TEST(ScanKernelTest, OverflowingSumWrapsIdenticallyEverywhere) {
+  // Dim 0 numbers the rows; dim 1 sits at the int64 extremes. Block 0
+  // spans kValueMax - {0, 1, 2} (narrow codes); blocks 1-2 alternate near
+  // kValueMax and kValueMin (raw fallback blocks).
+  const int64_t rows = 3 * kScanBlockRows;
+  Dataset data(2, {});
+  for (int64_t i = 0; i < rows; ++i) {
+    Value v = kValueMax - i % 3;
+    if (i >= kScanBlockRows) v = i % 2 == 0 ? kValueMax - i : kValueMin + i;
+    data.AppendRow({i, v});
+  }
+  ColumnStore encoded(data, /*encode=*/true);
+  ColumnStore raw(data, /*encode=*/false);
+  ingest::DeltaChunk chunk(/*dims=*/2, /*capacity=*/rows, /*id=*/1);
+  for (int64_t i = 0; i < rows; ++i) {
+    const Value row[2] = {data.at(i, 0), data.at(i, 1)};
+    ASSERT_TRUE(chunk.Append(row));
+  }
+  const Value lo = 5, hi = rows - 7;
+  __int128 exact_sum = 0;
+  uint64_t wrapped = 0;
+  for (int64_t i = lo; i <= hi; ++i) {
+    exact_sum += data.at(i, 1);
+    wrapped += static_cast<uint64_t>(data.at(i, 1));
+  }
+  ASSERT_GT(exact_sum, static_cast<__int128>(kValueMax));  // Overflows.
+
+  for (AggKind agg : {AggKind::kSum, AggKind::kAvg}) {
+    Query q({Predicate{0, lo, hi}}, {AggregateSpec{agg, 1}});
+    QueryResult want = InitResult(q);
+    OracleScan(encoded, 0, rows, q, /*exact=*/false, &want);
+    ASSERT_EQ(want.agg, static_cast<int64_t>(wrapped));
+    QueryResult want_exact = InitResult(q);
+    OracleScan(encoded, lo, hi + 1, q, /*exact=*/true, &want_exact);
+    ASSERT_EQ(want_exact.agg, static_cast<int64_t>(wrapped));
+    for (SimdTier tier : kTiers) {
+      SCOPED_TRACE(SimdTierName(tier));
+      for (const ColumnStore* store : {&encoded, &raw}) {
+        QueryResult got = InitResult(q);
+        store->ScanRange(0, rows, q, /*exact=*/false, &got, ScanOptions{tier});
+        ExpectSameResult(got, want, "filtered");
+        QueryResult got_exact = InitResult(q);
+        store->ScanRange(lo, hi + 1, q, /*exact=*/true, &got_exact,
+                         ScanOptions{tier});
+        ExpectSameResult(got_exact, want_exact, "exact");
+      }
+      QueryResult delta = InitResult(q);
+      chunk.Scan(q, &delta, ScanOptions{tier});
+      EXPECT_EQ(delta.agg, want.agg) << "unsealed delta chunk";
+      EXPECT_EQ(delta.matched, want.matched);
+    }
+    // Two partials, merged.
+    QueryResult left = InitResult(q), right = InitResult(q);
+    encoded.ScanRange(0, rows / 2, q, /*exact=*/false, &left);
+    raw.ScanRange(rows / 2, rows, q, /*exact=*/false, &right);
+    MergeQueryResults(q, right, &left);
+    ExpectSameResult(left, want, "merged partials");
+  }
+  chunk.Seal();
+  ASSERT_TRUE(chunk.sealed());
+  for (AggKind agg : {AggKind::kSum, AggKind::kAvg}) {
+    Query q({Predicate{0, lo, hi}}, {AggregateSpec{agg, 1}});
+    for (SimdTier tier : kTiers) {
+      QueryResult delta = InitResult(q);
+      chunk.Scan(q, &delta, ScanOptions{tier});
+      EXPECT_EQ(delta.agg, static_cast<int64_t>(wrapped))
+          << "sealed delta chunk, " << SimdTierName(tier);
+    }
   }
 }
 
