@@ -40,7 +40,8 @@ int main() {
 
   // A workload monitor (§8) watches the query stream for shift.
   int num_types = 0;
-  Workload typed = LabelQueryTypes(bench.data, bench.workload, {}, &num_types);
+  Workload typed = LabelQueryTypes(SortedSample(bench.data), bench.workload,
+                                   {}, &num_types);
   WorkloadMonitorOptions monitor_options;
   monitor_options.window = 200;
   WorkloadMonitor monitor(bench.data, typed, monitor_options);

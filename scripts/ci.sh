@@ -28,7 +28,10 @@
 #     scheduler (failed jobs thrown out of the runner, the batch loop, and
 #     parallel builds) must not scribble, leak-on-throw, or hit UB — plus
 #     the property suite, whose extreme-value sweeps drive every SUM path
-#     through int64 wraparound. UBSan is fatal here
+#     through int64 wraparound, and the index-build suites (optimizer,
+#     grid, outlier, skew), whose index arithmetic the cost model's
+#     per-candidate layout, the fence selection and the clustering
+#     embeddings rewrite. UBSan is fatal here
 #     (-fno-sanitize-recover=undefined), so passes 6, 7, 9 and 10 fail on
 #     any report;
 #  7. the network front end under the same ASan+UBSan+FI build:
@@ -91,18 +94,21 @@ ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" -R \
   'task_scheduler_test|query_service_test|exec_test|ingest_test|net_test|batch_api_test'
 
 # Sixth pass: ASan+UBSan on the robustness suites (storage integrity, file
-# error paths, scheduler exception-safety, service overload/degrade), fault
-# injection compiled in. Scoped to the relevant suites: this is a 1-core CI
-# host and a full ASan ctest would double the wall time for no new signal.
+# error paths, scheduler exception-safety, service overload/degrade) and on
+# the index-build arithmetic (the cost model's per-candidate layout, the
+# outlier fence selection, the clustering embeddings), fault injection
+# compiled in. Scoped to the relevant suites: this is a 1-core CI host and
+# a full ASan ctest would double the wall time for no new signal.
 cmake -B build-asan -S . -DTSUNAMI_WERROR=ON \
   -DTSUNAMI_SANITIZE=address,undefined -DTSUNAMI_FAULT_INJECTION=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j"$(nproc)" --target \
   io_test encoded_column_test storage_test scan_kernel_test \
   task_scheduler_test query_service_test tsunami_test ingest_test \
-  exec_test batch_api_test property_test
+  exec_test batch_api_test property_test optimizer_test grid_test \
+  outlier_test skew_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" -R \
-  'io_test|encoded_column_test|storage_test|scan_kernel_test|task_scheduler_test|query_service_test|tsunami_test|ingest_test|exec_test|batch_api_test|property_test'
+  'io_test|encoded_column_test|storage_test|scan_kernel_test|task_scheduler_test|query_service_test|tsunami_test|ingest_test|exec_test|batch_api_test|property_test|optimizer_test|grid_test|outlier_test|skew_test'
 
 # Seventh pass: the network front end, reusing the ASan+UBSan+FI build.
 # net_test's NetFaultTest suite (injected accept failures, short writes,

@@ -11,7 +11,7 @@ KdTree::KdTree(const Dataset& data, const Workload& workload,
                const Options& options)
     : dims_(data.dims()), bounds_(ComputeBounds(data)) {
   Rng rng(11);
-  Dataset sample = SampleDataset(data, 20000, &rng);
+  const SortedSample sample(SampleDataset(data, 20000, &rng));
   dim_order_ = DimsBySelectivity(sample, workload, dims_);
   std::vector<uint32_t> perm(data.size());
   std::iota(perm.begin(), perm.end(), 0u);

@@ -20,7 +20,7 @@ ColumnStore BuildSorted(const Dataset& data, int sort_dim) {
 
 int PickSortDim(const Dataset& data, const Workload& workload) {
   Rng rng(7);
-  Dataset sample = SampleDataset(data, 20000, &rng);
+  const SortedSample sample(SampleDataset(data, 20000, &rng));
   std::vector<int> order = DimsBySelectivity(sample, workload, data.dims());
   return order.empty() ? 0 : order.front();
 }

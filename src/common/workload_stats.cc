@@ -22,14 +22,23 @@ Dataset SampleDataset(const Dataset& data, int64_t max_rows, Rng* rng) {
   return sample;
 }
 
-double PredicateSelectivity(const Dataset& sample, const Predicate& p) {
-  int64_t n = sample.size();
-  if (n == 0) return 1.0;
-  int64_t hits = 0;
-  for (int64_t r = 0; r < n; ++r) {
-    if (p.Matches(sample.at(r, p.dim))) ++hits;
+SortedSample::SortedSample(const Dataset& sample)
+    : rows_(sample.size()), sorted_(sample.dims()) {
+  for (int d = 0; d < sample.dims(); ++d) {
+    sorted_[d].resize(rows_);
+    for (int64_t r = 0; r < rows_; ++r) sorted_[d][r] = sample.at(r, d);
+    std::sort(sorted_[d].begin(), sorted_[d].end());
   }
-  return static_cast<double>(hits) / n;
+}
+
+double SortedSample::Selectivity(const Predicate& p) const {
+  if (rows_ == 0 || p.dim < 0 || p.dim >= dims()) return 1.0;
+  if (p.lo > p.hi) return 0.0;
+  const std::vector<Value>& vals = sorted_[p.dim];
+  const int64_t hits =
+      std::upper_bound(vals.begin(), vals.end(), p.hi) -
+      std::lower_bound(vals.begin(), vals.end(), p.lo);
+  return static_cast<double>(hits) / rows_;
 }
 
 double QuerySelectivity(const Dataset& sample, const Query& q) {
@@ -49,14 +58,14 @@ double QuerySelectivity(const Dataset& sample, const Query& q) {
   return static_cast<double>(hits) / n;
 }
 
-std::vector<double> AvgSelectivityPerDim(const Dataset& sample,
+std::vector<double> AvgSelectivityPerDim(const SortedSample& sample,
                                          const Workload& workload, int dims) {
   std::vector<double> sum(dims, 0.0);
   std::vector<int64_t> count(dims, 0);
   for (const Query& q : workload) {
     for (const Predicate& p : q.filters) {
       if (p.dim < 0 || p.dim >= dims) continue;
-      sum[p.dim] += PredicateSelectivity(sample, p);
+      sum[p.dim] += sample.Selectivity(p);
       ++count[p.dim];
     }
   }
@@ -67,14 +76,18 @@ std::vector<double> AvgSelectivityPerDim(const Dataset& sample,
   return avg;
 }
 
-std::vector<int> DimsBySelectivity(const Dataset& sample,
-                                   const Workload& workload, int dims) {
-  std::vector<double> avg = AvgSelectivityPerDim(sample, workload, dims);
-  std::vector<int> order(dims);
+std::vector<int> DimsBySelectivity(const std::vector<double>& avg_selectivity) {
+  std::vector<int> order(avg_selectivity.size());
   std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](int a, int b) { return avg[a] < avg[b]; });
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return avg_selectivity[a] < avg_selectivity[b];
+  });
   return order;
+}
+
+std::vector<int> DimsBySelectivity(const SortedSample& sample,
+                                   const Workload& workload, int dims) {
+  return DimsBySelectivity(AvgSelectivityPerDim(sample, workload, dims));
 }
 
 DimBounds ComputeBounds(const Dataset& data) {

@@ -15,8 +15,23 @@ namespace tsunami {
 /// Uniform row sample of a dataset (without replacement for small n).
 Dataset SampleDataset(const Dataset& data, int64_t max_rows, Rng* rng);
 
-/// Fraction of sample rows matching the single predicate `p` (in [0, 1]).
-double PredicateSelectivity(const Dataset& sample, const Predicate& p);
+/// A row sample with each dimension's values sorted once, so the
+/// selectivity of a single range predicate is two binary searches instead
+/// of a scan over the sample. The counts equal a linear scan's exactly.
+class SortedSample {
+ public:
+  explicit SortedSample(const Dataset& sample);
+
+  int dims() const { return static_cast<int>(sorted_.size()); }
+
+  /// Fraction of sample rows matching `p` (in [0, 1]): 0 when p.lo > p.hi,
+  /// and 1.0 on an empty sample or for a dimension the sample lacks.
+  double Selectivity(const Predicate& p) const;
+
+ private:
+  int64_t rows_ = 0;
+  std::vector<std::vector<Value>> sorted_;  // [dim], ascending.
+};
 
 /// Fraction of sample rows matching all of the query's filters.
 double QuerySelectivity(const Dataset& sample, const Query& q);
@@ -24,12 +39,13 @@ double QuerySelectivity(const Dataset& sample, const Query& q);
 /// Per-dimension average selectivity over queries filtering that dimension;
 /// dimensions never filtered get 1.0. Lower = more selective = more useful
 /// to index.
-std::vector<double> AvgSelectivityPerDim(const Dataset& sample,
+std::vector<double> AvgSelectivityPerDim(const SortedSample& sample,
                                          const Workload& workload, int dims);
 
 /// Dimensions ordered from most selective (smallest average selectivity) to
-/// least; never-filtered dimensions come last.
-std::vector<int> DimsBySelectivity(const Dataset& sample,
+/// least, stably; never-filtered dimensions (average 1.0) come last.
+std::vector<int> DimsBySelectivity(const std::vector<double>& avg_selectivity);
+std::vector<int> DimsBySelectivity(const SortedSample& sample,
                                    const Workload& workload, int dims);
 
 /// Per-dimension [min, max] over the dataset. Empty datasets yield [0, 0].

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 
 namespace tsunami {
 namespace {
@@ -87,13 +86,19 @@ void AugmentedGrid::Build(const Dataset& data, std::vector<uint32_t>* rows,
       for (int64_t i = 0; i < num_rows_; ++i) {
         resid[i] = static_cast<long double>(xs[i]) - fit.PredictL(ys[i]);
       }
-      std::vector<long double> sorted_resid = resid;
-      std::sort(sorted_resid.begin(), sorted_resid.end());
       // Robust fence: residuals far outside the central 90% band are
       // outliers. A fixed fence multiple keeps clean data untouched while
-      // catching arbitrarily extreme rows.
-      long double q05 = sorted_resid[num_rows_ / 20];
-      long double q95 = sorted_resid[num_rows_ - 1 - num_rows_ / 20];
+      // catching arbitrarily extreme rows. The two quantiles are order
+      // statistics, so two selections find them without a full sort: after
+      // the first, everything from k05 on is >= q05, and q95 is the
+      // (k95 - k05)-th smallest of that tail.
+      std::vector<long double> sel = resid;
+      const int64_t k05 = num_rows_ / 20;
+      const int64_t k95 = num_rows_ - 1 - num_rows_ / 20;
+      std::nth_element(sel.begin(), sel.begin() + k05, sel.end());
+      std::nth_element(sel.begin() + k05, sel.begin() + k95, sel.end());
+      long double q05 = sel[k05];
+      long double q95 = sel[k95];
       long double scale = std::max(q95 - q05, 1.0L);
       long double fence_lo = q05 - 8 * scale;
       long double fence_hi = q95 + 8 * scale;
@@ -126,20 +131,23 @@ void AugmentedGrid::Build(const Dataset& data, std::vector<uint32_t>* rows,
   }
 
   // Region bounds (used for mapped-dimension coverage checks). Computed
-  // over the grid (inlier) rows; the outlier buffer is scanned with full
-  // per-row checks, so it needs no bounds.
+  // in one pass over the grid (inlier) rows, reading each row's values
+  // together; the outlier buffer is scanned with full per-row checks, so it
+  // needs no bounds.
   dim_min_.assign(dims_, 0);
   dim_max_.assign(dims_, 0);
-  for (int d = 0; d < dims_; ++d) {
-    if (grid_rows_ == 0) break;
-    Value lo = data.at((*rows)[0], d), hi = lo;
-    for (int64_t i = 1; i < grid_rows_; ++i) {
-      Value v = data.at((*rows)[i], d);
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
+  if (grid_rows_ > 0) {
+    for (int d = 0; d < dims_; ++d) {
+      dim_min_[d] = dim_max_[d] = data.at((*rows)[0], d);
     }
-    dim_min_[d] = lo;
-    dim_max_[d] = hi;
+    for (int64_t i = 1; i < grid_rows_; ++i) {
+      const uint32_t row = (*rows)[i];
+      for (int d = 0; d < dims_; ++d) {
+        const Value v = data.at(row, d);
+        dim_min_[d] = std::min(dim_min_[d], v);
+        dim_max_[d] = std::max(dim_max_[d], v);
+      }
+    }
   }
 
   // Grid dimension order: independents (bases included) first, then
@@ -271,29 +279,35 @@ void AugmentedGrid::Build(const Dataset& data, std::vector<uint32_t>* rows,
     }
   }
 
-  // Cell id per grid row; sort the inlier prefix by (cell, sort value) —
-  // the outlier buffer keeps its position at the tail.
-  std::vector<int64_t> cell(grid_rows_);
+  // Cell id and sort-dimension value per grid row, gathered next to the
+  // row id; sort the inlier prefix by (cell, sort value) — the outlier
+  // buffer keeps its position at the tail. Sorting the gathered entries
+  // makes every comparison the (cell, value) comparison of the rows they
+  // carry, so std::sort moves them exactly as it would sort row indices by
+  // those keys, without a random read into the dataset per comparison.
+  struct SortEntry {
+    int64_t cell;
+    Value value;
+    uint32_t row;
+  };
+  std::vector<SortEntry> entries(grid_rows_);
   for (int64_t i = 0; i < grid_rows_; ++i) {
     int64_t c = 0;
     for (int j = 0; j < m; ++j) {
       c += static_cast<int64_t>(row_parts[grid_dims_[j]][i]) * strides_[j];
     }
-    cell[i] = c;
+    entries[i] = SortEntry{c, data.at((*rows)[i], sort_dim_), (*rows)[i]};
   }
-  std::vector<int64_t> order(grid_rows_);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
-    if (cell[a] != cell[b]) return cell[a] < cell[b];
-    return data.at((*rows)[a], sort_dim_) < data.at((*rows)[b], sort_dim_);
-  });
-  std::vector<uint32_t> reordered(num_rows_);
-  for (int64_t i = 0; i < grid_rows_; ++i) reordered[i] = (*rows)[order[i]];
-  for (int64_t i = grid_rows_; i < num_rows_; ++i) reordered[i] = (*rows)[i];
-  *rows = std::move(reordered);
+  std::vector<std::vector<int32_t>>().swap(row_parts);
+  std::sort(entries.begin(), entries.end(),
+            [](const SortEntry& a, const SortEntry& b) {
+              if (a.cell != b.cell) return a.cell < b.cell;
+              return a.value < b.value;
+            });
+  for (int64_t i = 0; i < grid_rows_; ++i) (*rows)[i] = entries[i].row;
 
   cell_start_.assign(num_cells_ + 1, 0);
-  for (int64_t i = 0; i < grid_rows_; ++i) ++cell_start_[cell[order[i]] + 1];
+  for (int64_t i = 0; i < grid_rows_; ++i) ++cell_start_[entries[i].cell + 1];
   for (int64_t c = 0; c < num_cells_; ++c) {
     cell_start_[c + 1] += cell_start_[c];
   }

@@ -278,25 +278,38 @@ double GridCostEvaluator::EmptyCellFraction(int x, int y, int g) const {
   return 1.0 - static_cast<double>(filled) / (g * g);
 }
 
-namespace {
-
-struct CondInfo {
-  int base = -1;
-  std::vector<int32_t> dep_part;               // Per sample point.
-  std::vector<std::vector<Value>> base_sorted;  // Dep values per base part.
+// The query-independent half of a prediction for one (skeleton,
+// partitions, sort_dim) candidate: what AugmentedGrid::Build would lay out,
+// evaluated on the point sample.
+struct GridCostEvaluator::Layout {
+  int sort_dim = -1;
+  std::vector<int> grid_dims;  // Build's order: sort dim last.
+  // Conditional dims ([dim]; base < 0 otherwise): the dependent's sample
+  // values per base partition, ascending.
+  struct Cond {
+    int base = -1;
+    std::vector<std::vector<Value>> base_sorted;
+  };
+  std::vector<Cond> cond;
+  // [grid position][point]: the point's partition in that grid dim (for a
+  // conditional dim, its dependent partition within its base partition).
+  std::vector<std::vector<int32_t>> part;
+  // [grid position][point]: the point's base partition; empty unless the
+  // grid dim is conditional.
+  std::vector<std::vector<int32_t>> base_part;
 };
-
-}  // namespace
 
 double GridCostEvaluator::Cost(const Skeleton& skeleton,
                                const std::vector<int>& partitions,
                                const CostWeights& weights,
                                int sort_dim) const {
+  if (queries_.empty() || n_ == 0) return 0.0;
+  const Layout layout = BuildLayout(skeleton, partitions, sort_dim);
   double total = 0.0;
   for (const Query& q : queries_) {
-    total += PredictQueryNanos(skeleton, partitions, weights, q, sort_dim);
+    total += QueryNanos(layout, skeleton, partitions, weights, q);
   }
-  return queries_.empty() ? 0.0 : total / queries_.size();
+  return total / queries_.size();
 }
 
 double GridCostEvaluator::PredictQueryNanos(const Skeleton& skeleton,
@@ -305,8 +318,16 @@ double GridCostEvaluator::PredictQueryNanos(const Skeleton& skeleton,
                                             const Query& query,
                                             int sort_dim) const {
   if (n_ == 0) return 0.0;
+  return QueryNanos(BuildLayout(skeleton, partitions, sort_dim), skeleton,
+                    partitions, weights, query);
+}
+
+GridCostEvaluator::Layout GridCostEvaluator::BuildLayout(
+    const Skeleton& skeleton, const std::vector<int>& partitions,
+    int sort_dim) const {
+  Layout layout;
   // Mirror AugmentedGrid::Build's dimension ordering and sort-dim choice.
-  std::vector<int> grid_dims;
+  std::vector<int>& grid_dims = layout.grid_dims;
   for (int d = 0; d < dims_; ++d) {
     if (skeleton.dims[d].strategy == PartitionStrategy::kIndependent) {
       grid_dims.push_back(d);
@@ -334,31 +355,55 @@ double GridCostEvaluator::PredictQueryNanos(const Skeleton& skeleton,
   }
   grid_dims.erase(std::find(grid_dims.begin(), grid_dims.end(), sort_dim));
   grid_dims.push_back(sort_dim);
+  layout.sort_dim = sort_dim;
 
-  // Conditional-dimension structures on the sample.
-  std::vector<CondInfo> cond(dims_);
-  for (int d = 0; d < dims_; ++d) {
-    if (skeleton.dims[d].strategy != PartitionStrategy::kConditional) continue;
-    CondInfo& info = cond[d];
+  // Every sample point's partition in every grid dim, plus the conditional
+  // dims' per-base-partition structures.
+  layout.cond.assign(dims_, {});
+  const int m = static_cast<int>(grid_dims.size());
+  layout.part.assign(m, {});
+  layout.base_part.assign(m, {});
+  for (int j = 0; j < m; ++j) {
+    const int d = grid_dims[j];
+    const int p = std::max(partitions[d], 1);
+    std::vector<int32_t>& part = layout.part[j];
+    part.resize(n_);
+    if (skeleton.dims[d].strategy == PartitionStrategy::kIndependent) {
+      for (int i = 0; i < n_; ++i) part[i] = PartOfRank(rank_[d][i], p);
+      continue;
+    }
+    Layout::Cond& info = layout.cond[d];
     info.base = skeleton.dims[d].other;
-    int pb = std::max(partitions[info.base], 1);
-    int pd = std::max(partitions[d], 1);
+    const int pb = std::max(partitions[info.base], 1);
+    std::vector<int32_t>& base_part = layout.base_part[j];
+    base_part.resize(n_);
+    for (int i = 0; i < n_; ++i) {
+      base_part[i] = PartOfRank(rank_[info.base][i], pb);
+    }
     info.base_sorted.assign(pb, {});
-    info.dep_part.resize(n_);
     // Traverse points in ascending dep value; positions within each base
     // bucket are then ascending, giving equi-depth dep partitions.
     for (int32_t i : order_[d]) {
-      int bp = PartOfRank(rank_[info.base][i], pb);
-      info.base_sorted[bp].push_back(vals_[d][i]);
+      info.base_sorted[base_part[i]].push_back(vals_[d][i]);
     }
     std::vector<int> cursor(pb, 0);
     for (int32_t i : order_[d]) {
-      int bp = PartOfRank(rank_[info.base][i], pb);
-      int size = static_cast<int>(info.base_sorted[bp].size());
-      info.dep_part[i] = static_cast<int>(
-          static_cast<int64_t>(cursor[bp]++) * pd / std::max(size, 1));
+      const int bp = base_part[i];
+      const int size = static_cast<int>(info.base_sorted[bp].size());
+      part[i] = static_cast<int>(static_cast<int64_t>(cursor[bp]++) * p /
+                                 std::max(size, 1));
     }
   }
+  return layout;
+}
+
+double GridCostEvaluator::QueryNanos(const Layout& layout,
+                                     const Skeleton& skeleton,
+                                     const std::vector<int>& partitions,
+                                     const CostWeights& weights,
+                                     const Query& query) const {
+  const int sort_dim = layout.sort_dim;
+  const std::vector<int>& grid_dims = layout.grid_dims;
 
   // Effective filters after functional-mapping transforms.
   std::vector<Value> eff_lo(dims_, kValueMin), eff_hi(dims_, kValueMax);
@@ -368,6 +413,7 @@ double GridCostEvaluator::PredictQueryNanos(const Skeleton& skeleton,
     eff_hi[p.dim] = std::min(eff_hi[p.dim], p.hi);
     has_eff[p.dim] = true;
   }
+  const std::vector<bool> filtered = has_eff;  // Dims the query filters.
   for (int d = 0; d < dims_; ++d) {
     if (skeleton.dims[d].strategy != PartitionStrategy::kMapped) continue;
     const Predicate* p = query.FilterOn(d);
@@ -402,15 +448,17 @@ double GridCostEvaluator::PredictQueryNanos(const Skeleton& skeleton,
     hi_part[d] = PartOfRank(std::max(rhi - 1, rlo), p);
   }
   // Conditional dims: per-base dep partition ranges (empty = {1, 0}).
+  // Base partitions outside the base's range hold no candidate cell.
   std::vector<std::vector<std::pair<int, int>>> cond_range(dims_);
   for (int d : grid_dims) {
     if (skeleton.dims[d].strategy != PartitionStrategy::kConditional) continue;
-    const CondInfo& info = cond[d];
+    const Layout::Cond& info = layout.cond[d];
     int pb = static_cast<int>(info.base_sorted.size());
     int pd = std::max(partitions[d], 1);
-    cond_range[d].assign(pb, {0, pd - 1});
-    if (!has_eff[d]) continue;
+    cond_range[d].assign(pb, {1, 0});
     for (int bp = lo_part[info.base]; bp <= hi_part[info.base]; ++bp) {
+      cond_range[d][bp] = {0, pd - 1};
+      if (!has_eff[d]) continue;
       const std::vector<Value>& vec = info.base_sorted[bp];
       if (vec.empty() || eff_hi[d] < vec.front() || eff_lo[d] > vec.back()) {
         cond_range[d][bp] = {1, 0};
@@ -439,7 +487,7 @@ double GridCostEvaluator::PredictQueryNanos(const Skeleton& skeleton,
     if (skeleton.dims[d].strategy == PartitionStrategy::kIndependent) {
       ranges *= hi_part[d] - lo_part[d] + 1;
     } else {
-      const CondInfo& info = cond[d];
+      const Layout::Cond& info = layout.cond[d];
       double sum = 0.0;
       int count = 0;
       for (int bp = lo_part[info.base]; bp <= hi_part[info.base]; ++bp) {
@@ -458,49 +506,40 @@ double GridCostEvaluator::PredictQueryNanos(const Skeleton& skeleton,
   // partition range sit in exactly-covered cells: the exact-range scan
   // optimization (§6.1) skips checking them, so they are discounted —
   // unless a filtered mapped dimension forces per-row checks everywhere.
-  const Predicate* sort_filter = query.FilterOn(sort_dim);
+  // A point's partition must fall in its grid dim's range: fixed for an
+  // independent dim, looked up by the point's base partition for a
+  // conditional one.
   bool has_mapped_filter = false;
   for (int d = 0; d < dims_; ++d) {
     if (skeleton.dims[d].strategy == PartitionStrategy::kMapped &&
-        query.FilterOn(d) != nullptr) {
+        filtered[d]) {
       has_mapped_filter = true;
     }
   }
+  const int m = static_cast<int>(grid_dims.size());
+  std::vector<std::pair<int, int>> range(m);
+  std::vector<char> boundary(m);
+  for (int j = 0; j < m; ++j) {
+    const int d = grid_dims[j];
+    range[j] = {lo_part[d], hi_part[d]};
+    boundary[j] = d != sort_dim && filtered[d];
+  }
+  const Predicate* sort_filter = query.FilterOn(sort_dim);
   int64_t scanned = 0;
   for (int i = 0; i < n_; ++i) {
     bool in = true;
     bool interior = !has_mapped_filter;
-    for (int d : grid_dims) {
-      int p = std::max(partitions[d], 1);
-      int part;
-      if (skeleton.dims[d].strategy == PartitionStrategy::kIndependent) {
-        part = PartOfRank(rank_[d][i], p);
-        if (part < lo_part[d] || part > hi_part[d]) {
-          in = false;
-          break;
-        }
-        if (d != sort_dim && query.FilterOn(d) != nullptr &&
-            (part == lo_part[d] || part == hi_part[d])) {
-          interior = false;
-        }
-      } else {
-        const CondInfo& info = cond[d];
-        int pb = static_cast<int>(info.base_sorted.size());
-        int bp = PartOfRank(rank_[info.base][i], pb);
-        if (bp < lo_part[info.base] || bp > hi_part[info.base]) {
-          in = false;
-          break;
-        }
-        auto [l, h] = cond_range[d][bp];
-        if (info.dep_part[i] < l || info.dep_part[i] > h) {
-          in = false;
-          break;
-        }
-        if (d != sort_dim && query.FilterOn(d) != nullptr &&
-            (info.dep_part[i] == l || info.dep_part[i] == h)) {
-          interior = false;
-        }
+    for (int j = 0; j < m; ++j) {
+      const int part = layout.part[j][i];
+      const auto [l, h] =
+          layout.base_part[j].empty()
+              ? range[j]
+              : cond_range[grid_dims[j]][layout.base_part[j][i]];
+      if (part < l || part > h) {
+        in = false;
+        break;
       }
+      if (boundary[j] && (part == l || part == h)) interior = false;
     }
     if (in && sort_filter != nullptr &&
         !sort_filter->Matches(vals_[sort_dim][i])) {

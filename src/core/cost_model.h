@@ -86,7 +86,10 @@ class GridCostEvaluator {
 
   /// Predicted average per-query time in ns over the query subsample.
   /// `sort_dim` = -1 picks the default heuristic (most selective non-base
-  /// grid dimension); the optimizer searches over explicit choices.
+  /// grid dimension); the optimizer searches over explicit choices. The
+  /// candidate's layout on the point sample (grid dimension order, sort
+  /// dimension, conditional structures, every point's partitions) is built
+  /// once per call and shared by every sample query.
   double Cost(const Skeleton& skeleton, const std::vector<int>& partitions,
               const CostWeights& weights, int sort_dim = -1) const;
 
@@ -100,6 +103,10 @@ class GridCostEvaluator {
   int dims() const { return dims_; }
   int64_t region_rows() const { return total_rows_; }
   int sample_points() const { return n_; }
+  /// The point sample's values in `dim`, in sample order.
+  const std::vector<Value>& sample_column(int dim) const { return vals_[dim]; }
+  /// The query subsample Cost averages over.
+  const Workload& sample_queries() const { return queries_; }
   double avg_selectivity(int dim) const { return avg_sel_[dim]; }
   bool is_filtered(int dim) const { return filtered_[dim]; }
   /// Most- to least-selective dimension order (never-filtered last).
@@ -114,6 +121,13 @@ class GridCostEvaluator {
   double EmptyCellFraction(int x, int y, int g = 16) const;
 
  private:
+  struct Layout;
+  Layout BuildLayout(const Skeleton& skeleton,
+                     const std::vector<int>& partitions, int sort_dim) const;
+  // One query's prediction over a built layout.
+  double QueryNanos(const Layout& layout, const Skeleton& skeleton,
+                    const std::vector<int>& partitions,
+                    const CostWeights& weights, const Query& query) const;
   const BoundedLinearModel& FittedFm(int mapped, int target) const;
   int PartOfRank(int64_t rank, int p) const {
     int idx = static_cast<int>(rank * p / std::max(n_, 1));

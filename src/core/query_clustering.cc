@@ -5,8 +5,6 @@
 #include <map>
 #include <queue>
 
-#include "src/common/workload_stats.h"
-
 namespace tsunami {
 
 std::vector<int> Dbscan(const std::vector<std::vector<double>>& points,
@@ -66,7 +64,7 @@ std::vector<int> Dbscan(const std::vector<std::vector<double>>& points,
   return label;
 }
 
-std::vector<int> ClusterQueryTypes(const Dataset& sample,
+std::vector<int> ClusterQueryTypes(const SortedSample& sample,
                                    const Workload& workload,
                                    const ClusteringOptions& options,
                                    int* num_types) {
@@ -88,8 +86,7 @@ std::vector<int> ClusterQueryTypes(const Dataset& sample,
       const Query& q = workload[members[m]];
       for (int dim : dims) {
         const Predicate* p = q.FilterOn(dim);
-        embeddings[m].push_back(
-            p != nullptr ? PredicateSelectivity(sample, *p) : 1.0);
+        embeddings[m].push_back(p != nullptr ? sample.Selectivity(*p) : 1.0);
       }
     }
     int clusters = 0;
@@ -104,7 +101,7 @@ std::vector<int> ClusterQueryTypes(const Dataset& sample,
   return type;
 }
 
-Workload LabelQueryTypes(const Dataset& sample, const Workload& workload,
+Workload LabelQueryTypes(const SortedSample& sample, const Workload& workload,
                          const ClusteringOptions& options, int* num_types) {
   std::vector<int> types =
       ClusterQueryTypes(sample, workload, options, num_types);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/common/types.h"
+#include "src/common/workload_stats.h"
 
 namespace tsunami {
 
@@ -26,13 +27,13 @@ struct ClusteringOptions {
 /// Clusters `workload` into query types and returns one type id per query
 /// (dense ids in [0, *num_types)). `sample` is a row sample used to
 /// estimate per-dimension filter selectivities for the embeddings.
-std::vector<int> ClusterQueryTypes(const Dataset& sample,
+std::vector<int> ClusterQueryTypes(const SortedSample& sample,
                                    const Workload& workload,
                                    const ClusteringOptions& options,
                                    int* num_types);
 
 /// Copies the workload with `type` set from ClusterQueryTypes.
-Workload LabelQueryTypes(const Dataset& sample, const Workload& workload,
+Workload LabelQueryTypes(const SortedSample& sample, const Workload& workload,
                          const ClusteringOptions& options, int* num_types);
 
 }  // namespace tsunami

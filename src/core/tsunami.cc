@@ -37,12 +37,16 @@ void TsunamiIndex::BuildIndex(const Dataset& data, const Workload& workload,
   Timer optimize_timer;
   Rng rng(options.agd.seed);
   Dataset sample = SampleDataset(data, options.sample_rows, &rng);
+  // Every single-predicate selectivity below (clustering embeddings,
+  // per-region workload summaries) reads this one sorted copy.
+  const SortedSample sorted_sample(sample);
 
   // Step 0: cluster queries into types (§4.3.1).
   Workload typed;
   int num_types = 0;
   if (options.cluster_queries) {
-    typed = LabelQueryTypes(sample, workload, options.clustering, &num_types);
+    typed = LabelQueryTypes(sorted_sample, workload, options.clustering,
+                            &num_types);
   } else {
     typed = workload;
     for (const Query& q : typed) num_types = std::max(num_types, q.type + 1);
@@ -97,13 +101,19 @@ void TsunamiIndex::BuildIndex(const Dataset& data, const Workload& workload,
   regions_.resize(num_regions);
   // Regions are independent: optimize and build them in parallel (§6.1:
   // "optimization and data sorting for index creation are performed in
-  // parallel"), one scheduler chunk per region; a serial build runs them
-  // on this thread with no scheduler at all. Per-region outputs land in
-  // pre-sized vectors, so results are identical for any thread count.
-  // Build times are thread-time sums, not wall time: each region times its
-  // own optimize and sort phases, and the serial work around the parallel
-  // section counts once. With several build threads the sums exceed the
-  // build's wall time, but neither can go negative.
+  // parallel"), one scheduler chunk per region; the column store's encode
+  // then runs one chunk per column on the same scheduler. A serial build
+  // runs both on this thread with no scheduler at all. Per-region and
+  // per-column outputs land in pre-sized vectors, so results are identical
+  // for any thread count. Build times are thread-time sums, not wall time:
+  // each region times its own optimize and sort phases, each column its
+  // encode, and the serial work around the parallel sections counts once.
+  // With several build threads the sums exceed the build's wall time, but
+  // neither can go negative.
+  std::unique_ptr<TaskScheduler> scheduler;
+  if (options.build_threads > 1) {
+    scheduler = std::make_unique<TaskScheduler>(options.build_threads);
+  }
   std::vector<char> region_reused(num_regions, 0);
   std::vector<double> region_optimize_seconds(num_regions, 0.0);
   std::vector<double> region_sort_seconds(num_regions, 0.0);
@@ -121,8 +131,8 @@ void TsunamiIndex::BuildIndex(const Dataset& data, const Workload& workload,
     std::vector<uint32_t>& rows = region_rows[region];
     if (region_queries[region].empty() || rows.empty()) return;
     reg.query_count = static_cast<int64_t>(region_queries[region].size());
-    reg.workload_sel =
-        AvgSelectivityPerDim(sample, region_queries[region], data.dims());
+    reg.workload_sel = AvgSelectivityPerDim(
+        sorted_sample, region_queries[region], data.dims());
     // Incremental path: reuse the previous plan when this region's
     // workload barely moved (similar volume and per-dim selectivities).
     bool reused = false;
@@ -152,8 +162,7 @@ void TsunamiIndex::BuildIndex(const Dataset& data, const Workload& workload,
     }
     const GridPlan& plan = reg.plan;
     AugmentedGrid::BuildOptions build_options;
-    build_options.selectivity_order =
-        DimsBySelectivity(sample, region_queries[region], data.dims());
+    build_options.selectivity_order = DimsBySelectivity(reg.workload_sel);
     build_options.sort_dim = plan.sort_dim;
     build_options.max_cells = agd.max_cells;
     region_optimize_seconds[region] = region_timer.ElapsedSeconds();
@@ -163,12 +172,11 @@ void TsunamiIndex::BuildIndex(const Dataset& data, const Workload& workload,
     region_sort_seconds[region] = sort_timer.ElapsedSeconds();
     reg.has_grid = true;
   };
-  if (options.build_threads > 1) {
+  if (scheduler != nullptr) {
     // Run throws if a region's chunk failed, so a half-built index never
     // escapes the constructor.
-    TaskScheduler scheduler(options.build_threads);
-    scheduler.Run(num_regions,
-                  [&](int64_t region, int) { build_region(region); });
+    scheduler->Run(num_regions,
+                   [&](int64_t region, int) { build_region(region); });
   } else {
     for (int region = 0; region < num_regions; ++region) build_region(region);
   }
@@ -221,13 +229,15 @@ void TsunamiIndex::BuildIndex(const Dataset& data, const Workload& workload,
   serial_seconds += epilogue_timer.ElapsedSeconds();
   stats_.optimize_seconds = serial_seconds + optimize_seconds;
 
-  // Step 3: materialize the clustered column store and attach the grids.
-  Timer sort_timer;
-  store_ = ColumnStore(data, perm);
+  // Step 3: materialize the clustered column store (a failed column chunk
+  // throws, like a failed region) and attach the grids.
+  double encode_seconds = 0.0;
+  store_ = ColumnStore(data, perm, EncodingEnabledByDefault(), scheduler.get(),
+                       &encode_seconds);
   for (Region& reg : regions_) {
     if (reg.has_grid) reg.grid.Attach(&store_, reg.begin);
   }
-  stats_.sort_seconds = sort_seconds + sort_timer.ElapsedSeconds();
+  stats_.sort_seconds = sort_seconds + encode_seconds;
 
   // Retain the folded rows' raw values keyed by physical position: the fold
   // constructor appended them after `previous`'s rows, so everything past

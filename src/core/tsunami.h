@@ -42,8 +42,9 @@ struct TsunamiOptions {
   /// Tree build (thresholds are fractions, so a sample suffices).
   int64_t sample_rows = 100000;
   /// Threads for per-region optimization and grid building (§6.1 performs
-  /// these in parallel). Regions are independent, so any thread count
-  /// produces an identical index; <= 1 builds inline.
+  /// these in parallel) and for the column store's per-column encode.
+  /// Regions and columns are independent, so any thread count produces an
+  /// identical index; <= 1 builds inline.
   int build_threads = 1;
   /// Display name (benches rename the drill-down variants).
   std::string name = "Tsunami";
@@ -68,9 +69,12 @@ class TsunamiIndex : public MultiDimIndex {
     /// Regions whose previous plan was reused by the incremental
     /// constructor (0 for full builds).
     int regions_reused = 0;
-    /// Clustering + tree + grid optimization, and data reorganization.
-    /// Thread-time sums: with build_threads > 1 they add up every build
-    /// thread's share, so together they can exceed the build's wall time.
+    /// Clustering + tree + grid optimization, and data reorganization:
+    /// each region's grid build (its cell sort) plus each column's gather,
+    /// zone-map and encode step. Thread-time sums: with build_threads > 1
+    /// they add up every build thread's share (regions and columns both
+    /// run on the build scheduler), so together they can exceed the
+    /// build's wall time.
     double optimize_seconds = 0.0;
     double sort_seconds = 0.0;
   };

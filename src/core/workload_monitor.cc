@@ -5,8 +5,6 @@
 #include <map>
 #include <string>
 
-#include "src/common/workload_stats.h"
-
 namespace tsunami {
 namespace {
 
@@ -18,13 +16,13 @@ std::vector<int> FilteredDims(const Query& q) {
   return dims;
 }
 
-std::vector<double> Embedding(const Dataset& sample, const Query& q,
+std::vector<double> Embedding(const SortedSample& sample, const Query& q,
                               const std::vector<int>& dims) {
   std::vector<double> e;
   e.reserve(dims.size());
   for (int dim : dims) {
     const Predicate* p = q.FilterOn(dim);
-    e.push_back(p != nullptr ? PredicateSelectivity(sample, *p) : 1.0);
+    e.push_back(p != nullptr ? sample.Selectivity(*p) : 1.0);
   }
   return e;
 }
@@ -59,12 +57,12 @@ WorkloadMonitor::WorkloadMonitor(const Dataset& sample,
 }
 
 int WorkloadMonitor::MatchType(const Query& query) const {
-  std::vector<int> dims = FilteredDims(query);
+  const std::vector<int> dims = FilteredDims(query);
+  const std::vector<double> e = Embedding(sample_, query, dims);
   int best = -1;
   double best_dist = options_.eps;
   for (size_t c = 0; c < centroids_.size(); ++c) {
     if (centroids_[c].dims != dims) continue;
-    std::vector<double> e = Embedding(sample_, query, dims);
     double dist2 = 0.0;
     for (size_t i = 0; i < e.size(); ++i) {
       double d = e[i] - centroids_[c].embedding[i];

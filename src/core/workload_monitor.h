@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/common/types.h"
+#include "src/common/workload_stats.h"
 
 namespace tsunami {
 
@@ -71,7 +72,7 @@ class WorkloadMonitor {
   // Index of the centroid matching `query` within eps, or -1.
   int MatchType(const Query& query) const;
 
-  Dataset sample_;
+  SortedSample sample_;
   WorkloadMonitorOptions options_;
   std::vector<TypeCentroid> centroids_;
   std::vector<int64_t> observed_counts_;  // Per centroid.

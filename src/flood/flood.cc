@@ -20,7 +20,7 @@ FloodIndex::FloodIndex(const Dataset& data, const Workload& workload,
       OptimizeGrid(data, rows, workload, OptimizeMethod::kGd, agd);
 
   Rng rng(agd.seed);
-  Dataset sample = SampleDataset(data, 50000, &rng);
+  const SortedSample sample(SampleDataset(data, 50000, &rng));
   AugmentedGrid::BuildOptions build_options;
   build_options.selectivity_order =
       DimsBySelectivity(sample, workload, data.dims());

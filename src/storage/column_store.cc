@@ -1,50 +1,53 @@
 #include "src/storage/column_store.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
+
+#include "src/common/stats.h"
+#include "src/exec/task_scheduler.h"
 
 namespace tsunami {
 
-namespace {
-
-/// Builds the encoded columns (and, first, the zone maps) from fully
-/// materialized raw columns. Raw vectors are released as each column is
-/// encoded, so peak memory is the full raw footprint plus one encoded
-/// column (the zone-map build needs every raw column at once); the raw
-/// copies are all gone by the time the constructor returns.
-void EncodeColumns(std::vector<std::vector<Value>>* raw, bool encode,
-                   std::vector<EncodedColumn>* columns, ZoneMaps* zones) {
-  zones->Build(*raw);
-  columns->assign(raw->size(), {});
-  for (size_t d = 0; d < raw->size(); ++d) {
-    (*columns)[d].Encode((*raw)[d], encode);
-    std::vector<Value>().swap((*raw)[d]);
-  }
-}
-
-}  // namespace
-
 ColumnStore::ColumnStore(const Dataset& data, bool encode)
     : num_rows_(data.size()) {
-  std::vector<std::vector<Value>> raw(data.dims());
-  for (int d = 0; d < data.dims(); ++d) {
-    raw[d].resize(num_rows_);
-    for (int64_t r = 0; r < num_rows_; ++r) raw[d][r] = data.at(r, d);
-  }
-  EncodeColumns(&raw, encode, &columns_, &zones_);
+  BuildColumns(data, nullptr, encode, nullptr, nullptr);
 }
 
 ColumnStore::ColumnStore(const Dataset& data,
-                         const std::vector<uint32_t>& perm, bool encode)
+                         const std::vector<uint32_t>& perm, bool encode,
+                         TaskScheduler* scheduler, double* thread_seconds)
     : num_rows_(data.size()) {
-  std::vector<std::vector<Value>> raw(data.dims());
-  for (int d = 0; d < data.dims(); ++d) {
-    raw[d].resize(num_rows_);
-    for (int64_t r = 0; r < num_rows_; ++r) {
-      raw[d][r] = data.at(perm[r], d);
+  BuildColumns(data, perm.data(), encode, scheduler, thread_seconds);
+}
+
+void ColumnStore::BuildColumns(const Dataset& data, const uint32_t* perm,
+                               bool encode, TaskScheduler* scheduler,
+                               double* thread_seconds) {
+  const int dims = data.dims();
+  columns_.assign(dims, {});
+  zones_.Reset(dims, num_rows_);
+  std::vector<double> seconds(dims, 0.0);
+  auto build_column = [&](int64_t d) {
+    Timer timer;
+    std::vector<Value> raw(num_rows_);
+    if (perm != nullptr) {
+      for (int64_t r = 0; r < num_rows_; ++r) raw[r] = data.at(perm[r], d);
+    } else {
+      for (int64_t r = 0; r < num_rows_; ++r) raw[r] = data.at(r, d);
     }
+    zones_.BuildDim(static_cast<int>(d), raw);
+    columns_[d].Encode(raw, encode);
+    seconds[d] = timer.ElapsedSeconds();
+  };
+  if (scheduler != nullptr) {
+    scheduler->Run(dims, [&](int64_t d, int) { build_column(d); });
+  } else {
+    for (int d = 0; d < dims; ++d) build_column(d);
   }
-  EncodeColumns(&raw, encode, &columns_, &zones_);
+  if (thread_seconds != nullptr) {
+    *thread_seconds = std::accumulate(seconds.begin(), seconds.end(), 0.0);
+  }
 }
 
 void ColumnStore::ScanRange(int64_t begin, int64_t end, const Query& query,

@@ -20,6 +20,8 @@
 
 namespace tsunami {
 
+class TaskScheduler;
+
 /// Columnar storage for a single table of 64-bit integer attributes.
 ///
 /// Implements the paper's one scan-time optimization: if the caller
@@ -40,8 +42,18 @@ class ColumnStore {
 
   /// Materializes the dataset with row `perm[i]` stored at position `i`.
   /// `perm` must be a permutation of [0, data.size()).
+  ///
+  /// Both constructors build one column at a time: gather it, fill its
+  /// zone-map entries, encode it, free it, so construction holds one raw
+  /// column per worker. With a `scheduler`, each column is one chunk of a
+  /// job on it (throws, like TaskScheduler::Run, when a chunk fails);
+  /// null builds the columns in order on this thread. Either way the store
+  /// is identical. `thread_seconds`, when non-null, receives the column
+  /// steps' summed thread time.
   ColumnStore(const Dataset& data, const std::vector<uint32_t>& perm,
-              bool encode = EncodingEnabledByDefault());
+              bool encode = EncodingEnabledByDefault(),
+              TaskScheduler* scheduler = nullptr,
+              double* thread_seconds = nullptr);
 
   int dims() const { return static_cast<int>(columns_.size()); }
   int64_t size() const { return columns_.empty() ? 0 : num_rows_; }
@@ -113,6 +125,11 @@ class ColumnStore {
   bool Deserialize(BinaryReader* reader);
 
  private:
+  // The constructors' shared column-at-a-time build; `perm` null = rows
+  // in their original order.
+  void BuildColumns(const Dataset& data, const uint32_t* perm, bool encode,
+                    TaskScheduler* scheduler, double* thread_seconds);
+
   int64_t num_rows_ = 0;
   std::vector<EncodedColumn> columns_;
   ZoneMaps zones_;

@@ -84,6 +84,10 @@ void EncodedColumn::Encode(const std::vector<Value>& values, bool narrow) {
   widths_.reserve(num_blocks);
   refs_.reserve(num_blocks);
   offsets_.reserve(num_blocks);
+  // Pass 1 picks every block's codec; pass 2 writes the codes into
+  // payloads reserved at their exact final sizes, so encoding leaves no
+  // outgrown buffers behind and no slack capacity in the column.
+  int64_t payload_rows[4] = {0, 0, 0, 0};  // Widths 1, 2, 4, 8.
   for (int64_t b = 0; b < num_blocks; ++b) {
     const int64_t lo = b * kScanBlockRows;
     const int64_t n = std::min(rows_, lo + kScanBlockRows) - lo;
@@ -105,24 +109,31 @@ void EncodedColumn::Encode(const std::vector<Value>& values, bool narrow) {
                                           : 8;
     }
     widths_.push_back(static_cast<uint8_t>(width));
-    switch (width) {
+    refs_.push_back(width == 8 ? 0 : mn);
+    payload_rows[width == 1 ? 0 : width == 2 ? 1 : width == 4 ? 2 : 3] += n;
+  }
+  codes8_.reserve(payload_rows[0]);
+  codes16_.reserve(payload_rows[1]);
+  codes32_.reserve(payload_rows[2]);
+  raw_.reserve(payload_rows[3]);
+  for (int64_t b = 0; b < num_blocks; ++b) {
+    const int64_t lo = b * kScanBlockRows;
+    const int64_t n = std::min(rows_, lo + kScanBlockRows) - lo;
+    const Value* block = values.data() + lo;
+    switch (widths_[b]) {
       case 1:
-        refs_.push_back(mn);
         offsets_.push_back(codes8_.size());
-        AppendCodes(&codes8_, block, n, mn);
+        AppendCodes(&codes8_, block, n, refs_[b]);
         break;
       case 2:
-        refs_.push_back(mn);
         offsets_.push_back(codes16_.size());
-        AppendCodes(&codes16_, block, n, mn);
+        AppendCodes(&codes16_, block, n, refs_[b]);
         break;
       case 4:
-        refs_.push_back(mn);
         offsets_.push_back(codes32_.size());
-        AppendCodes(&codes32_, block, n, mn);
+        AppendCodes(&codes32_, block, n, refs_[b]);
         break;
       default:
-        refs_.push_back(0);
         offsets_.push_back(raw_.size());
         raw_.insert(raw_.end(), block, block + n);
         break;

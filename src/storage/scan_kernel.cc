@@ -137,51 +137,37 @@ int64_t SlicePartial(AggKind op, const EncodedColumn::BlockView& view,
 
 }  // namespace
 
-void ZoneMaps::Build(const std::vector<std::vector<Value>>& columns) {
+void ZoneMaps::Reset(int dims, int64_t rows) {
   Clear();
-  if (columns.empty() || columns[0].empty()) return;
-  const SimdOps& ops = OpsForTier(SimdTier::kAuto);
-  const int dims = static_cast<int>(columns.size());
-  const int64_t rows = static_cast<int64_t>(columns[0].size());
+  if (dims == 0 || rows == 0) return;
   num_blocks_ = (rows + kScanBlockRows - 1) / kScanBlockRows;
-  min_.assign(dims, {});
-  max_.assign(dims, {});
-  sum_.assign(dims, {});
-  for (int d = 0; d < dims; ++d) {
-    min_[d].resize(num_blocks_);
-    max_[d].resize(num_blocks_);
-    sum_[d].resize(num_blocks_);
-    const Value* col = columns[d].data();
-    for (int64_t b = 0; b < num_blocks_; ++b) {
-      int64_t lo = b * kScanBlockRows;
-      int64_t hi = std::min(rows, lo + kScanBlockRows);
-      ops.block_stats(col + lo, hi - lo, &min_[d][b], &max_[d][b],
-                      &sum_[d][b]);
-    }
+  min_.assign(dims, std::vector<Value>(num_blocks_));
+  max_.assign(dims, std::vector<Value>(num_blocks_));
+  sum_.assign(dims, std::vector<int64_t>(num_blocks_));
+}
+
+void ZoneMaps::BuildDim(int dim, std::span<const Value> column) {
+  const SimdOps& ops = OpsForTier(SimdTier::kAuto);
+  const int64_t rows = static_cast<int64_t>(column.size());
+  for (int64_t b = 0; b < num_blocks_; ++b) {
+    const int64_t lo = b * kScanBlockRows;
+    const int64_t hi = std::min(rows, lo + kScanBlockRows);
+    ops.block_stats(column.data() + lo, hi - lo, &min_[dim][b],
+                    &max_[dim][b], &sum_[dim][b]);
   }
 }
 
 void ZoneMaps::Build(const std::vector<EncodedColumn>& columns) {
-  Clear();
-  if (columns.empty() || columns[0].rows() == 0) return;
-  const SimdOps& ops = OpsForTier(SimdTier::kAuto);
-  const int dims = static_cast<int>(columns.size());
-  const int64_t rows = columns[0].rows();
-  num_blocks_ = (rows + kScanBlockRows - 1) / kScanBlockRows;
-  min_.assign(dims, {});
-  max_.assign(dims, {});
-  sum_.assign(dims, {});
+  Reset(static_cast<int>(columns.size()),
+        columns.empty() ? 0 : columns[0].rows());
   Value scratch[kScanBlockRows];
-  for (int d = 0; d < dims; ++d) {
-    min_[d].resize(num_blocks_);
-    max_[d].resize(num_blocks_);
-    sum_[d].resize(num_blocks_);
+  for (size_t d = 0; d < columns.size(); ++d) {
+    const int64_t rows = columns[d].rows();
     for (int64_t b = 0; b < num_blocks_; ++b) {
-      int64_t lo = b * kScanBlockRows;
-      int64_t hi = std::min(rows, lo + kScanBlockRows);
+      const int64_t lo = b * kScanBlockRows;
+      const int64_t hi = std::min(rows, lo + kScanBlockRows);
       columns[d].Decode(lo, hi, scratch);
-      ops.block_stats(scratch, hi - lo, &min_[d][b], &max_[d][b],
-                      &sum_[d][b]);
+      UpdateBlock(static_cast<int>(d), b, scratch, hi - lo);
     }
   }
 }

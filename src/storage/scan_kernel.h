@@ -76,10 +76,15 @@ struct RangeTask {
 /// so any caller-supplied range maps directly onto blocks.
 class ZoneMaps {
  public:
-  /// (Re)builds the maps; O(rows * dims), SIMD-accelerated when the CPU
-  /// supports it (the per-block stats are order-insensitive, so every tier
-  /// produces identical maps). Called at cluster time.
-  void Build(const std::vector<std::vector<Value>>& columns);
+  /// Sizes the maps for `dims` columns of `rows` rows. Each dimension's
+  /// entries are then filled by BuildDim; distinct dimensions may be built
+  /// concurrently.
+  void Reset(int dims, int64_t rows);
+  /// Fills dimension `dim`'s entries from its raw column (the `rows` values
+  /// given to Reset); O(rows), SIMD-accelerated when the CPU supports it
+  /// (the per-block stats are order-insensitive, so every tier produces
+  /// identical maps). Called at cluster time, one column at a time.
+  void BuildDim(int dim, std::span<const Value> column);
   /// Rebuild from encoded columns (the Deserialize path): each block is
   /// decoded into a scratch buffer first, so the stats are identical to a
   /// raw-column build of the same data.

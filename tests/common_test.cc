@@ -1,6 +1,8 @@
 // Tests for src/common: RNG determinism and distributions, summary stats,
-// mass histograms, Earth Mover's Distance, and bounded linear regression.
+// mass histograms, Earth Mover's Distance, bounded linear regression, and
+// sorted-sample selectivities.
 #include <cmath>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +11,8 @@
 #include "src/common/linear_model.h"
 #include "src/common/random.h"
 #include "src/common/stats.h"
+#include "src/common/workload_stats.h"
+#include "src/datasets/tpch.h"
 
 namespace tsunami {
 namespace {
@@ -220,6 +224,90 @@ TEST(LinearModelTest, ConstantYPredictsMeanX) {
   auto [lo, hi] = m.MapRange(7, 7);
   EXPECT_LE(lo, 1);
   EXPECT_GE(hi, 10);
+}
+
+// The linear count SortedSample::Selectivity replaces: one pass over the
+// sample per predicate.
+double LinearSelectivity(const Dataset& sample, const Predicate& p) {
+  const int64_t n = sample.size();
+  if (n == 0) return 1.0;
+  int64_t hits = 0;
+  for (int64_t r = 0; r < n; ++r) hits += p.Matches(sample.at(r, p.dim));
+  return static_cast<double>(hits) / n;
+}
+
+TEST(SortedSampleTest, SelectivityEqualsLinearCount) {
+  // Dim 0 repeats values; dim 1 holds both extremes of the value domain.
+  Dataset sample(2, {});
+  const std::vector<Value> dim0 = {5, 3, 5, 9, 5, 1, 3, 9};
+  const std::vector<Value> dim1 = {kValueMin, -7, 0, 4, kValueMax, 12, -7, 4};
+  for (size_t i = 0; i < dim0.size(); ++i) sample.AppendRow({dim0[i], dim1[i]});
+  const SortedSample sorted(sample);
+  const std::vector<Predicate> cases = {
+      {0, 9, 3},                   // lo > hi.
+      {0, 5, 5},                   // lo == hi on a value seen three times.
+      {0, 3, 3},                   // lo == hi on a duplicated value.
+      {0, 4, 4},                   // lo == hi between sample values.
+      {0, 3, 9},                   // Inclusive at both ends.
+      {0, kValueMin, kValueMax},   // The whole domain.
+      {0, kValueMin, 4},           // Open below.
+      {0, 6, kValueMax},           // Open above.
+      {0, -100, 0},                // Entirely below the sample.
+      {0, 10, 100},                // Entirely above the sample.
+      {1, kValueMin, kValueMin},   // Exactly the domain's minimum.
+      {1, kValueMax, kValueMax},   // Exactly the domain's maximum.
+      {1, kValueMin, -7},          // Minimum through a duplicate.
+      {1, 4, kValueMax},           // Duplicate through the maximum.
+      {1, kValueMax, kValueMin},   // lo > hi at the extremes.
+  };
+  for (const Predicate& p : cases) {
+    EXPECT_EQ(sorted.Selectivity(p), LinearSelectivity(sample, p))
+        << "dim " << p.dim << " [" << p.lo << ", " << p.hi << "]";
+  }
+}
+
+TEST(SortedSampleTest, OneRowAndEmptySamples) {
+  Dataset one(1, {42});
+  const SortedSample sorted_one(one);
+  for (const Predicate& p :
+       {Predicate{0, 42, 42}, Predicate{0, 0, 41}, Predicate{0, 43, 50},
+        Predicate{0, kValueMin, kValueMax}, Predicate{0, 50, 0}}) {
+    EXPECT_EQ(sorted_one.Selectivity(p), LinearSelectivity(one, p));
+  }
+  Dataset empty(1, {});
+  const SortedSample sorted_empty(empty);
+  for (const Predicate& p : {Predicate{0, 1, 2}, Predicate{0, 2, 1}}) {
+    EXPECT_EQ(sorted_empty.Selectivity(p), 1.0);
+    EXPECT_EQ(sorted_empty.Selectivity(p), LinearSelectivity(empty, p));
+  }
+}
+
+TEST(SortedSampleTest, AvgSelectivityEqualsLinearOnTpch) {
+  Benchmark bench = MakeTpchBenchmark(20000, 151, 40);
+  const SortedSample sorted(bench.data);
+  const int dims = bench.data.dims();
+  // The linear per-dimension averages, summed in the same order.
+  std::vector<double> sum(dims, 0.0);
+  std::vector<int64_t> count(dims, 0);
+  for (const Query& q : bench.workload) {
+    for (const Predicate& p : q.filters) {
+      sum[p.dim] += LinearSelectivity(bench.data, p);
+      ++count[p.dim];
+    }
+  }
+  std::vector<double> linear(dims, 1.0);
+  for (int d = 0; d < dims; ++d) {
+    if (count[d] > 0) linear[d] = sum[d] / count[d];
+  }
+  const std::vector<double> avg =
+      AvgSelectivityPerDim(sorted, bench.workload, dims);
+  EXPECT_EQ(avg, linear);
+  std::vector<int> order(dims);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](int a, int b) { return linear[a] < linear[b]; });
+  EXPECT_EQ(DimsBySelectivity(sorted, bench.workload, dims), order);
+  EXPECT_EQ(DimsBySelectivity(avg), order);
 }
 
 }  // namespace

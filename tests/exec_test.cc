@@ -168,6 +168,24 @@ TEST_F(ParallelRunTest, ParallelBuildProducesIdenticalIndex) {
     EXPECT_EQ(parallel.store().DecodeColumn(d), serial.store().DecodeColumn(d))
         << "clustered layout differs in dimension " << d;
   }
+  // The parallel build encodes one column per scheduler chunk: every
+  // zone-map entry and every column's code-width mix must match too.
+  const ZoneMaps& zs = serial.store().zone_maps();
+  const ZoneMaps& zp = parallel.store().zone_maps();
+  ASSERT_EQ(zp.num_blocks(), zs.num_blocks());
+  for (int d = 0; d < serial.store().dims(); ++d) {
+    for (int64_t b = 0; b < zs.num_blocks(); ++b) {
+      ASSERT_EQ(zp.Min(d, b), zs.Min(d, b)) << "dim " << d << " block " << b;
+      ASSERT_EQ(zp.Max(d, b), zs.Max(d, b)) << "dim " << d << " block " << b;
+      ASSERT_EQ(zp.Sum(d, b), zs.Sum(d, b)) << "dim " << d << " block " << b;
+    }
+    int64_t ws[4] = {0, 0, 0, 0};
+    int64_t wp[4] = {0, 0, 0, 0};
+    serial.store().encoded(d).WidthHistogram(ws);
+    parallel.store().encoded(d).WidthHistogram(wp);
+    EXPECT_EQ(std::vector<int64_t>(wp, wp + 4), std::vector<int64_t>(ws, ws + 4))
+        << "code widths differ in dimension " << d;
+  }
   // And answers + work done must match query by query.
   for (const Query& q : workload_) {
     QueryResult a = serial.Execute(q);
@@ -271,6 +289,24 @@ TEST_F(SchedulerFaultTest, ExecuteBatchThrowsOnFailedItem) {
   ExecContext ctx(&scheduler);
   FailNextChunk();
   EXPECT_THROW(RunWorkload(index, workload_, ctx), std::runtime_error);
+  EXPECT_EQ(fault::FireCount("sched.task_throw"), 1);
+#endif
+}
+
+TEST_F(SchedulerFaultTest, ParallelEncodeThrowsOnFailedColumn) {
+#if !defined(TSUNAMI_FAULT_INJECTION)
+  GTEST_SKIP() << "built without TSUNAMI_FAULT_INJECTION";
+#else
+  // The column store's per-column chunks fail like region chunks: the
+  // constructor throws instead of returning a store missing a column.
+  std::vector<uint32_t> perm(data_.size());
+  for (size_t i = 0; i < perm.size(); ++i) {
+    perm[i] = static_cast<uint32_t>(perm.size() - 1 - i);
+  }
+  TaskScheduler scheduler(2);
+  FailNextChunk();
+  EXPECT_THROW(ColumnStore(data_, perm, EncodingEnabledByDefault(), &scheduler),
+               std::runtime_error);
   EXPECT_EQ(fault::FireCount("sched.task_throw"), 1);
 #endif
 }

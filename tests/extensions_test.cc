@@ -27,7 +27,8 @@ class WorkloadMonitorTest : public ::testing::Test {
   void SetUp() override {
     bench_ = MakeTpchBenchmark(20000, 406, 20);
     int num_types = 0;
-    typed_ = LabelQueryTypes(bench_.data, bench_.workload, {}, &num_types);
+    typed_ = LabelQueryTypes(SortedSample(bench_.data), bench_.workload, {},
+                             &num_types);
   }
   Benchmark bench_;
   Workload typed_;

@@ -1,5 +1,6 @@
 // Tests for the cost model evaluator and the AGD/GD/BlackBox optimizers
 // (§5.3, §6.6).
+#include <algorithm>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "src/core/optimizer.h"
 #include "src/datasets/synthetic.h"
 #include "src/datasets/tpch.h"
+#include "tests/cost_oracle.h"
 
 namespace tsunami {
 namespace {
@@ -97,6 +99,147 @@ TEST(CostModelTest, PredictionTracksActualCounters) {
   ASSERT_GT(actual, 0.0);
   EXPECT_GT(predicted / actual, 0.5);
   EXPECT_LT(predicted / actual, 2.0);
+}
+
+// --- Cost-model oracle (tests/cost_oracle.h) ---------------------------
+//
+// Cost and PredictQueryNanos build one layout per candidate and evaluate
+// every query against it; the oracle rebuilds everything per query. Every
+// prediction must be bit-identical (==, no tolerance).
+
+// The sample value at quantile `q` of one dimension.
+Value SampleQuantile(const GridCostEvaluator& eval, int dim, double q) {
+  std::vector<Value> vals = eval.sample_column(dim);
+  std::sort(vals.begin(), vals.end());
+  const size_t i = std::min(vals.size() - 1,
+                            static_cast<size_t>(q * (vals.size() - 1)));
+  return vals[i];
+}
+
+// A candidate for the sweep: all-independent, one mapped dimension, one
+// conditional dimension, and both at once.
+struct OracleCase {
+  Skeleton skeleton;
+  std::vector<int> partitions;
+};
+
+std::vector<OracleCase> OracleCases(int dims, int mapped, int target,
+                                    int cond, int base) {
+  std::vector<OracleCase> cases;
+  Skeleton indep = Skeleton::AllIndependent(dims);
+  Skeleton fm = indep;
+  fm.dims[mapped] = DimSpec{PartitionStrategy::kMapped, target};
+  Skeleton cc = indep;
+  cc.dims[cond] = DimSpec{PartitionStrategy::kConditional, base};
+  Skeleton both = fm;
+  both.dims[cond] = DimSpec{PartitionStrategy::kConditional, base};
+  for (const Skeleton& s : {indep, fm, cc, both}) {
+    EXPECT_TRUE(s.Validate());
+    for (int scale : {1, 3}) {
+      std::vector<int> p(dims);
+      for (int d = 0; d < dims; ++d) p[d] = 1 + (d * 5 + scale * 3) % 11;
+      cases.push_back(OracleCase{s, p});
+    }
+  }
+  return cases;
+}
+
+// Sweeps every case, every sort dimension (-1, each valid one, and the
+// invalid ones that fall back), and uncalibrated plus per-width weights.
+void ExpectMatchesOracle(const GridCostEvaluator& eval,
+                         const std::vector<OracleCase>& cases,
+                         const Workload& extra_queries) {
+  const CostOracle oracle(eval);
+  CostWeights calibrated;
+  calibrated.w1_u8 = 0.4;
+  calibrated.w1_u16 = 0.7;
+  calibrated.w1_u32 = 1.1;
+  for (const CostWeights& w : {CostWeights(), calibrated}) {
+    for (const OracleCase& c : cases) {
+      for (int sort_dim = -1; sort_dim < eval.dims(); ++sort_dim) {
+        EXPECT_EQ(eval.Cost(c.skeleton, c.partitions, w, sort_dim),
+                  oracle.Cost(c.skeleton, c.partitions, w, sort_dim))
+            << "sort_dim " << sort_dim;
+        for (const Query& q : extra_queries) {
+          EXPECT_EQ(
+              eval.PredictQueryNanos(c.skeleton, c.partitions, w, q, sort_dim),
+              oracle.PredictQueryNanos(c.skeleton, c.partitions, w, q,
+                                       sort_dim))
+              << "sort_dim " << sort_dim;
+        }
+      }
+    }
+  }
+}
+
+// Edge-case queries over `dim` (and a mapped pair): two filters on one
+// dimension, contradictory filters, and a mapped filter whose induced range
+// on its target misses the target's own filter.
+Workload EdgeQueries(const GridCostEvaluator& eval, int dim, int mapped,
+                     int target) {
+  const Value q10 = SampleQuantile(eval, dim, 0.1);
+  const Value q40 = SampleQuantile(eval, dim, 0.4);
+  const Value q60 = SampleQuantile(eval, dim, 0.6);
+  const Value q90 = SampleQuantile(eval, dim, 0.9);
+  Workload w;
+  Query two_filters;
+  two_filters.filters = {Predicate{dim, q10, q60}, Predicate{dim, q40, q90}};
+  w.push_back(two_filters);
+  Query disjoint;
+  disjoint.filters = {Predicate{dim, q10, q40}, Predicate{dim, q60, q90}};
+  w.push_back(disjoint);
+  Query inverted;
+  inverted.filters = {Predicate{dim, q90, q10}};
+  w.push_back(inverted);
+  Query empty_mapping;
+  empty_mapping.filters = {
+      Predicate{mapped, SampleQuantile(eval, mapped, 0.9),
+                SampleQuantile(eval, mapped, 0.95)},
+      Predicate{target, SampleQuantile(eval, target, 0.05),
+                SampleQuantile(eval, target, 0.1)}};
+  w.push_back(empty_mapping);
+  Query wide;
+  wide.filters = {Predicate{dim, kValueMin, kValueMax},
+                  Predicate{mapped, q10, q90}};
+  w.push_back(wide);
+  return w;
+}
+
+TEST(CostOracleTest, TpchMatchesOracle) {
+  Benchmark bench = MakeTpchBenchmark(20000, 141, 20);
+  std::vector<uint32_t> rows = AllRows(bench.data);
+  GridCostEvaluator eval(bench.data, rows, bench.workload, 1024, 32, 7);
+  // receipt_date (7) maps onto ship_date (5); ext_price (1) conditions on
+  // quantity (0).
+  const std::vector<OracleCase> cases = OracleCases(8, 7, 5, 1, 0);
+  const Workload edges = EdgeQueries(eval, 5, 7, 5);
+  ExpectMatchesOracle(eval, cases, edges);
+  // The mapped filter's induced ship-date range misses the ship-date
+  // filter: the grid gives up after one lookup.
+  CostWeights w;
+  EXPECT_EQ(eval.PredictQueryNanos(cases[2].skeleton, cases[2].partitions, w,
+                                   edges[3]),
+            w.w0);
+}
+
+TEST(CostOracleTest, CorrelatedMatchesOracle) {
+  Benchmark bench = MakeScalingBenchmark(6, 20000, true, 142, 20);
+  std::vector<uint32_t> rows = AllRows(bench.data);
+  GridCostEvaluator eval(bench.data, rows, bench.workload, 1024, 32, 9);
+  // Dim 3 tracks dim 0 within 1% (mapped); dim 4 tracks dim 1 within 10%
+  // (conditional).
+  ExpectMatchesOracle(eval, OracleCases(6, 3, 0, 4, 1),
+                      EdgeQueries(eval, 0, 3, 0));
+}
+
+TEST(CostOracleTest, RegionSmallerThanSampleMatchesOracle) {
+  Benchmark bench = MakeTpchBenchmark(20000, 143, 20);
+  std::vector<uint32_t> rows = AllRows(bench.data);
+  rows.resize(700);  // Fewer rows than max_sample_points: every row is used.
+  GridCostEvaluator eval(bench.data, rows, bench.workload, 1024, 32, 7);
+  ASSERT_EQ(eval.sample_points(), 700);
+  ExpectMatchesOracle(eval, OracleCases(8, 7, 5, 1, 0),
+                      EdgeQueries(eval, 5, 7, 5));
 }
 
 TEST(OptimizerTest, ImprovesOverInitialCost) {

@@ -157,7 +157,8 @@ TEST(QueryClusteringTest, DifferentDimSetsAreDifferentTypes) {
   }
   int num_types = 0;
   std::vector<int> types =
-      ClusterQueryTypes(bench.data, w, ClusteringOptions{}, &num_types);
+      ClusterQueryTypes(SortedSample(bench.data), w, ClusteringOptions{},
+                        &num_types);
   EXPECT_EQ(num_types, 2);
   EXPECT_NE(types[0], types[1]);
   EXPECT_EQ(types[0], types[2]);
@@ -177,7 +178,8 @@ TEST(QueryClusteringTest, SelectivitySeparatesTypesWithinDimSet) {
   }
   int num_types = 0;
   std::vector<int> types =
-      ClusterQueryTypes(bench.data, w, ClusteringOptions{}, &num_types);
+      ClusterQueryTypes(SortedSample(bench.data), w, ClusteringOptions{},
+                        &num_types);
   EXPECT_EQ(num_types, 2);
   EXPECT_NE(types[0], types[1]);
 }
@@ -187,7 +189,8 @@ TEST(QueryClusteringTest, GeneratorLabelsRecovered) {
   // or clearly different selectivities; clustering should find >= 4 types.
   Benchmark bench = MakeTaxiBenchmark(20000, 103, 20);
   int num_types = 0;
-  LabelQueryTypes(bench.data, bench.workload, ClusteringOptions{}, &num_types);
+  LabelQueryTypes(SortedSample(bench.data), bench.workload, ClusteringOptions{},
+                  &num_types);
   EXPECT_GE(num_types, 4);
   EXPECT_LE(num_types, 12);
 }

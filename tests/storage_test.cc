@@ -1,7 +1,12 @@
 // Tests for the column-store substrate and dictionary encoding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "src/common/random.h"
+#include "src/exec/task_scheduler.h"
+#include "src/io/serializer.h"
 #include "src/storage/column_store.h"
 #include "src/storage/dictionary.h"
 
@@ -103,6 +108,43 @@ TEST(ColumnStoreTest, FullScanAgainstNaive) {
       expected += ok;
     }
     EXPECT_EQ(ExecuteFullScan(store, q).agg, expected);
+  }
+}
+
+TEST(ColumnStoreTest, SchedulerEncodeSerializesIdentically) {
+  // Columns of different spreads so blocks land on every code width, over
+  // a shuffled permutation with a partial last block.
+  Rng rng(82);
+  Dataset data(4, {});
+  for (int i = 0; i < 5 * 1024 + 77; ++i) {
+    data.AppendRow({rng.UniformValue(0, 200), rng.UniformValue(0, 60000),
+                    rng.UniformValue(0, 1 << 30),
+                    rng.UniformValue(kValueMin / 2, kValueMax / 2)});
+  }
+  std::vector<uint32_t> perm(data.size());
+  std::iota(perm.begin(), perm.end(), 0u);
+  for (size_t i = perm.size() - 1; i > 0; --i) {
+    std::swap(perm[i], perm[rng.NextBelow(i + 1)]);
+  }
+  ColumnStore serial(data, perm);
+  TaskScheduler scheduler(4);
+  double seconds = -1.0;
+  ColumnStore parallel(data, perm, EncodingEnabledByDefault(), &scheduler,
+                       &seconds);
+  EXPECT_GE(seconds, 0.0);
+  BinaryWriter a, b;
+  serial.Serialize(&a);
+  parallel.Serialize(&b);
+  EXPECT_EQ(a.buffer(), b.buffer());
+  const ZoneMaps& za = serial.zone_maps();
+  const ZoneMaps& zb = parallel.zone_maps();
+  ASSERT_EQ(za.num_blocks(), zb.num_blocks());
+  for (int d = 0; d < data.dims(); ++d) {
+    for (int64_t blk = 0; blk < za.num_blocks(); ++blk) {
+      EXPECT_EQ(za.Min(d, blk), zb.Min(d, blk));
+      EXPECT_EQ(za.Max(d, blk), zb.Max(d, blk));
+      EXPECT_EQ(za.Sum(d, blk), zb.Sum(d, blk));
+    }
   }
 }
 
