@@ -5,6 +5,7 @@
 // BENCH_scan_kernel.json before the registered benchmarks.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <numeric>
 #include <thread>
 
@@ -320,8 +321,8 @@ void RunScanKernelAB(SimdTier forced_tier,
 
   // Short per-cell ranges: the sizes indexes hand the kernel after grid
   // refinement. Random offsets, moderately selective residual filters —
-  // the per-block predicate passes where compare+compress has to earn its
-  // keep (no zone-map skipping to hide behind).
+  // the per-block predicate passes have to earn their keep (no zone-map
+  // skipping to hide behind).
   for (int64_t range_len : {256, 1024, 4096}) {
     Query q;
     q.filters.push_back(Predicate{1, 0, 1 << 19});
@@ -349,6 +350,64 @@ void RunScanKernelAB(SimdTier forced_tier,
                            .Num("simd_speedup_vs_none", speedup)
                            .Finish());
   }
+  // scan_wide's shape: three filters on uint8/uint16 code columns and
+  // COUNT+SUM+MIN+MAX of one uint32 column, over the full store and over
+  // 256/1024-row cells. Values are uniform within every block, so zone
+  // maps neither skip nor cover blocks and every block runs the predicate
+  // passes and the aggregate fold. Each filter keeps the cube root of the
+  // target selectivity: at 0.001 the first filter keeps 10% of the rows.
+  Dataset wide(4, {});
+  wide.Reserve(kRows);
+  std::vector<Value> row(4);
+  for (int64_t i = 0; i < kRows; ++i) {
+    row[0] = rng.UniformValue(0, 250);           // uint8 codes.
+    row[1] = rng.UniformValue(0, 60000);         // uint16 codes.
+    row[2] = rng.UniformValue(0, 250);           // uint8 codes.
+    row[3] = rng.UniformValue(0, Value{1} << 30);  // uint32 codes.
+    wide.AppendRow(row);
+  }
+  ColumnStore wide_store(wide);
+  for (double sel : {0.001, 0.05, 0.5}) {
+    const double keep = std::cbrt(sel);
+    Query q({Predicate{0, 0, static_cast<Value>(keep * 250)},
+             Predicate{1, 0, static_cast<Value>(keep * 60000)},
+             Predicate{2, 0, static_cast<Value>(keep * 250)}},
+            {AggregateSpec{AggKind::kCount, 0}, AggregateSpec{AggKind::kSum, 3},
+             AggregateSpec{AggKind::kMin, 3}, AggregateSpec{AggKind::kMax, 3}});
+    for (int64_t range_len : {int64_t{0}, int64_t{256}, int64_t{1024}}) {
+      std::vector<RangeTask> tasks;
+      if (range_len == 0) {
+        tasks.push_back(RangeTask{0, wide_store.size(), false});
+      } else {
+        for (int t = 0; t < 512; ++t) {
+          int64_t begin = rng.UniformValue(0, kRows - range_len);
+          tasks.push_back(RangeTask{begin, begin + range_len, false});
+        }
+      }
+      int64_t scanned = 0;
+      for (const RangeTask& task : tasks) scanned += task.end - task.begin;
+      double none = TimeScan(wide_store, tasks, q, SimdTier::kNone, 5);
+      double simd = TimeScan(wide_store, tasks, q, simd_tier, 5);
+      double speedup = simd > 0 ? none / simd : 0.0;
+      char shape[32];
+      std::snprintf(shape, sizeof(shape), "wide %s sel=%g",
+                    range_len == 0 ? "full" : range_len == 256 ? "c256"
+                                                               : "c1024",
+                    sel);
+      std::printf("%-22s %13.3f %13.3f %9.2fx\n", shape,
+                  none * 1e9 / scanned, simd * 1e9 / scanned, speedup);
+      records->push_back(
+          bench::EnvRecord("wide_multi_agg", tier, /*threads=*/1,
+                           /*batch_size=*/static_cast<int64_t>(tasks.size()))
+              .Num("selectivity", sel)
+              .Int("rows_per_scan", range_len == 0 ? kRows : range_len)
+              .Int("num_ranges", static_cast<int64_t>(tasks.size()))
+              .Num("none_ns_per_row", none * 1e9 / scanned)
+              .Num("simd_ns_per_row", simd * 1e9 / scanned)
+              .Num("simd_speedup_vs_none", speedup)
+              .Finish());
+    }
+  }
 }
 
 // --- Encoded column blocks: raw vs FOR-narrowed code scans -----------------
@@ -358,7 +417,7 @@ void RunScanKernelAB(SimdTier forced_tier,
 // chosen per block), scanned with identical queries per tier x code width
 // x selectivity. The filter and aggregate columns carry block-local ranges
 // sized to the target width and spanning every block (so zone maps neither
-// skip nor cover blocks — the measurement isolates the compare+compress
+// skip nor cover blocks — the measurement isolates the predicate
 // passes, which is where narrow lanes pay). Single-threaded throughput on
 // this 1-core container; hw_threads and first-pass bytes_scanned are
 // stamped with each record.
@@ -426,7 +485,7 @@ void RunEncodingAB(std::vector<std::string>* records) {
                 .Num("selectivity", sel)
                 .Int("rows_per_scan", kRows)
                 // First-pass bytes for the filter column: what the
-                // compare+compress pass actually streams.
+                // predicate pass actually streams.
                 .Int("bytes_scanned_raw",
                      kRows * static_cast<int64_t>(sizeof(Value)))
                 .Int("bytes_scanned_encoded", kRows * (wc.bits / 8))

@@ -28,10 +28,13 @@
 #     scheduler (failed jobs thrown out of the runner, the batch loop, and
 #     parallel builds) must not scribble, leak-on-throw, or hit UB — plus
 #     the property suite, whose extreme-value sweeps drive every SUM path
-#     through int64 wraparound, and the index-build suites (optimizer,
+#     through int64 wraparound, the index-build suites (optimizer,
 #     grid, outlier, skew), whose index arithmetic the cost model's
 #     per-candidate layout, the fence selection and the clustering
-#     embeddings rewrite. UBSan is fatal here
+#     embeddings rewrite, and consistency_test, which runs every index's
+#     scans end to end. Under ASan a scan kernel load past a slice's last
+#     code is a heap-buffer-overflow (scan_kernel_test scans stores whose
+#     last block ends where the code payload ends). UBSan is fatal here
 #     (-fno-sanitize-recover=undefined), so passes 6, 7, 9 and 10 fail on
 #     any report;
 #  7. the network front end under the same ASan+UBSan+FI build:
@@ -106,9 +109,9 @@ cmake --build build-asan -j"$(nproc)" --target \
   io_test encoded_column_test storage_test scan_kernel_test \
   task_scheduler_test query_service_test tsunami_test ingest_test \
   exec_test batch_api_test property_test optimizer_test grid_test \
-  outlier_test skew_test
+  outlier_test skew_test consistency_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" -R \
-  'io_test|encoded_column_test|storage_test|scan_kernel_test|task_scheduler_test|query_service_test|tsunami_test|ingest_test|exec_test|batch_api_test|property_test|optimizer_test|grid_test|outlier_test|skew_test'
+  'io_test|encoded_column_test|storage_test|scan_kernel_test|task_scheduler_test|query_service_test|tsunami_test|ingest_test|exec_test|batch_api_test|property_test|optimizer_test|grid_test|outlier_test|skew_test|consistency_test'
 
 # Seventh pass: the network front end, reusing the ASan+UBSan+FI build.
 # net_test's NetFaultTest suite (injected accept failures, short writes,

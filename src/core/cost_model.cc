@@ -1,6 +1,7 @@
 #include "src/core/cost_model.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <numeric>
 
@@ -75,11 +76,16 @@ CostWeights CalibrateCostWeights(const ScanOptions& options) {
     QueryResult result;
     Timer timer;
     store.ScanRanges(tasks, query, &result, options);
-    double ns = result.scanned > 0 ? static_cast<double>(timer.ElapsedNanos()) /
-                                         (static_cast<double>(result.scanned) *
-                                          kCols)
-                                   : 1.5;
-    return std::max(ns, 0.2);
+    if (result.scanned == 0) return 1.5;
+    // Floor at the smallest cost the probe can resolve, one clock tick over
+    // the points x dims it scanned, so a fast kernel is not clamped to a
+    // fixed constant and a sub-tick run still yields a positive weight.
+    const double points = static_cast<double>(result.scanned) * kCols;
+    const double tick_ns =
+        1e9 * std::chrono::steady_clock::period::num /
+        static_cast<double>(std::chrono::steady_clock::period::den);
+    return std::max(static_cast<double>(timer.ElapsedNanos()), tick_ns) /
+           points;
   };
   // w1: the representative blended term, measured under the deployment's
   // default encoding (so the optimizer trades lookups vs scans at the

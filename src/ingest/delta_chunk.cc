@@ -68,11 +68,10 @@ void DeltaChunk::Scan(const Query& query, QueryResult* result,
   // Unsealed: each kScanBlockRows slice of the raw columns is one block.
   result->scanned += rows;
   const SimdOps& ops = OpsForTier(options.tier);
-  uint32_t sel[kScanBlockRows];
   for (int64_t begin = 0; begin < rows; begin += kScanBlockRows) {
     const int count = static_cast<int>(std::min(kScanBlockRows, rows - begin));
     const BlockColumns slice(values_.data() + begin, capacity_);
-    ScanBlockSlice(slice, /*off=*/0, count, query, ops, sel, result);
+    ScanBlockSlice(slice, /*off=*/0, count, query, ops, result);
   }
 }
 

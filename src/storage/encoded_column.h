@@ -6,8 +6,10 @@
 // (dense codes, §6.1) flow through the same path and narrow especially
 // well. Decoding is a single add (value = ref + code), so predicates are
 // evaluated *on the codes*: query bounds are translated once per block into
-// code space (TranslateToCodeSpace) and the scan kernel's compare+compress
-// runs on 2-8x more values per SIMD vector while touching 2-8x fewer bytes.
+// code space (TranslateToCodeSpace) and the scan kernel's predicate
+// compares, which AND into a per-block row mask, run on 2-8x more values
+// per SIMD vector while touching 2-8x fewer bytes; aggregates fold codes
+// under that mask and lift the fold into value space.
 //
 // Every block additionally carries an XxHash64 checksum (computed at encode
 // time, persisted as format v3). A block that fails verification — at load,
@@ -41,7 +43,7 @@ constexpr uint64_t CodeDomainMax(int width) {
 /// kEmpty: no code in the block's domain can satisfy the predicate (the
 /// whole block is skipped without reading a code). kAll: every code in the
 /// domain satisfies it (the pass is the identity and is skipped). kCompare:
-/// run the width's compare+compress with the inclusive code bounds [lo, hi].
+/// run the width's mask compare with the inclusive code bounds [lo, hi].
 struct CodeRange {
   enum State { kEmpty, kAll, kCompare };
   State state = kCompare;

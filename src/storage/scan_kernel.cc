@@ -10,128 +10,83 @@ namespace {
 
 // ---- Aggregate partials over one block slice ------------------------------
 //
-// Each aggregate computes its partial over the slice's rows (a count, sum,
-// min or max) and folds it into its accumulator through MergeAggValue, the
-// rule that also merges partial QueryResults. Narrow blocks fold codes and
-// lift the result into value space algebraically: sum(ref + c_j) =
-// n * ref + sum(c_j) (exact modulo 2^64, the ring every SUM wraps in),
-// min(ref + c_j) = ref + min(c_j) (exact — it reconstructs an original
-// value), likewise max. Raw blocks fold values through the tier's SIMD
-// ops; a block the rows cover whole answers from its zone-map entry.
+// Each aggregate computes its partial over the slice's selected rows (a
+// count, sum, min or max) and folds it into its accumulator through
+// MergeAggValue, the rule that also merges partial QueryResults. A column
+// is folded once per slice, whatever aggregates read it: the tier's fold
+// returns the sum, min and max of its codes, lifted into value space
+// algebraically: sum(ref + c_j) = n * ref + sum(c_j) (exact modulo 2^64,
+// the ring every SUM wraps in), min(ref + c_j) = ref + min(c_j) (exact —
+// it reconstructs an original value), likewise max. Raw blocks have ref 0.
+// A block the rows cover whole answers from its zone-map entry instead.
 
-// The rows a partial folds, as offsets into the slice: the selection
-// sel[0, n), or the contiguous run [0, n).
-struct Selected {
-  const uint32_t* sel;
-  uint32_t operator[](int64_t j) const { return sel[j]; }
-};
-struct Run {
-  int64_t operator[](int64_t j) const { return j; }
+// One column's sum/min/max over the selected rows, in value space.
+struct ValueFold {
+  int64_t sum;
+  Value min;
+  Value max;
 };
 
-// Folds over a narrow block's codes. Min/Max need n >= 1.
-template <typename T, typename Rows>
-struct CodeFolds {
-  const T* codes;
-  uint64_t ref;
-  Rows rows;
-  int64_t n;
-
-  int64_t Sum() const {
-    uint64_t s = 0;
-    for (int64_t j = 0; j < n; ++j) s += codes[rows[j]];
-    return static_cast<int64_t>(s + ref * static_cast<uint64_t>(n));
-  }
-  Value Min() const {
-    T m = codes[rows[0]];
-    for (int64_t j = 1; j < n; ++j) m = codes[rows[j]] < m ? codes[rows[j]] : m;
-    return static_cast<Value>(ref + m);
-  }
-  Value Max() const {
-    T m = codes[rows[0]];
-    for (int64_t j = 1; j < n; ++j) m = codes[rows[j]] > m ? codes[rows[j]] : m;
-    return static_cast<Value>(ref + m);
-  }
-};
-
-// Folds over a raw block's values through the tier's gather (selection)
-// or range (run) loops.
-template <typename Rows>
-struct RawFolds;
-
-template <>
-struct RawFolds<Selected> {
-  const Value* values;
-  Selected rows;
-  int64_t n;
-  const SimdOps* ops;
-
-  int64_t Sum() const { return ops->sum_gather(values, rows.sel, Count()); }
-  Value Min() const { return ops->min_gather(values, rows.sel, Count()); }
-  Value Max() const { return ops->max_gather(values, rows.sel, Count()); }
-  int Count() const { return static_cast<int>(n); }
-};
-
-template <>
-struct RawFolds<Run> {
-  const Value* values;
-  Run rows;
-  int64_t n;
-  const SimdOps* ops;
-
-  int64_t Sum() const { return ops->sum_range(values, n); }
-  Value Min() const { return ops->min_range(values, n); }
-  Value Max() const { return ops->max_range(values, n); }
-};
-
-// Folds of a block the rows cover whole: its zone-map entry.
-struct ZoneFolds {
-  const ZoneMaps* zones;
-  int dim;
-  int64_t block;
-
-  int64_t Sum() const { return zones->Sum(dim, block); }
-  Value Min() const { return zones->Min(dim, block); }
-  Value Max() const { return zones->Max(dim, block); }
-};
-
-// The one aggregate switch: `op`'s partial over n rows (COUNT reads no
-// folds).
-template <typename Folds>
-int64_t Partial(AggKind op, int64_t n, const Folds& folds) {
-  switch (op) {
-    case AggKind::kCount:
-      break;
-    case AggKind::kSum:
-    case AggKind::kAvg:
-      return folds.Sum();
-    case AggKind::kMin:
-      return folds.Min();
-    case AggKind::kMax:
-      return folds.Max();
-  }
-  return n;
-}
-
-// The one code-width switch for partials: `op` over the `rows` of the
-// slice that starts `off` rows into the block `view`.
-template <typename Rows>
-int64_t SlicePartial(AggKind op, const EncodedColumn::BlockView& view,
-                     int64_t off, Rows rows, int64_t n, const SimdOps& ops) {
-  const uint64_t ref = static_cast<uint64_t>(view.ref);
+// Folds the codes of rows [off, off + count) of the block `view` under
+// `mask` (null: every row), n of them selected.
+ValueFold FoldSlice(const EncodedColumn::BlockView& view, int64_t off,
+                    int count, const uint64_t* mask, int64_t n,
+                    const SimdOps& ops) {
+  CodeFold f;
   switch (view.width) {
     case 1:
-      return Partial(op, n, CodeFolds<uint8_t, Rows>{
-          static_cast<const uint8_t*>(view.codes) + off, ref, rows, n});
+      f = ops.fold_u8(static_cast<const uint8_t*>(view.codes) + off, count,
+                      mask);
+      break;
     case 2:
-      return Partial(op, n, CodeFolds<uint16_t, Rows>{
-          static_cast<const uint16_t*>(view.codes) + off, ref, rows, n});
+      f = ops.fold_u16(static_cast<const uint16_t*>(view.codes) + off, count,
+                       mask);
+      break;
     case 4:
-      return Partial(op, n, CodeFolds<uint32_t, Rows>{
-          static_cast<const uint32_t*>(view.codes) + off, ref, rows, n});
+      f = ops.fold_u32(static_cast<const uint32_t*>(view.codes) + off, count,
+                       mask);
+      break;
     default:
-      return Partial(op, n, RawFolds<Rows>{
-          static_cast<const Value*>(view.codes) + off, rows, n, &ops});
+      f = ops.fold_i64(static_cast<const Value*>(view.codes) + off, count,
+                       mask);
+      break;
+  }
+  const uint64_t ref = static_cast<uint64_t>(view.ref);
+  return {static_cast<int64_t>(f.sum + ref * static_cast<uint64_t>(n)),
+          static_cast<Value>(ref + static_cast<uint64_t>(f.min)),
+          static_cast<Value>(ref + static_cast<uint64_t>(f.max))};
+}
+
+// The one aggregate switch: merges every aggregate's partial over n
+// selected rows into `out`. `fold(column)` is the column's ValueFold; it
+// runs once per distinct non-COUNT column (COUNT reads no fold).
+template <typename FoldColumn>
+void MergePartials(const Query& query, int64_t n, FoldColumn fold,
+                   QueryResult* out) {
+  int columns[kMaxQueryAggs];
+  ValueFold folds[kMaxQueryAggs];
+  int cached = 0;
+  for (int a = 0; a < query.num_aggs(); ++a) {
+    const AggregateSpec spec = query.agg_spec(a);
+    int64_t partial = n;
+    if (spec.op != AggKind::kCount) {
+      int j = 0;
+      while (j < cached && columns[j] != spec.column) ++j;
+      ValueFold f;
+      if (j < cached) {
+        f = folds[j];
+      } else {
+        f = fold(spec.column);
+        if (cached < kMaxQueryAggs) {
+          columns[cached] = spec.column;
+          folds[cached++] = f;
+        }
+      }
+      partial = spec.op == AggKind::kMin   ? f.min
+                : spec.op == AggKind::kMax ? f.max
+                                           : f.sum;  // SUM, AVG.
+    }
+    MergeAggValue(spec.op, partial, out->agg_accumulator(a));
   }
 }
 
@@ -147,13 +102,11 @@ void ZoneMaps::Reset(int dims, int64_t rows) {
 }
 
 void ZoneMaps::BuildDim(int dim, std::span<const Value> column) {
-  const SimdOps& ops = OpsForTier(SimdTier::kAuto);
   const int64_t rows = static_cast<int64_t>(column.size());
   for (int64_t b = 0; b < num_blocks_; ++b) {
     const int64_t lo = b * kScanBlockRows;
     const int64_t hi = std::min(rows, lo + kScanBlockRows);
-    ops.block_stats(column.data() + lo, hi - lo, &min_[dim][b],
-                    &max_[dim][b], &sum_[dim][b]);
+    UpdateBlock(dim, b, column.data() + lo, hi - lo);
   }
 }
 
@@ -174,9 +127,11 @@ void ZoneMaps::Build(const std::vector<EncodedColumn>& columns) {
 
 void ZoneMaps::UpdateBlock(int dim, int64_t block, const Value* values,
                            int64_t n) {
-  const SimdOps& ops = OpsForTier(SimdTier::kAuto);
-  ops.block_stats(values, n, &min_[dim][block], &max_[dim][block],
-                  &sum_[dim][block]);
+  const CodeFold f = OpsForTier(SimdTier::kAuto)
+                         .fold_i64(values, static_cast<int>(n), nullptr);
+  min_[dim][block] = f.min;
+  max_[dim][block] = f.max;
+  sum_[dim][block] = static_cast<int64_t>(f.sum);
 }
 
 void ZoneMaps::Clear() {
@@ -214,7 +169,6 @@ void ScanKernel::Scan(int64_t begin, int64_t end, const Query& query,
   const SimdOps& ops = OpsForTier(options.tier);
   const std::vector<Predicate>& filters = query.filters;
   out->scanned += end - begin;
-  uint32_t sel[kScanBlockRows];
   const int64_t b_last = (end - 1) / kScanBlockRows;
   for (int64_t b = begin / kScanBlockRows; b <= b_last; ++b) {
     const int64_t lo = std::max(begin, b * kScanBlockRows);
@@ -249,7 +203,7 @@ void ScanKernel::Scan(int64_t begin, int64_t end, const Query& query,
       continue;
     }
     ScanBlockSlice(BlockColumns(*columns_, b), lo - b * kScanBlockRows,
-                   static_cast<int>(hi - lo), query, ops, sel, out);
+                   static_cast<int>(hi - lo), query, ops, out);
   }
 }
 
@@ -310,97 +264,83 @@ bool ScanKernel::BlockReadable(int64_t block, const Query& query, bool exact,
 }
 
 void ScanBlockSlice(const BlockColumns& columns, int64_t off, int count,
-                    const Query& query, const SimdOps& ops, uint32_t* sel,
-                    QueryResult* out) {
-  // First effective predicate compacts [0, count) into sel; later ones
-  // compact the survivors in place. All passes are compare+compress at the
-  // block's code width, lane-parallel under the SIMD tiers. n == -1 means
-  // no pass has run yet (every predicate so far covered the whole block's
-  // code domain).
-  int n = -1;
+                    const Query& query, const SimdOps& ops, QueryResult* out) {
+  // Bit i of the mask is row off + i. Each effective predicate ANDs its
+  // in-range bits in at its column's code width; `masked` is false until
+  // the first pass runs (every predicate so far covered the whole block's
+  // code domain, so every row is still selected).
+  uint64_t mask[kMaskWords];
+  bool masked = false;
+  int n = count;  // Rows still selected.
   for (const Predicate& p : query.filters) {
     const EncodedColumn::BlockView view = columns.view(p.dim);
-    if (view.width == 8) {
-      // Raw block: compare values directly, untranslated.
-      const Value* col = static_cast<const Value*>(view.codes) + off;
-      n = n < 0 ? ops.first_pass(col, count, p.lo, p.hi, sel)
-                : ops.refine_pass(col, sel, n, p.lo, p.hi);
-    } else {
-      const CodeRange cr = TranslateToCodeSpace(p.lo, p.hi, view.ref,
-                                                CodeDomainMax(view.width));
+    CodeRange cr{CodeRange::kCompare, 0, 0};
+    if (view.width != 8) {
+      cr = TranslateToCodeSpace(p.lo, p.hi, view.ref,
+                                CodeDomainMax(view.width));
       if (cr.state == CodeRange::kEmpty) return;
       if (cr.state == CodeRange::kAll) continue;  // Pass is the identity.
-      switch (view.width) {
-        case 1: {
-          const uint8_t* c = static_cast<const uint8_t*>(view.codes) + off;
-          n = n < 0 ? ops.first_pass_u8(c, count, static_cast<uint8_t>(cr.lo),
-                                        static_cast<uint8_t>(cr.hi), sel)
-                    : ops.refine_pass_u8(c, sel, n,
-                                         static_cast<uint8_t>(cr.lo),
-                                         static_cast<uint8_t>(cr.hi));
-          break;
-        }
-        case 2: {
-          const uint16_t* c = static_cast<const uint16_t*>(view.codes) + off;
-          n = n < 0
-                  ? ops.first_pass_u16(c, count, static_cast<uint16_t>(cr.lo),
-                                       static_cast<uint16_t>(cr.hi), sel)
-                  : ops.refine_pass_u16(c, sel, n,
-                                        static_cast<uint16_t>(cr.lo),
-                                        static_cast<uint16_t>(cr.hi));
-          break;
-        }
-        default: {
-          const uint32_t* c = static_cast<const uint32_t*>(view.codes) + off;
-          n = n < 0
-                  ? ops.first_pass_u32(c, count, static_cast<uint32_t>(cr.lo),
-                                       static_cast<uint32_t>(cr.hi), sel)
-                  : ops.refine_pass_u32(c, sel, n,
-                                        static_cast<uint32_t>(cr.lo),
-                                        static_cast<uint32_t>(cr.hi));
-          break;
-        }
-      }
+    }
+    if (!masked) {
+      std::fill(mask, mask + kMaskWords, ~uint64_t{0});
+      masked = true;
+    }
+    switch (view.width) {
+      case 1:
+        n = ops.and_mask_u8(static_cast<const uint8_t*>(view.codes) + off,
+                            count, static_cast<uint8_t>(cr.lo),
+                            static_cast<uint8_t>(cr.hi), mask);
+        break;
+      case 2:
+        n = ops.and_mask_u16(static_cast<const uint16_t*>(view.codes) + off,
+                             count, static_cast<uint16_t>(cr.lo),
+                             static_cast<uint16_t>(cr.hi), mask);
+        break;
+      case 4:
+        n = ops.and_mask_u32(static_cast<const uint32_t*>(view.codes) + off,
+                             count, static_cast<uint32_t>(cr.lo),
+                             static_cast<uint32_t>(cr.hi), mask);
+        break;
+      default:  // Raw block: compare values directly, untranslated.
+        n = ops.and_mask_i64(static_cast<const Value*>(view.codes) + off,
+                             count, p.lo, p.hi, mask);
+        break;
     }
     if (n == 0) return;
   }
-  if (n < 0) {
-    // No filters, or every predicate covered the whole code domain.
-    for (int i = 0; i < count; ++i) sel[i] = static_cast<uint32_t>(i);
-    n = count;
-  }
   out->matched += n;
-  // One selection vector feeds every aggregate: the compare+compress
-  // passes above run once per block regardless of how many aggregates the
-  // query computes; only the partials repeat per aggregate.
-  for (int a = 0; a < query.num_aggs(); ++a) {
-    const AggregateSpec spec = query.agg_spec(a);
-    const int64_t partial =
-        spec.op == AggKind::kCount
-            ? n
-            : SlicePartial(spec.op, columns.view(spec.column), off,
-                           Selected{sel}, n, ops);
-    MergeAggValue(spec.op, partial, out->agg_accumulator(a));
-  }
+  const uint64_t* rows = masked ? mask : nullptr;
+  MergePartials(
+      query, n,
+      [&](int column) {
+        return FoldSlice(columns.view(column), off, count, rows, n, ops);
+      },
+      out);
 }
 
 void ScanKernel::AggregateRun(int64_t begin, int64_t end, int64_t block,
                               const Query& query, const SimdOps& ops,
                               QueryResult* out) const {
   const int64_t n = end - begin;
-  const bool full = !zones_->empty() && CoversBlock(begin, end, block);
-  const int64_t off = begin - block * kScanBlockRows;
-  for (int a = 0; a < query.num_aggs(); ++a) {
-    const AggregateSpec spec = query.agg_spec(a);
-    int64_t partial = n;
-    if (full) {
-      partial = Partial(spec.op, n, ZoneFolds{zones_, spec.column, block});
-    } else if (spec.op != AggKind::kCount) {
-      partial = SlicePartial(spec.op, (*columns_)[spec.column].block(block),
-                             off, Run{}, n, ops);
-    }
-    MergeAggValue(spec.op, partial, out->agg_accumulator(a));
+  if (!zones_->empty() && CoversBlock(begin, end, block)) {
+    MergePartials(
+        query, n,
+        [&](int column) {
+          return ValueFold{zones_->Sum(column, block),
+                           zones_->Min(column, block),
+                           zones_->Max(column, block)};
+        },
+        out);
+    return;
   }
+  const int64_t off = begin - block * kScanBlockRows;
+  MergePartials(
+      query, n,
+      [&](int column) {
+        return FoldSlice((*columns_)[column].block(block), off,
+                         static_cast<int>(n), nullptr, n, ops);
+      },
+      out);
 }
 
 }  // namespace tsunami

@@ -1,19 +1,20 @@
 // Vectorized block-based scan kernel (the in-cell half of query execution).
 // The column store is divided into fixed-size blocks of kScanBlockRows rows;
 // per block and per dimension a zone map records min/max/sum, built once at
-// cluster time. Scans process one block at a time, column-at-a-time, into a
-// selection vector with branchless predicate evaluation; zone maps let whole
-// blocks be skipped (disjoint from a filter) or aggregated without per-row
-// checks (fully covered by every filter, with SUM served straight from the
-// block sums).
+// cluster time. Scans process one block at a time, column-at-a-time: each
+// predicate ANDs its in-range rows into a per-block row bitmask, COUNT is
+// the mask's popcount, and each aggregated column is folded once under the
+// mask. Zone maps let whole blocks be skipped (disjoint from a filter) or
+// aggregated without per-row checks (fully covered by every filter, with
+// SUM served straight from the block sums).
 //
 // There is one kernel body. Its data-parallel inner loops (predicate
-// compare+compress, selection-driven aggregation, run folds, zone-map
-// builds) come from the SimdOps table of one instruction-set tier: the
-// portable branchless loops (SimdTier::kNone) or lane-parallel SIMD
-// (AVX-512, AVX2 or NEON), chosen at startup by runtime CPU dispatch; see
-// simd_dispatch.h. Every tier produces bit-identical QueryResults;
-// ScanOptions::tier can force one for tests and benchmarks.
+// compares into the mask, masked sum/min/max folds, zone-map builds) come
+// from the SimdOps table of one instruction-set tier: the portable loops
+// (SimdTier::kNone) or lane-parallel SIMD (AVX-512, AVX2 or NEON), chosen
+// at startup by runtime CPU dispatch; see simd_dispatch.h. Every tier
+// produces bit-identical QueryResults; ScanOptions::tier can force one for
+// tests and benchmarks.
 #ifndef TSUNAMI_STORAGE_SCAN_KERNEL_H_
 #define TSUNAMI_STORAGE_SCAN_KERNEL_H_
 
@@ -81,9 +82,10 @@ class ZoneMaps {
   /// concurrently.
   void Reset(int dims, int64_t rows);
   /// Fills dimension `dim`'s entries from its raw column (the `rows` values
-  /// given to Reset); O(rows), SIMD-accelerated when the CPU supports it
-  /// (the per-block stats are order-insensitive, so every tier produces
-  /// identical maps). Called at cluster time, one column at a time.
+  /// given to Reset); O(rows), one unmasked fold_i64 per block at the
+  /// detected SIMD tier (the per-block stats are order-insensitive, so
+  /// every tier produces identical maps). Called at cluster time, one
+  /// column at a time.
   void BuildDim(int dim, std::span<const Value> column);
   /// Rebuild from encoded columns (the Deserialize path): each block is
   /// decoded into a scratch buffer first, so the stats are identical to a
@@ -135,20 +137,21 @@ class BlockColumns {
 /// The per-block scan step every scan path shares: selects the rows
 /// [off, off + count) of the block whose values match every filter, counts
 /// them into out->matched, and folds them into every aggregate accumulator.
-/// Each predicate runs compare+compress at its column's code width, with
-/// bounds translated into code space (a predicate empty after translation
-/// ends the block without reading a code; one covering the whole code
-/// domain skips its pass). `sel` is scratch for `count` <= kScanBlockRows
-/// row offsets.
+/// Each predicate ANDs its in-range rows into a kScanBlockRows-bit mask at
+/// its column's code width, with bounds translated into code space (a
+/// predicate empty after translation ends the block without reading a
+/// code; one covering the whole code domain skips its pass), and the block
+/// ends as soon as the mask is empty. COUNT is the mask's popcount; each
+/// distinct aggregated column is folded once under the mask.
 void ScanBlockSlice(const BlockColumns& columns, int64_t off, int count,
-                    const Query& query, const SimdOps& ops, uint32_t* sel,
-                    QueryResult* out);
+                    const Query& query, const SimdOps& ops, QueryResult* out);
 
 /// A non-owning view over a table's encoded columns plus its zone maps that
 /// executes scans. Construction is two pointers; ColumnStore hands one out
-/// per call. Predicates are evaluated on the per-block codes; values are
-/// materialized only for the surviving selection vector, via a
-/// frame-of-reference add — or gathered raw for fallback blocks.
+/// per call. Predicates are evaluated on the per-block codes, and
+/// aggregates fold codes under the row mask; values are never
+/// materialized: a fold's sum/min/max lift into value space with the
+/// block's frame of reference (raw fallback blocks fold values directly).
 ///
 /// `scanned` counts the rows a range was responsible for (not the rows
 /// actually touched after block skipping), so results are bit-for-bit
@@ -162,8 +165,9 @@ class ScanKernel {
 
   /// Scans [begin, end), accumulating every aggregate of the query over
   /// matching rows into `out` (does not touch out->cell_ranges). Multi-
-  /// aggregate queries share one compare+compress pass; only the aggregate
-  /// tails repeat, so SUM+COUNT+MIN+MAX cost one pass over the predicates.
+  /// aggregate queries share one mask per block, and the aggregates over
+  /// one column share one fold, so SUM+COUNT+MIN+MAX of a column cost one
+  /// pass over the predicates and one fold.
   /// Exact ranges skip the filters: fully covered blocks aggregate from
   /// their zone maps, and an all-COUNT query touches no column at all.
   void Scan(int64_t begin, int64_t end, const Query& query, bool exact,
@@ -187,8 +191,9 @@ class ScanKernel {
                      QueryResult* out) const;
 
   // Folds rows [begin, end) — all known to match — inside block `block`
-  // into every aggregate accumulator, using zone-map sums/extrema when the
-  // rows span the full block. Leaves matched/scanned to the caller.
+  // into every aggregate accumulator: from the zone map when the rows span
+  // the full block, else one unmasked fold per aggregated column. Leaves
+  // matched/scanned to the caller.
   void AggregateRun(int64_t begin, int64_t end, int64_t block,
                     const Query& query, const SimdOps& ops,
                     QueryResult* out) const;

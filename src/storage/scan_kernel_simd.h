@@ -1,109 +1,83 @@
 // The scan kernel's SIMD seam: every data-parallel inner loop the kernel
-// runs (predicate compare+compress into the selection vector, selection-
-// driven aggregation tails, contiguous-run folds, zone-map block stats) is
-// reached through this table of function pointers, so one kernel body
+// runs (predicate compares ANDed into a block's row bitmask, and masked
+// sum/min/max folds of one column's codes, which also build the zone maps)
+// is reached through this table of function pointers, so one kernel body
 // serves every instruction-set tier. Each tier lives in its own
 // translation unit compiled with that tier's arch flags; a tier that was
 // not compiled (wrong architecture, TSUNAMI_DISABLE_SIMD) exposes a null
-// accessor and the dispatcher falls back to the scalar table.
+// accessor and the dispatcher falls back to the portable table.
 //
-// Every implementation must be bit-for-bit equivalent to the scalar table:
-// int64 addition is associative modulo 2^64 and min/max are associative,
-// so lane-parallel partials reduce to identical results in any order.
+// Every implementation must be bit-for-bit equivalent to the portable
+// table: uint64 addition is associative modulo 2^64 and min/max are
+// associative, so lane-parallel partials reduce to identical results in
+// any order.
 #ifndef TSUNAMI_STORAGE_SCAN_KERNEL_SIMD_H_
 #define TSUNAMI_STORAGE_SCAN_KERNEL_SIMD_H_
 
 #include <cstdint>
 
 #include "src/common/types.h"
+#include "src/storage/encoded_column.h"
 
 namespace tsunami {
 
-/// Inner-loop implementations for one instruction-set tier. All `col`
-/// pointers are unaligned; `n == 0` is legal everywhere except the
-/// min/max/block entry points, which require at least one row. A
-/// count-sized `sel` buffer suffices everywhere: every tier's compress
-/// writes at indices bounded by its read cursor, so stores never pass
-/// the end (the AVX2 full-vector store's garbage lanes land strictly
-/// below `count` and are overwritten or never exposed).
+/// Words in one block's row bitmask: bit i % 64 of word i / 64 is row i of
+/// the block slice being scanned.
+inline constexpr int kMaskWords = kScanBlockRows / 64;
+
+/// A word with its low `n` bits set, n in [0, 64] (a plain shift by 64 is
+/// undefined).
+constexpr uint64_t LowBits(int n) {
+  return n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+}
+
+/// Sum, min and max of one column's codes (or raw values) over the rows a
+/// mask selects. The sum wraps modulo 2^64. An empty selection folds to
+/// the identities: sum 0, min the width's largest code (INT64_MAX for raw
+/// values), max its smallest (0 for codes, INT64_MIN for raw values).
+struct CodeFold {
+  uint64_t sum = 0;
+  int64_t min = 0;
+  int64_t max = 0;
+
+  bool operator==(const CodeFold&) const = default;
+};
+
+/// Inner-loop implementations for one instruction-set tier. Code and value
+/// pointers are unaligned; `count` is in [0, kScanBlockRows], and `mask`
+/// points at kMaskWords words.
 struct SimdOps {
   const char* name;
 
-  /// Writes the i in [0, count) with lo <= col[i] <= hi into sel (ascending)
-  /// and returns how many.
-  int (*first_pass)(const Value* col, int count, Value lo, Value hi,
-                    uint32_t* sel);
+  /// For the rows i < count, clears mask bit i unless lo <= codes[i] <= hi;
+  /// also clears every bit at or past `count` in the words it covers
+  /// ([0, ceil(count / 64))), and leaves later words alone. Returns the
+  /// number of bits still set in the covered words: the rows still
+  /// selected, counted here because the SIMD tiers have a hardware
+  /// popcount. Narrow widths compare unsigned codes against bounds already
+  /// translated into code space (TranslateToCodeSpace); raw values compare
+  /// signed. lo > hi matches nothing. Reads no code past `count`.
+  int (*and_mask_u8)(const uint8_t* codes, int count, uint8_t lo, uint8_t hi,
+                     uint64_t* mask);
+  int (*and_mask_u16)(const uint16_t* codes, int count, uint16_t lo,
+                      uint16_t hi, uint64_t* mask);
+  int (*and_mask_u32)(const uint32_t* codes, int count, uint32_t lo,
+                      uint32_t hi, uint64_t* mask);
+  int (*and_mask_i64)(const Value* values, int count, Value lo, Value hi,
+                      uint64_t* mask);
 
-  /// Compacts sel[0, n) in place, keeping the i with lo <= col[i] <= hi
-  /// (order preserved); returns the surviving count.
-  int (*refine_pass)(const Value* col, uint32_t* sel, int n, Value lo,
-                     Value hi);
-
-  /// Width-parameterized variants of the two predicate passes over
-  /// FOR-encoded code arrays (see encoded_column.h): same contract as
-  /// first_pass / refine_pass but the column is uint8/16/32 codes and the
-  /// bounds are unsigned, already translated into code space
-  /// (TranslateToCodeSpace) with lo <= hi. Narrower lanes pack 2-8x more
-  /// values per vector, which is the whole point of encoded execution.
-  int (*first_pass_u8)(const uint8_t* codes, int count, uint8_t lo,
-                       uint8_t hi, uint32_t* sel);
-  int (*first_pass_u16)(const uint16_t* codes, int count, uint16_t lo,
-                        uint16_t hi, uint32_t* sel);
-  int (*first_pass_u32)(const uint32_t* codes, int count, uint32_t lo,
-                        uint32_t hi, uint32_t* sel);
-  int (*refine_pass_u8)(const uint8_t* codes, uint32_t* sel, int n,
-                        uint8_t lo, uint8_t hi);
-  int (*refine_pass_u16)(const uint16_t* codes, uint32_t* sel, int n,
-                         uint16_t lo, uint16_t hi);
-  int (*refine_pass_u32)(const uint32_t* codes, uint32_t* sel, int n,
-                         uint32_t lo, uint32_t hi);
-
-  /// Aggregates col[sel[j]] over j in [0, n). min/max require n >= 1.
-  int64_t (*sum_gather)(const Value* col, const uint32_t* sel, int n);
-  Value (*min_gather)(const Value* col, const uint32_t* sel, int n);
-  Value (*max_gather)(const Value* col, const uint32_t* sel, int n);
-
-  /// Aggregates the contiguous run col[0, n). min/max require n >= 1.
-  int64_t (*sum_range)(const Value* col, int64_t n);
-  Value (*min_range)(const Value* col, int64_t n);
-  Value (*max_range)(const Value* col, int64_t n);
-
-  /// One-pass min/max/sum over col[0, n) for ZoneMaps::Build; n >= 1.
-  void (*block_stats)(const Value* col, int64_t n, Value* mn, Value* mx,
-                      int64_t* sum);
+  /// Folds codes[i] over the rows i < count whose mask bit is set; a null
+  /// mask selects every row. Bits at or past `count` must be clear.
+  CodeFold (*fold_u8)(const uint8_t* codes, int count, const uint64_t* mask);
+  CodeFold (*fold_u16)(const uint16_t* codes, int count,
+                       const uint64_t* mask);
+  CodeFold (*fold_u32)(const uint32_t* codes, int count,
+                       const uint64_t* mask);
+  CodeFold (*fold_i64)(const Value* values, int count, const uint64_t* mask);
 };
 
-/// The portable reference table (identical to the PR-1 scalar-branchless
-/// loops); always available.
+/// The portable table (SimdTier::kNone); always available.
 const SimdOps& ScalarSimdOps();
-
-/// The individual scalar reference loops behind ScalarSimdOps, exposed so
-/// per-tier tables can point at them for passes they do not accelerate
-/// (e.g. NEON's gathered passes) instead of keeping drift-prone copies.
-namespace scalar_ops {
-int FirstPass(const Value* col, int count, Value lo, Value hi, uint32_t* sel);
-int RefinePass(const Value* col, uint32_t* sel, int n, Value lo, Value hi);
-int FirstPassU8(const uint8_t* codes, int count, uint8_t lo, uint8_t hi,
-                uint32_t* sel);
-int FirstPassU16(const uint16_t* codes, int count, uint16_t lo, uint16_t hi,
-                 uint32_t* sel);
-int FirstPassU32(const uint32_t* codes, int count, uint32_t lo, uint32_t hi,
-                 uint32_t* sel);
-int RefinePassU8(const uint8_t* codes, uint32_t* sel, int n, uint8_t lo,
-                 uint8_t hi);
-int RefinePassU16(const uint16_t* codes, uint32_t* sel, int n, uint16_t lo,
-                  uint16_t hi);
-int RefinePassU32(const uint32_t* codes, uint32_t* sel, int n, uint32_t lo,
-                  uint32_t hi);
-int64_t SumGather(const Value* col, const uint32_t* sel, int n);
-Value MinGather(const Value* col, const uint32_t* sel, int n);
-Value MaxGather(const Value* col, const uint32_t* sel, int n);
-int64_t SumRange(const Value* col, int64_t n);
-Value MinRange(const Value* col, int64_t n);
-Value MaxRange(const Value* col, int64_t n);
-void BlockStats(const Value* col, int64_t n, Value* mn, Value* mx,
-                int64_t* sum);
-}  // namespace scalar_ops
 
 /// Per-tier tables; null when the tier was not compiled into this binary.
 /// Callers must additionally check CPU support (SimdTierSupported) before

@@ -1,428 +1,254 @@
-// AVX2 tier: 4 x int64 lanes on raw values, and 32/16/8 x uint8/16/32
-// lanes on FOR-encoded code blocks. Range predicates become two compares
-// (signed for values; unsigned min/max + equality for codes) whose lane
-// masks are folded to a movemask; the matching lanes' selection indices
-// are compressed with a 16-entry byte-shuffle lookup table, one 4-index
-// nibble group at a time (there is no integer compress instruction below
-// AVX-512). A zero compare mask — the common case in selective scans —
-// skips the whole emit, so the narrow passes track the smaller code
-// footprint. Selection-driven aggregation uses vpgatherqq on the 32-bit
-// selection indices. This TU is the only place compiled with -mavx2 (see
-// CMakeLists.txt); everything here is reached strictly behind the runtime
-// CPUID check in simd_dispatch.cc.
+// AVX2 tier: a 64-row mask word is built 32, 32, 8 or 4 rows at a time
+// from uint8, uint16, uint32 or int64 lanes. Range predicates become two
+// compares (signed for raw values; unsigned min/max + equality for codes,
+// since AVX2 has no unsigned compare) whose lane masks movemask into the
+// word. Folds expand the word's bits back into lane masks and fold
+// blend/and-selected lanes. AVX2 has no byte-masked loads, so the rows
+// past the last full vector of a slice go through scalar tails: no load
+// reads past the slice. This TU is the only place compiled with -mavx2
+// (see CMakeLists.txt); everything here is reached strictly behind the
+// runtime CPUID check in simd_dispatch.cc.
 #include "src/storage/scan_kernel_simd.h"
 
 #if defined(__AVX2__) && !defined(TSUNAMI_DISABLE_SIMD)
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <bit>
+#include <limits>
+
 namespace tsunami {
 
 namespace {
 
-// kCompress4[mask] is the _mm_shuffle_epi8 control that packs the uint32
-// lanes whose mask bit is set to the front, in ascending lane order. The
-// unused tail bytes are 0x80 (shuffle emits zeros there); those garbage
-// lanes land below the next write cursor — the store at sel + n ends at
-// sel[n + 3] <= sel[i + 3], inside the vector window just consumed — so
-// they are overwritten or sit past the final count, never exposed.
-#define TSUNAMI_LANE(x) 4 * (x), 4 * (x) + 1, 4 * (x) + 2, 4 * (x) + 3
-#define TSUNAMI_ZERO 0x80, 0x80, 0x80, 0x80
-alignas(16) constexpr uint8_t kCompress4[16][16] = {
-    {TSUNAMI_ZERO, TSUNAMI_ZERO, TSUNAMI_ZERO, TSUNAMI_ZERO},
-    {TSUNAMI_LANE(0), TSUNAMI_ZERO, TSUNAMI_ZERO, TSUNAMI_ZERO},
-    {TSUNAMI_LANE(1), TSUNAMI_ZERO, TSUNAMI_ZERO, TSUNAMI_ZERO},
-    {TSUNAMI_LANE(0), TSUNAMI_LANE(1), TSUNAMI_ZERO, TSUNAMI_ZERO},
-    {TSUNAMI_LANE(2), TSUNAMI_ZERO, TSUNAMI_ZERO, TSUNAMI_ZERO},
-    {TSUNAMI_LANE(0), TSUNAMI_LANE(2), TSUNAMI_ZERO, TSUNAMI_ZERO},
-    {TSUNAMI_LANE(1), TSUNAMI_LANE(2), TSUNAMI_ZERO, TSUNAMI_ZERO},
-    {TSUNAMI_LANE(0), TSUNAMI_LANE(1), TSUNAMI_LANE(2), TSUNAMI_ZERO},
-    {TSUNAMI_LANE(3), TSUNAMI_ZERO, TSUNAMI_ZERO, TSUNAMI_ZERO},
-    {TSUNAMI_LANE(0), TSUNAMI_LANE(3), TSUNAMI_ZERO, TSUNAMI_ZERO},
-    {TSUNAMI_LANE(1), TSUNAMI_LANE(3), TSUNAMI_ZERO, TSUNAMI_ZERO},
-    {TSUNAMI_LANE(0), TSUNAMI_LANE(1), TSUNAMI_LANE(3), TSUNAMI_ZERO},
-    {TSUNAMI_LANE(2), TSUNAMI_LANE(3), TSUNAMI_ZERO, TSUNAMI_ZERO},
-    {TSUNAMI_LANE(0), TSUNAMI_LANE(2), TSUNAMI_LANE(3), TSUNAMI_ZERO},
-    {TSUNAMI_LANE(1), TSUNAMI_LANE(2), TSUNAMI_LANE(3), TSUNAMI_ZERO},
-    {TSUNAMI_LANE(0), TSUNAMI_LANE(1), TSUNAMI_LANE(2), TSUNAMI_LANE(3)},
-};
-#undef TSUNAMI_LANE
-#undef TSUNAMI_ZERO
-
-inline const long long* AsLL(const Value* p) {
-  return reinterpret_cast<const long long*>(p);
+inline __m256i Load(const void* p) {
+  return _mm256_loadu_si256(static_cast<const __m256i*>(p));
 }
 
-// 4-bit mask of lanes with lo <= v <= hi (bit i = lane i).
-inline int InRangeMask(__m256i v, __m256i vlo, __m256i vhi) {
-  __m256i below = _mm256_cmpgt_epi64(vlo, v);  // v < lo
-  __m256i above = _mm256_cmpgt_epi64(v, vhi);  // v > hi
-  __m256i out = _mm256_or_si256(below, above);
-  return ~_mm256_movemask_pd(_mm256_castsi256_pd(out)) & 0xF;
-}
-
-// Lane sum modulo 2^64; unsigned, so a wrapping sum is not UB.
-inline uint64_t HorizontalSum(__m256i v) {
-  __m128i lo = _mm256_castsi256_si128(v);
-  __m128i hi = _mm256_extracti128_si256(v, 1);
-  __m128i s = _mm_add_epi64(lo, hi);
-  return static_cast<uint64_t>(_mm_cvtsi128_si64(s)) +
-         static_cast<uint64_t>(_mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s)));
-}
-
-inline Value HorizontalMin(__m256i v) {
-  alignas(32) int64_t lanes[4];
+// Reduces the lanes of `v`, read as `Lane`s, with `op`. -O3 turns the loop
+// into a log-step shuffle reduction.
+template <typename Lane, typename R, typename Op>
+R ReduceLanes(__m256i v, R init, Op op) {
+  alignas(32) Lane lanes[32 / sizeof(Lane)];
   _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), v);
-  Value m = lanes[0];
-  for (int i = 1; i < 4; ++i) m = lanes[i] < m ? lanes[i] : m;
-  return m;
+  R r = init;
+  for (Lane x : lanes) r = op(r, static_cast<R>(x));
+  return r;
 }
 
-inline Value HorizontalMax(__m256i v) {
-  alignas(32) int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), v);
-  Value m = lanes[0];
-  for (int i = 1; i < 4; ++i) m = lanes[i] > m ? lanes[i] : m;
-  return m;
-}
+// Per-width lane operations. InRange returns the mask bits of kStep rows.
+// Select widens one vector's mask bits (one per lane) into all-ones lanes:
+// the bits are broadcast, each lane keeps its own bit, and a compare
+// against that bit fills the lane. AddSum adds lanes already zeroed
+// outside the selection into the sum accumulator, whose lanes are SumLane
+// (wide enough for one block).
+template <typename T>
+struct Lanes;
 
-// a < b lanewise (signed); used to build min/max via blend.
-inline __m256i Min64(__m256i a, __m256i b) {
-  return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(a, b));
-}
-
-inline __m256i Max64(__m256i a, __m256i b) {
-  return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(b, a));
-}
-
-int Avx2FirstPass(const Value* col, int count, Value lo, Value hi,
-                  uint32_t* sel) {
-  const __m256i vlo = _mm256_set1_epi64x(lo);
-  const __m256i vhi = _mm256_set1_epi64x(hi);
-  __m128i idx = _mm_setr_epi32(0, 1, 2, 3);
-  const __m128i step = _mm_set1_epi32(4);
-  int n = 0;
-  int i = 0;
-  for (; i + 4 <= count; i += 4) {
-    __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col + i));
-    int mask = InRangeMask(v, vlo, vhi);
-    __m128i packed = _mm_shuffle_epi8(
-        idx, _mm_load_si128(reinterpret_cast<const __m128i*>(kCompress4[mask])));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(sel + n), packed);
-    n += __builtin_popcount(static_cast<unsigned>(mask));
-    idx = _mm_add_epi32(idx, step);
+template <>
+struct Lanes<uint8_t> {
+  static constexpr int kStep = 32;
+  using SumLane = uint64_t;
+  static __m256i Set1(uint8_t x) {
+    return _mm256_set1_epi8(static_cast<char>(x));
   }
-  for (; i < count; ++i) {
-    sel[n] = static_cast<uint32_t>(i);
-    n += static_cast<int>((col[i] >= lo) & (col[i] <= hi));
-  }
-  return n;
-}
-
-int Avx2RefinePass(const Value* col, uint32_t* sel, int n, Value lo,
-                   Value hi) {
-  const __m256i vlo = _mm256_set1_epi64x(lo);
-  const __m256i vhi = _mm256_set1_epi64x(hi);
-  int m = 0;
-  int j = 0;
-  // In place is safe: m <= j holds throughout, so the 16-byte store at
-  // sel + m ends at sel[m + 3] <= sel[j + 3], inside the window this
-  // iteration already loaded — never in unread territory (the scalar tail
-  // [n & ~3, n) included).
-  for (; j + 4 <= n; j += 4) {
-    __m128i idx = _mm_loadu_si128(reinterpret_cast<const __m128i*>(sel + j));
-    __m256i v = _mm256_i32gather_epi64(AsLL(col), idx, 8);
-    int mask = InRangeMask(v, vlo, vhi);
-    __m128i packed = _mm_shuffle_epi8(
-        idx, _mm_load_si128(reinterpret_cast<const __m128i*>(kCompress4[mask])));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(sel + m), packed);
-    m += __builtin_popcount(static_cast<unsigned>(mask));
-  }
-  for (; j < n; ++j) {
-    uint32_t i = sel[j];
-    sel[m] = i;
-    m += static_cast<int>((col[i] >= lo) & (col[i] <= hi));
-  }
-  return m;
-}
-
-// Emits the selection indices for a `bits`-wide compare mask (bit k = code
-// base + k matches) through the 4-index shuffle LUT, nibble by nibble.
-// Every group emits unconditionally: a per-nibble skip branch mispredicts
-// badly at the 3-30% selectivities real refine chains produce, while the
-// unconditional shuffle+store is a handful of cheap ops (callers still
-// skip whole all-zero masks, which covers the highly selective case). The
-// 16-byte store at sel + n is bounded by the same argument as the 64-bit
-// passes: n <= base before the group, so the store ends inside the vector
-// window just consumed.
-inline int EmitMaskLut(uint32_t mask, int bits, int base, uint32_t* sel,
-                       int n) {
-  const __m128i iota = _mm_setr_epi32(0, 1, 2, 3);
-  for (int g = 0; g < bits / 4; ++g, mask >>= 4) {
-    const uint32_t nib = mask & 0xF;
-    __m128i idx = _mm_add_epi32(_mm_set1_epi32(base + 4 * g), iota);
-    __m128i packed = _mm_shuffle_epi8(
-        idx, _mm_load_si128(reinterpret_cast<const __m128i*>(kCompress4[nib])));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(sel + n), packed);
-    n += __builtin_popcount(nib);
-  }
-  return n;
-}
-
-int Avx2FirstPassU8(const uint8_t* codes, int count, uint8_t lo, uint8_t hi,
-                    uint32_t* sel) {
-  const __m256i vlo = _mm256_set1_epi8(static_cast<char>(lo));
-  const __m256i vhi = _mm256_set1_epi8(static_cast<char>(hi));
-  int n = 0;
-  int i = 0;
-  for (; i + 32 <= count; i += 32) {
-    __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes + i));
-    // Unsigned range check: c >= lo <=> max(c, lo) == c, c <= hi <=>
-    // min(c, hi) == c (AVX2 has no unsigned compare, but has epu8 min/max).
-    __m256i ge = _mm256_cmpeq_epi8(_mm256_max_epu8(v, vlo), v);
-    __m256i le = _mm256_cmpeq_epi8(_mm256_min_epu8(v, vhi), v);
-    uint32_t mask = static_cast<uint32_t>(
+  // Unsigned range check: c >= lo <=> max(c, lo) == c, c <= hi <=>
+  // min(c, hi) == c.
+  static uint32_t InRange(const uint8_t* p, __m256i lo, __m256i hi) {
+    const __m256i v = Load(p);
+    const __m256i ge = _mm256_cmpeq_epi8(_mm256_max_epu8(v, lo), v);
+    const __m256i le = _mm256_cmpeq_epi8(_mm256_min_epu8(v, hi), v);
+    return static_cast<uint32_t>(
         _mm256_movemask_epi8(_mm256_and_si256(ge, le)));
-    if (mask == 0) continue;
-    n = EmitMaskLut(mask, 32, i, sel, n);
   }
-  for (; i < count; ++i) {
-    sel[n] = static_cast<uint32_t>(i);
-    n += static_cast<int>((codes[i] >= lo) & (codes[i] <= hi));
+  // Byte j of the broadcast bits carries rows 8j..8j+7; lane k takes byte
+  // k / 8 and keeps bit k % 8.
+  static __m256i Select(uint32_t bits) {
+    const __m256i spread = _mm256_shuffle_epi8(
+        _mm256_set1_epi32(static_cast<int>(bits)),
+        _mm256_setr_epi8(0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2,
+                         2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3));
+    const __m256i lane_bit = _mm256_set1_epi64x(0x8040201008040201);
+    return _mm256_cmpeq_epi8(_mm256_and_si256(spread, lane_bit), lane_bit);
   }
-  return n;
-}
+  static __m256i Min(__m256i a, __m256i b) { return _mm256_min_epu8(a, b); }
+  static __m256i Max(__m256i a, __m256i b) { return _mm256_max_epu8(a, b); }
+  static __m256i AddSum(__m256i acc, __m256i v) {
+    return _mm256_add_epi64(acc, _mm256_sad_epu8(v, _mm256_setzero_si256()));
+  }
+};
 
-int Avx2FirstPassU16(const uint16_t* codes, int count, uint16_t lo,
-                     uint16_t hi, uint32_t* sel) {
-  const __m256i vlo = _mm256_set1_epi16(static_cast<short>(lo));
-  const __m256i vhi = _mm256_set1_epi16(static_cast<short>(hi));
-  int n = 0;
-  int i = 0;
-  for (; i + 16 <= count; i += 16) {
-    __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes + i));
-    __m256i ge = _mm256_cmpeq_epi16(_mm256_max_epu16(v, vlo), v);
-    __m256i le = _mm256_cmpeq_epi16(_mm256_min_epu16(v, vhi), v);
-    __m256i ok = _mm256_and_si256(ge, le);
-    // One bit per 16-bit lane: saturate each lane to a byte (0xFFFF -> 0xFF,
-    // 0 -> 0) and movemask. vpacksswb interleaves 128-bit halves, so lanes
-    // 0-7 land in mask bits 0-7 and lanes 8-15 in bits 16-23.
-    uint32_t m = static_cast<uint32_t>(_mm256_movemask_epi8(
-        _mm256_packs_epi16(ok, _mm256_setzero_si256())));
-    uint32_t mask = (m & 0xFFu) | ((m >> 8) & 0xFF00u);
-    if (mask == 0) continue;
-    n = EmitMaskLut(mask, 16, i, sel, n);
+template <>
+struct Lanes<uint16_t> {
+  static constexpr int kStep = 32;
+  using SumLane = uint32_t;
+  static __m256i Set1(uint16_t x) {
+    return _mm256_set1_epi16(static_cast<short>(x));
   }
-  for (; i < count; ++i) {
-    sel[n] = static_cast<uint32_t>(i);
-    n += static_cast<int>((codes[i] >= lo) & (codes[i] <= hi));
+  static __m256i Ok(const uint16_t* p, __m256i lo, __m256i hi) {
+    const __m256i v = Load(p);
+    const __m256i ge = _mm256_cmpeq_epi16(_mm256_max_epu16(v, lo), v);
+    const __m256i le = _mm256_cmpeq_epi16(_mm256_min_epu16(v, hi), v);
+    return _mm256_and_si256(ge, le);
   }
-  return n;
-}
+  // Two vectors: vpacksswb narrows each 16-bit lane to a byte, per 128-bit
+  // half ([a0-7 b0-7 | a8-15 b8-15]); vpermq restores row order.
+  static uint32_t InRange(const uint16_t* p, __m256i lo, __m256i hi) {
+    const __m256i packed =
+        _mm256_packs_epi16(Ok(p, lo, hi), Ok(p + 16, lo, hi));
+    return static_cast<uint32_t>(_mm256_movemask_epi8(
+        _mm256_permute4x64_epi64(packed, _MM_SHUFFLE(3, 1, 2, 0))));
+  }
+  static __m256i Select(uint32_t bits) {
+    const __m256i lane_bit = _mm256_setr_epi16(
+        1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384,
+        static_cast<short>(0x8000));
+    return _mm256_cmpeq_epi16(
+        _mm256_and_si256(_mm256_set1_epi16(static_cast<short>(bits)),
+                         lane_bit),
+        lane_bit);
+  }
+  static __m256i Min(__m256i a, __m256i b) { return _mm256_min_epu16(a, b); }
+  static __m256i Max(__m256i a, __m256i b) { return _mm256_max_epu16(a, b); }
+  // Both uint16 halves of each uint32 lane, added into that lane: a block
+  // adds at most 128 codes, < 2^23, per lane.
+  static __m256i AddSum(__m256i acc, __m256i v) {
+    const __m256i lo = _mm256_and_si256(v, _mm256_set1_epi32(0xFFFF));
+    return _mm256_add_epi32(acc,
+                            _mm256_add_epi32(lo, _mm256_srli_epi32(v, 16)));
+  }
+};
 
-// 8 x uint32 lanes: compare mask via the sign-bit movemask after the same
-// unsigned min/max trick.
-inline uint32_t InRangeMaskU32(__m256i v, __m256i vlo, __m256i vhi) {
-  __m256i ge = _mm256_cmpeq_epi32(_mm256_max_epu32(v, vlo), v);
-  __m256i le = _mm256_cmpeq_epi32(_mm256_min_epu32(v, vhi), v);
-  return static_cast<uint32_t>(
-      _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_and_si256(ge, le))));
-}
+template <>
+struct Lanes<uint32_t> {
+  static constexpr int kStep = 8;
+  using SumLane = uint64_t;
+  static __m256i Set1(uint32_t x) {
+    return _mm256_set1_epi32(static_cast<int>(x));
+  }
+  static uint32_t InRange(const uint32_t* p, __m256i lo, __m256i hi) {
+    const __m256i v = Load(p);
+    const __m256i ge = _mm256_cmpeq_epi32(_mm256_max_epu32(v, lo), v);
+    const __m256i le = _mm256_cmpeq_epi32(_mm256_min_epu32(v, hi), v);
+    return static_cast<uint32_t>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_and_si256(ge, le))));
+  }
+  static __m256i Select(uint32_t bits) {
+    const __m256i lane_bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    return _mm256_cmpeq_epi32(
+        _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(bits)), lane_bit),
+        lane_bit);
+  }
+  static __m256i Min(__m256i a, __m256i b) { return _mm256_min_epu32(a, b); }
+  static __m256i Max(__m256i a, __m256i b) { return _mm256_max_epu32(a, b); }
+  // Both uint32 halves of each uint64 lane, added into that lane.
+  static __m256i AddSum(__m256i acc, __m256i v) {
+    const __m256i lo = _mm256_and_si256(v, _mm256_set1_epi64x(0xFFFFFFFF));
+    return _mm256_add_epi64(acc,
+                            _mm256_add_epi64(lo, _mm256_srli_epi64(v, 32)));
+  }
+};
 
-int Avx2FirstPassU32(const uint32_t* codes, int count, uint32_t lo,
-                     uint32_t hi, uint32_t* sel) {
-  const __m256i vlo = _mm256_set1_epi32(static_cast<int>(lo));
-  const __m256i vhi = _mm256_set1_epi32(static_cast<int>(hi));
-  int n = 0;
-  int i = 0;
-  for (; i + 8 <= count; i += 8) {
-    __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes + i));
-    uint32_t mask = InRangeMaskU32(v, vlo, vhi);
-    if (mask == 0) continue;
-    n = EmitMaskLut(mask, 8, i, sel, n);
+template <>
+struct Lanes<Value> {
+  static constexpr int kStep = 4;
+  using SumLane = uint64_t;
+  static __m256i Set1(Value x) { return _mm256_set1_epi64x(x); }
+  static uint32_t InRange(const Value* p, __m256i lo, __m256i hi) {
+    const __m256i v = Load(p);
+    const __m256i out = _mm256_or_si256(_mm256_cmpgt_epi64(lo, v),   // v < lo
+                                        _mm256_cmpgt_epi64(v, hi));  // v > hi
+    return ~static_cast<uint32_t>(
+               _mm256_movemask_pd(_mm256_castsi256_pd(out))) &
+           0xF;
   }
-  for (; i < count; ++i) {
-    sel[n] = static_cast<uint32_t>(i);
-    n += static_cast<int>((codes[i] >= lo) & (codes[i] <= hi));
+  static __m256i Select(uint32_t bits) {
+    const __m256i lane_bit = _mm256_setr_epi64x(1, 2, 4, 8);
+    return _mm256_cmpeq_epi64(
+        _mm256_and_si256(_mm256_set1_epi64x(bits), lane_bit), lane_bit);
   }
-  return n;
-}
+  static __m256i Min(__m256i a, __m256i b) {
+    return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(a, b));
+  }
+  static __m256i Max(__m256i a, __m256i b) {
+    return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(b, a));
+  }
+  static __m256i AddSum(__m256i acc, __m256i v) {
+    return _mm256_add_epi64(acc, v);
+  }
+};
 
-// 32-bit codes have vpgatherdd, so the refine pass stays lane-parallel;
-// 8/16-bit refines fall back to the shared scalar loops (no hardware
-// gather at those widths, and survivor counts are small).
-int Avx2RefinePassU32(const uint32_t* codes, uint32_t* sel, int n,
-                      uint32_t lo, uint32_t hi) {
-  const __m256i vlo = _mm256_set1_epi32(static_cast<int>(lo));
-  const __m256i vhi = _mm256_set1_epi32(static_cast<int>(hi));
-  int m = 0;
-  int j = 0;
-  // In place is safe: m <= j throughout, so both nibble-group stores at
-  // sel + m end inside the window this iteration already loaded.
-  for (; j + 8 <= n; j += 8) {
-    __m256i idx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(sel + j));
-    __m256i v = _mm256_i32gather_epi32(reinterpret_cast<const int*>(codes),
-                                       idx, 4);
-    uint32_t mask = InRangeMaskU32(v, vlo, vhi);
-    __m128i lo_idx = _mm256_castsi256_si128(idx);
-    __m128i hi_idx = _mm256_extracti128_si256(idx, 1);
-    __m128i packed_lo = _mm_shuffle_epi8(
-        lo_idx, _mm_load_si128(
-                    reinterpret_cast<const __m128i*>(kCompress4[mask & 0xF])));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(sel + m), packed_lo);
-    m += __builtin_popcount(mask & 0xF);
-    __m128i packed_hi = _mm_shuffle_epi8(
-        hi_idx, _mm_load_si128(
-                    reinterpret_cast<const __m128i*>(kCompress4[mask >> 4])));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(sel + m), packed_hi);
-    m += __builtin_popcount(mask >> 4);
-  }
-  for (; j < n; ++j) {
-    uint32_t i = sel[j];
-    sel[m] = i;
-    m += static_cast<int>((codes[i] >= lo) & (codes[i] <= hi));
-  }
-  return m;
-}
-
-int64_t Avx2SumGather(const Value* col, const uint32_t* sel, int n) {
-  __m256i acc = _mm256_setzero_si256();
-  int j = 0;
-  for (; j + 4 <= n; j += 4) {
-    __m128i idx = _mm_loadu_si128(reinterpret_cast<const __m128i*>(sel + j));
-    acc = _mm256_add_epi64(acc, _mm256_i32gather_epi64(AsLL(col), idx, 8));
-  }
-  uint64_t s = HorizontalSum(acc);
-  for (; j < n; ++j) s += static_cast<uint64_t>(col[sel[j]]);
-  return static_cast<int64_t>(s);
-}
-
-Value Avx2MinGather(const Value* col, const uint32_t* sel, int n) {
-  Value m = col[sel[0]];
-  int j = 0;
-  if (n >= 4) {
-    __m256i acc = _mm256_set1_epi64x(m);
-    for (; j + 4 <= n; j += 4) {
-      __m128i idx = _mm_loadu_si128(reinterpret_cast<const __m128i*>(sel + j));
-      acc = Min64(acc, _mm256_i32gather_epi64(AsLL(col), idx, 8));
+template <typename T>
+int AndMask(const T* codes, int count, T lo, T hi, uint64_t* mask) {
+  using L = Lanes<T>;
+  const __m256i vlo = L::Set1(lo);
+  const __m256i vhi = L::Set1(hi);
+  int selected = 0;
+  for (int base = 0; base < count; base += 64) {
+    uint64_t& word = mask[base / 64];
+    if (word == 0) continue;  // No row here can match again.
+    const T* c = codes + base;
+    const int rows = std::min(64, count - base);
+    uint64_t bits = 0;
+    int k = 0;
+    for (; k + L::kStep <= rows; k += L::kStep) {
+      bits |= static_cast<uint64_t>(L::InRange(c + k, vlo, vhi)) << k;
     }
-    m = HorizontalMin(acc);
-  }
-  for (; j < n; ++j) {
-    Value v = col[sel[j]];
-    m = v < m ? v : m;
-  }
-  return m;
-}
-
-Value Avx2MaxGather(const Value* col, const uint32_t* sel, int n) {
-  Value m = col[sel[0]];
-  int j = 0;
-  if (n >= 4) {
-    __m256i acc = _mm256_set1_epi64x(m);
-    for (; j + 4 <= n; j += 4) {
-      __m128i idx = _mm_loadu_si128(reinterpret_cast<const __m128i*>(sel + j));
-      acc = Max64(acc, _mm256_i32gather_epi64(AsLL(col), idx, 8));
+    for (; k < rows; ++k) {
+      bits |= static_cast<uint64_t>((c[k] >= lo) & (c[k] <= hi)) << k;
     }
-    m = HorizontalMax(acc);
+    word &= bits;
+    selected += std::popcount(word);
   }
-  for (; j < n; ++j) {
-    Value v = col[sel[j]];
-    m = v > m ? v : m;
-  }
-  return m;
+  return selected;
 }
 
-int64_t Avx2SumRange(const Value* col, int64_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  int64_t r = 0;
-  for (; r + 4 <= n; r += 4) {
-    acc = _mm256_add_epi64(
-        acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col + r)));
-  }
-  uint64_t s = HorizontalSum(acc);
-  for (; r < n; ++r) s += static_cast<uint64_t>(col[r]);
-  return static_cast<int64_t>(s);
-}
-
-Value Avx2MinRange(const Value* col, int64_t n) {
-  Value m = col[0];
-  int64_t r = 0;
-  if (n >= 4) {
-    __m256i acc = _mm256_set1_epi64x(m);
-    for (; r + 4 <= n; r += 4) {
-      acc = Min64(acc,
-                  _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col + r)));
+template <typename T>
+CodeFold Fold(const T* codes, int count, const uint64_t* mask) {
+  using L = Lanes<T>;
+  constexpr int kLanes = 32 / static_cast<int>(sizeof(T));
+  __m256i sum = _mm256_setzero_si256();
+  __m256i mn = L::Set1(std::numeric_limits<T>::max());
+  __m256i mx = L::Set1(std::numeric_limits<T>::min());
+  uint64_t tail_sum = 0;
+  T tail_mn = std::numeric_limits<T>::max();
+  T tail_mx = std::numeric_limits<T>::min();
+  for (int base = 0; base < count; base += 64) {
+    const T* c = codes + base;
+    const int rows = std::min(64, count - base);
+    const uint64_t bits = mask == nullptr ? LowBits(rows) : mask[base / 64];
+    if (bits == 0) continue;
+    // No per-vector skip: at middling selectivities an empty vector is a
+    // coin flip, and an empty lane mask folds nothing anyway.
+    int k = 0;
+    for (; k + kLanes <= rows; k += kLanes) {
+      const __m256i sel = L::Select(static_cast<uint32_t>(bits >> k) &
+                                    static_cast<uint32_t>(LowBits(kLanes)));
+      const __m256i v = Load(c + k);
+      sum = L::AddSum(sum, _mm256_and_si256(v, sel));
+      mn = _mm256_blendv_epi8(mn, L::Min(mn, v), sel);
+      mx = _mm256_blendv_epi8(mx, L::Max(mx, v), sel);
     }
-    m = HorizontalMin(acc);
-  }
-  for (; r < n; ++r) m = col[r] < m ? col[r] : m;
-  return m;
-}
-
-Value Avx2MaxRange(const Value* col, int64_t n) {
-  Value m = col[0];
-  int64_t r = 0;
-  if (n >= 4) {
-    __m256i acc = _mm256_set1_epi64x(m);
-    for (; r + 4 <= n; r += 4) {
-      acc = Max64(acc,
-                  _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col + r)));
+    for (; k < rows; ++k) {
+      if (((bits >> k) & 1) == 0) continue;
+      tail_sum += static_cast<uint64_t>(c[k]);
+      tail_mn = std::min(tail_mn, c[k]);
+      tail_mx = std::max(tail_mx, c[k]);
     }
-    m = HorizontalMax(acc);
   }
-  for (; r < n; ++r) m = col[r] > m ? col[r] : m;
-  return m;
-}
-
-void Avx2BlockStats(const Value* col, int64_t n, Value* mn, Value* mx,
-                    int64_t* sum) {
-  Value lo = col[0], hi = col[0];
-  uint64_t s = 0;
-  int64_t r = 0;
-  if (n >= 4) {
-    __m256i vmin = _mm256_set1_epi64x(lo);
-    __m256i vmax = vmin;
-    __m256i vsum = _mm256_setzero_si256();
-    for (; r + 4 <= n; r += 4) {
-      __m256i v =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col + r));
-      vmin = Min64(vmin, v);
-      vmax = Max64(vmax, v);
-      vsum = _mm256_add_epi64(vsum, v);
-    }
-    lo = HorizontalMin(vmin);
-    hi = HorizontalMax(vmax);
-    s = HorizontalSum(vsum);
-  }
-  for (; r < n; ++r) {
-    Value v = col[r];
-    lo = v < lo ? v : lo;
-    hi = v > hi ? v : hi;
-    s += static_cast<uint64_t>(v);
-  }
-  *mn = lo;
-  *mx = hi;
-  *sum = static_cast<int64_t>(s);
+  return {ReduceLanes<typename L::SumLane>(
+              sum, tail_sum, [](uint64_t a, uint64_t b) { return a + b; }),
+          ReduceLanes<T>(mn, int64_t{tail_mn},
+                         [](int64_t a, int64_t b) { return b < a ? b : a; }),
+          ReduceLanes<T>(mx, int64_t{tail_mx},
+                         [](int64_t a, int64_t b) { return b > a ? b : a; })};
 }
 
 constexpr SimdOps kAvx2Ops = {
-    "avx2",
-    Avx2FirstPass,
-    Avx2RefinePass,
-    Avx2FirstPassU8,
-    Avx2FirstPassU16,
-    Avx2FirstPassU32,
-    scalar_ops::RefinePassU8,
-    scalar_ops::RefinePassU16,
-    Avx2RefinePassU32,
-    Avx2SumGather,
-    Avx2MinGather,
-    Avx2MaxGather,
-    Avx2SumRange,
-    Avx2MinRange,
-    Avx2MaxRange,
-    Avx2BlockStats,
+    "avx2",         AndMask<uint8_t>, AndMask<uint16_t>, AndMask<uint32_t>,
+    AndMask<Value>, Fold<uint8_t>,    Fold<uint16_t>,    Fold<uint32_t>,
+    Fold<Value>,
 };
 
 }  // namespace

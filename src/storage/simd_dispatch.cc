@@ -1,173 +1,108 @@
 #include "src/storage/simd_dispatch.h"
 
+#include <bit>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 
 #include "src/storage/scan_kernel_simd.h"
 
 namespace tsunami {
 
-// ---- Portable scalar-branchless reference ops (the PR-1 loops) -----------
-namespace scalar_ops {
-
-int FirstPass(const Value* col, int count, Value lo, Value hi,
-              uint32_t* sel) {
-  int n = 0;
-  for (int i = 0; i < count; ++i) {
-    sel[n] = static_cast<uint32_t>(i);
-    n += static_cast<int>((col[i] >= lo) & (col[i] <= hi));
-  }
-  return n;
-}
-
-int RefinePass(const Value* col, uint32_t* sel, int n, Value lo, Value hi) {
-  int m = 0;
-  for (int j = 0; j < n; ++j) {
-    uint32_t i = sel[j];
-    sel[m] = i;
-    m += static_cast<int>((col[i] >= lo) & (col[i] <= hi));
-  }
-  return m;
-}
-
-// Width-parameterized predicate passes over FOR codes: the same branchless
-// store-and-advance loops as FirstPass/RefinePass, instantiated per code
-// width. Bounds arrive pre-translated into code space (see
-// TranslateToCodeSpace), so the comparisons are plain unsigned.
+// ---- Portable loops (SimdTier::kNone) ------------------------------------
 namespace {
 
+static_assert(std::endian::native == std::endian::little,
+              "PackFlags reads eight flag bytes as one little-endian word");
+
+// The 64-bit mask word of 64 flag bytes (each 0 or 1): bit k = flags[k].
+// Eight flags pack per multiply: byte k of x lands on bit 56 + k of
+// x * 0x0102040810204080, and no partial product carries across bytes.
+inline uint64_t PackFlags(const uint8_t* flags) {
+  uint64_t bits = 0;
+  for (int g = 0; g < 8; ++g) {
+    uint64_t x;
+    std::memcpy(&x, flags + 8 * g, sizeof(x));
+    bits |= ((x * 0x0102040810204080ull) >> 56) << (8 * g);
+  }
+  return bits;
+}
+
+// Set bits of `x`. The portable TU has no popcount instruction, and
+// std::popcount would call into libgcc once per mask word.
+inline int Popcount(uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ull;
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+  return static_cast<int>((x * 0x0101010101010101ull) >> 56);
+}
+
+// One width's and_mask: compares into a 64-byte flag array (a loop -O3
+// vectorizes), then packs the flags into the mask word. Words already zero
+// are skipped: no row there can match again.
 template <typename T>
-int FirstPassCodes(const T* codes, int count, T lo, T hi, uint32_t* sel) {
-  int n = 0;
-  for (int i = 0; i < count; ++i) {
-    sel[n] = static_cast<uint32_t>(i);
-    n += static_cast<int>((codes[i] >= lo) & (codes[i] <= hi));
+int AndMask(const T* codes, int count, T lo, T hi, uint64_t* mask) {
+  int selected = 0;
+  for (int base = 0; base < count; base += 64) {
+    uint64_t& word = mask[base / 64];
+    if (word == 0) continue;
+    const T* c = codes + base;
+    alignas(8) uint8_t flags[64];
+    if (count - base >= 64) {
+      for (int k = 0; k < 64; ++k) flags[k] = (c[k] >= lo) & (c[k] <= hi);
+    } else {
+      const int rows = count - base;
+      for (int k = 0; k < 64; ++k) {
+        flags[k] = k < rows && c[k] >= lo && c[k] <= hi;
+      }
+    }
+    word &= PackFlags(flags);
+    selected += Popcount(word);
   }
-  return n;
+  return selected;
 }
 
+// Folds the straight run c[0, n) into (sum, mn, mx); -O3 vectorizes it.
 template <typename T>
-int RefinePassCodes(const T* codes, uint32_t* sel, int n, T lo, T hi) {
-  int m = 0;
-  for (int j = 0; j < n; ++j) {
-    uint32_t i = sel[j];
-    sel[m] = i;
-    m += static_cast<int>((codes[i] >= lo) & (codes[i] <= hi));
+inline void FoldRun(const T* c, int n, uint64_t& sum, T& mn, T& mx) {
+  for (int k = 0; k < n; ++k) {
+    sum += static_cast<uint64_t>(c[k]);
+    mn = c[k] < mn ? c[k] : mn;
+    mx = c[k] > mx ? c[k] : mx;
   }
-  return m;
 }
 
-}  // namespace
-
-int FirstPassU8(const uint8_t* codes, int count, uint8_t lo, uint8_t hi,
-                uint32_t* sel) {
-  return FirstPassCodes(codes, count, lo, hi, sel);
-}
-
-int FirstPassU16(const uint16_t* codes, int count, uint16_t lo, uint16_t hi,
-                 uint32_t* sel) {
-  return FirstPassCodes(codes, count, lo, hi, sel);
-}
-
-int FirstPassU32(const uint32_t* codes, int count, uint32_t lo, uint32_t hi,
-                 uint32_t* sel) {
-  return FirstPassCodes(codes, count, lo, hi, sel);
-}
-
-int RefinePassU8(const uint8_t* codes, uint32_t* sel, int n, uint8_t lo,
-                 uint8_t hi) {
-  return RefinePassCodes(codes, sel, n, lo, hi);
-}
-
-int RefinePassU16(const uint16_t* codes, uint32_t* sel, int n, uint16_t lo,
-                  uint16_t hi) {
-  return RefinePassCodes(codes, sel, n, lo, hi);
-}
-
-int RefinePassU32(const uint32_t* codes, uint32_t* sel, int n, uint32_t lo,
-                  uint32_t hi) {
-  return RefinePassCodes(codes, sel, n, lo, hi);
-}
-
-// Sums accumulate in uint64: int64 addition modulo 2^64, without the UB of
-// signed overflow.
-int64_t SumGather(const Value* col, const uint32_t* sel, int n) {
-  uint64_t s = 0;
-  for (int j = 0; j < n; ++j) s += static_cast<uint64_t>(col[sel[j]]);
-  return static_cast<int64_t>(s);
-}
-
-Value MinGather(const Value* col, const uint32_t* sel, int n) {
-  Value m = col[sel[0]];
-  for (int j = 1; j < n; ++j) {
-    Value v = col[sel[j]];
-    m = v < m ? v : m;
+// One width's fold: a straight loop over every row, or a walk over the
+// mask's set bits in which a full word takes the straight loop.
+template <typename T>
+CodeFold Fold(const T* codes, int count, const uint64_t* mask) {
+  uint64_t sum = 0;
+  T mn = std::numeric_limits<T>::max();
+  T mx = std::numeric_limits<T>::min();
+  if (mask == nullptr) {
+    FoldRun(codes, count, sum, mn, mx);
+  } else {
+    for (int base = 0; base < count; base += 64) {
+      const uint64_t bits = mask[base / 64];
+      if (bits == ~uint64_t{0}) {  // Bits past `count` are clear.
+        FoldRun(codes + base, 64, sum, mn, mx);
+        continue;
+      }
+      for (uint64_t m = bits; m != 0; m &= m - 1) {
+        const T c = codes[base + std::countr_zero(m)];
+        sum += static_cast<uint64_t>(c);
+        mn = c < mn ? c : mn;
+        mx = c > mx ? c : mx;
+      }
+    }
   }
-  return m;
+  return {sum, static_cast<int64_t>(mn), static_cast<int64_t>(mx)};
 }
-
-Value MaxGather(const Value* col, const uint32_t* sel, int n) {
-  Value m = col[sel[0]];
-  for (int j = 1; j < n; ++j) {
-    Value v = col[sel[j]];
-    m = v > m ? v : m;
-  }
-  return m;
-}
-
-int64_t SumRange(const Value* col, int64_t n) {
-  uint64_t s = 0;
-  for (int64_t r = 0; r < n; ++r) s += static_cast<uint64_t>(col[r]);
-  return static_cast<int64_t>(s);
-}
-
-Value MinRange(const Value* col, int64_t n) {
-  Value m = col[0];
-  for (int64_t r = 1; r < n; ++r) m = col[r] < m ? col[r] : m;
-  return m;
-}
-
-Value MaxRange(const Value* col, int64_t n) {
-  Value m = col[0];
-  for (int64_t r = 1; r < n; ++r) m = col[r] > m ? col[r] : m;
-  return m;
-}
-
-void BlockStats(const Value* col, int64_t n, Value* mn, Value* mx,
-                int64_t* sum) {
-  Value lo = col[0], hi = col[0];
-  uint64_t s = 0;
-  for (int64_t r = 0; r < n; ++r) {
-    Value v = col[r];
-    lo = v < lo ? v : lo;
-    hi = v > hi ? v : hi;
-    s += static_cast<uint64_t>(v);
-  }
-  *mn = lo;
-  *mx = hi;
-  *sum = static_cast<int64_t>(s);
-}
-
-}  // namespace scalar_ops
-
-namespace {
 
 constexpr SimdOps kScalarOps = {
-    "scalar",
-    scalar_ops::FirstPass,
-    scalar_ops::RefinePass,
-    scalar_ops::FirstPassU8,
-    scalar_ops::FirstPassU16,
-    scalar_ops::FirstPassU32,
-    scalar_ops::RefinePassU8,
-    scalar_ops::RefinePassU16,
-    scalar_ops::RefinePassU32,
-    scalar_ops::SumGather,
-    scalar_ops::MinGather,
-    scalar_ops::MaxGather,
-    scalar_ops::SumRange,
-    scalar_ops::MinRange,
-    scalar_ops::MaxRange,
-    scalar_ops::BlockStats,
+    "scalar",       AndMask<uint8_t>, AndMask<uint16_t>, AndMask<uint32_t>,
+    AndMask<Value>, Fold<uint8_t>,    Fold<uint16_t>,    Fold<uint32_t>,
+    Fold<Value>,
 };
 
 }  // namespace

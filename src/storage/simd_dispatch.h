@@ -16,10 +16,10 @@ struct SimdOps;
 /// preference. kAuto resolves to the best runtime-supported tier.
 enum class SimdTier {
   kAuto,    // Resolve to DetectSimdTier() at the call site.
-  kNone,    // Portable scalar-branchless loops (the PR-1 kernel).
-  kNeon,    // 128-bit ARM NEON: 2 x int64 lanes.
-  kAvx2,    // 256-bit x86: 4 x int64 lanes, movemask + shuffle compress.
-  kAvx512,  // 512-bit x86: 8 x int64 lanes, native mask compress-store.
+  kNone,    // Portable loops: flag-array compares, set-bit folds.
+  kNeon,    // ARM NEON: the portable loops, compiled for AArch64.
+  kAvx2,    // 256-bit x86: movemask into the row mask, lane-mask folds.
+  kAvx512,  // 512-bit x86: compares into mask registers, masked folds.
 };
 
 const char* SimdTierName(SimdTier tier);

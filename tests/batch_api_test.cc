@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -455,6 +456,16 @@ TEST_F(BatchApiTest, CalibrationAcceptsForcedTier) {
   ctx.scan = ScanOptions{SimdTier::kNone};
   CostWeights forced = CalibrateCostWeights(ctx);
   EXPECT_GT(forced.w1, 0.0);
+  // Every per-point term the probe measured is positive and finite; the
+  // per-width terms are measured only when narrowing is on (else 0, and
+  // ScanCostForSpan falls back to w1).
+  for (const CostWeights& w : {simd, scalar, forced}) {
+    for (double term : {w.w1, w.w1_u8, w.w1_u16, w.w1_u32}) {
+      if (term == 0.0 && !EncodingEnabledByDefault()) continue;
+      EXPECT_GT(term, 0.0);
+      EXPECT_TRUE(std::isfinite(term));
+    }
+  }
 }
 
 }  // namespace

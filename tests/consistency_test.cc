@@ -1,7 +1,10 @@
 // Cross-index consistency: every index in the library — learned and
 // non-learned, including the related-work baselines — must return identical
 // answers to a full scan on the same randomized data and queries, for every
-// aggregate kind. This is the library's strongest end-to-end invariant.
+// aggregate kind. This is the library's strongest end-to-end invariant. The
+// full scan runs the same block kernel as every index, so it is itself
+// checked against the row-at-a-time oracle (tests/scan_oracle.h), which
+// shares none of the kernel's code.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -22,6 +25,7 @@
 #include "src/core/tsunami.h"
 #include "src/flood/flood.h"
 #include "src/secondary/secondary_index.h"
+#include "tests/scan_oracle.h"
 
 namespace tsunami {
 namespace {
@@ -162,11 +166,18 @@ TEST_P(ConsistencyTest, AllIndexesAgreeWithFullScanOnAllAggregates) {
   }
 
   for (Query q : probes) {
-    for (AggKind agg :
-         {AggKind::kCount, AggKind::kSum, AggKind::kMin, AggKind::kMax}) {
+    for (AggKind agg : {AggKind::kCount, AggKind::kSum, AggKind::kMin,
+                        AggKind::kMax, AggKind::kAvg}) {
       q.agg = agg;
       q.agg_dim = 2;
       QueryResult want = ExecuteFullScan(reference, q);
+      QueryResult oracle = InitResult(q);
+      OracleScan(reference, 0, reference.size(), q, /*exact=*/false, &oracle);
+      ASSERT_EQ(want.agg, oracle.agg)
+          << "full scan disagrees with the row-at-a-time oracle (agg kind "
+          << static_cast<int>(agg) << ")";
+      ASSERT_EQ(want.matched, oracle.matched);
+      ASSERT_EQ(want.scanned, oracle.scanned);
       for (const auto& index : indexes) {
         QueryResult got = index->Execute(q);
         ASSERT_EQ(got.agg, want.agg)

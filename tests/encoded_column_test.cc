@@ -13,7 +13,6 @@
 #include "src/storage/column_store.h"
 #include "src/storage/encoded_column.h"
 #include "src/storage/scan_kernel.h"
-#include "src/storage/scan_kernel_simd.h"
 #include "src/storage/simd_dispatch.h"
 #include "tests/scan_oracle.h"
 
@@ -227,72 +226,6 @@ TEST(EncodedColumnTest, SerializeRoundTrip) {
       std::string_view(writer.buffer().data(), writer.buffer().size() / 2));
   EncodedColumn corrupt;
   EXPECT_FALSE(corrupt.Deserialize(&truncated));
-}
-
-// --- Ops-table-level: narrow passes vs the scalar reference ----------------
-
-template <typename T>
-void CheckNarrowPasses(int (*first)(const T*, int, T, T, uint32_t*),
-                       int (*first_ref)(const T*, int, T, T, uint32_t*),
-                       int (*refine)(const T*, uint32_t*, int, T, T),
-                       int (*refine_ref)(const T*, uint32_t*, int, T, T),
-                       uint64_t wmax, Rng* rng) {
-  for (int n : {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64,
-                65, 100, 1024}) {
-    std::vector<T> codes(n);
-    for (T& c : codes) {
-      c = static_cast<T>(rng->NextBelow(
-          static_cast<int64_t>(std::min<uint64_t>(wmax, 1 << 12)) + 1));
-    }
-    const std::pair<uint64_t, uint64_t> bounds[] = {
-        {0, wmax},          // Full domain.
-        {0, 0},             // Equality at the frame of reference.
-        {1, wmax / 2 + 1},  // Interior.
-        {wmax, wmax},       // Equality at the top code.
-        {3, 200},           // Small range.
-    };
-    for (auto [blo, bhi] : bounds) {
-      const T lo = static_cast<T>(blo);
-      const T hi = static_cast<T>(bhi);
-      std::vector<uint32_t> got(n), want(n);
-      int got_n = first(codes.data(), n, lo, hi, got.data());
-      int want_n = first_ref(codes.data(), n, lo, hi, want.data());
-      ASSERT_EQ(got_n, want_n) << "n=" << n << " lo=" << blo;
-      for (int i = 0; i < got_n; ++i) {
-        ASSERT_EQ(got[i], want[i]) << "n=" << n << " i=" << i;
-      }
-      std::vector<uint32_t> got2(got.begin(), got.end());
-      std::vector<uint32_t> want2(want.begin(), want.end());
-      const T rlo = static_cast<T>(std::min<uint64_t>(5, wmax));
-      const T rhi = static_cast<T>(std::min<uint64_t>(150, wmax));
-      int got2_n = refine(codes.data(), got2.data(), got_n, rlo, rhi);
-      int want2_n = refine_ref(codes.data(), want2.data(), want_n, rlo, rhi);
-      ASSERT_EQ(got2_n, want2_n) << "n=" << n;
-      for (int i = 0; i < got2_n; ++i) {
-        ASSERT_EQ(got2[i], want2[i]) << "n=" << n << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(EncodedColumnTest, NarrowOpsMatchScalarAtEveryLength) {
-  const SimdOps& ref = ScalarSimdOps();
-  Rng rng(7003);
-  for (SimdTier tier :
-       {SimdTier::kNeon, SimdTier::kAvx2, SimdTier::kAvx512}) {
-    if (!SimdTierSupported(tier)) continue;
-    const SimdOps& ops = OpsForTier(tier);
-    SCOPED_TRACE(ops.name);
-    CheckNarrowPasses<uint8_t>(ops.first_pass_u8, ref.first_pass_u8,
-                               ops.refine_pass_u8, ref.refine_pass_u8,
-                               CodeDomainMax(1), &rng);
-    CheckNarrowPasses<uint16_t>(ops.first_pass_u16, ref.first_pass_u16,
-                                ops.refine_pass_u16, ref.refine_pass_u16,
-                                CodeDomainMax(2), &rng);
-    CheckNarrowPasses<uint32_t>(ops.first_pass_u32, ref.first_pass_u32,
-                                ops.refine_pass_u32, ref.refine_pass_u32,
-                                CodeDomainMax(4), &rng);
-  }
 }
 
 // --- Store-level: encoded vs raw scans, every tier, randomized -------------

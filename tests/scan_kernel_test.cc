@@ -4,7 +4,10 @@
 // QueryResult field, for every aggregate, range shape (empty / exact /
 // ragged block edges / sub-SIMD-width tails), filter count, and through the
 // batched multi-range executor and the grid's outlier buffer.
+#include <bit>
+#include <limits>
 #include <numeric>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
@@ -157,64 +160,154 @@ TEST(ScanKernelTest, SimdTiersBitForBitOnUnalignedRanges) {
   }
 }
 
-// Ops-table-level cross-check: every available tier's inner loops agree
-// with the scalar table on random inputs at every length around the SIMD
-// widths (0/1/.../17, 63, 64, 100, 1024), including empty and all-match
-// selections.
-TEST(ScanKernelTest, SimdOpsMatchScalarOpsAtEveryLength) {
-  const SimdOps& ref = ScalarSimdOps();
-  Rng rng(922);
-  for (SimdTier tier :
-       {SimdTier::kNeon, SimdTier::kAvx2, SimdTier::kAvx512}) {
-    if (!SimdTierSupported(tier)) continue;
-    const SimdOps& ops = OpsForTier(tier);
-    for (int n : {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 100, 1024}) {
-      std::vector<Value> col(n);
-      for (Value& v : col) v = rng.UniformValue(-1000, 1000);
-      for (auto [lo, hi] : std::initializer_list<std::pair<Value, Value>>{
-               {-300, 300}, {2000, 3000}, {-1000, 1000}, {5, 5}}) {
-        std::vector<uint32_t> got(n);
-        std::vector<uint32_t> want(n);
-        int got_n = ops.first_pass(col.data(), n, lo, hi, got.data());
-        int want_n = ref.first_pass(col.data(), n, lo, hi, want.data());
-        ASSERT_EQ(got_n, want_n) << ops.name << " n=" << n;
-        for (int i = 0; i < got_n; ++i) {
-          EXPECT_EQ(got[i], want[i]) << ops.name << " n=" << n;
-        }
-        // Refine the survivors by a second predicate over the same column.
-        std::vector<uint32_t> got2(got.begin(), got.end());
-        std::vector<uint32_t> want2(want.begin(), want.end());
-        int got2_n = ops.refine_pass(col.data(), got2.data(), got_n, -100, 150);
-        int want2_n =
-            ref.refine_pass(col.data(), want2.data(), want_n, -100, 150);
-        ASSERT_EQ(got2_n, want2_n) << ops.name << " n=" << n;
-        for (int i = 0; i < got2_n; ++i) {
-          EXPECT_EQ(got2[i], want2[i]) << ops.name << " n=" << n;
-        }
-        EXPECT_EQ(ops.sum_gather(col.data(), got.data(), got_n),
-                  ref.sum_gather(col.data(), want.data(), want_n));
-        if (got_n > 0) {
-          EXPECT_EQ(ops.min_gather(col.data(), got.data(), got_n),
-                    ref.min_gather(col.data(), want.data(), want_n));
-          EXPECT_EQ(ops.max_gather(col.data(), got.data(), got_n),
-                    ref.max_gather(col.data(), want.data(), want_n));
-        }
+// ---- Ops-table level: mask and fold ops vs row-at-a-time loops ----------
+
+// Row-at-a-time reference for and_mask: clears the bit of every row outside
+// [lo, hi] and every bit at or past `count` in the covered words.
+template <typename T>
+int RowAndMask(const T* codes, int count, T lo, T hi, uint64_t* mask) {
+  int selected = 0;
+  for (int base = 0; base < count; base += 64) {
+    uint64_t bits = 0;
+    for (int k = 0; k < 64 && base + k < count; ++k) {
+      if (lo <= codes[base + k] && codes[base + k] <= hi) {
+        bits |= uint64_t{1} << k;
       }
-      EXPECT_EQ(ops.sum_range(col.data(), n), ref.sum_range(col.data(), n))
-          << ops.name << " n=" << n;
-      if (n > 0) {
-        EXPECT_EQ(ops.min_range(col.data(), n), ref.min_range(col.data(), n));
-        EXPECT_EQ(ops.max_range(col.data(), n), ref.max_range(col.data(), n));
-        Value mn_got, mx_got, mn_want, mx_want;
-        int64_t s_got, s_want;
-        ops.block_stats(col.data(), n, &mn_got, &mx_got, &s_got);
-        ref.block_stats(col.data(), n, &mn_want, &mx_want, &s_want);
-        EXPECT_EQ(mn_got, mn_want) << ops.name << " n=" << n;
-        EXPECT_EQ(mx_got, mx_want) << ops.name << " n=" << n;
-        EXPECT_EQ(s_got, s_want) << ops.name << " n=" << n;
+    }
+    mask[base / 64] &= bits;
+    for (int k = 0; k < 64; ++k) selected += (mask[base / 64] >> k) & 1;
+  }
+  return selected;
+}
+
+// Row-at-a-time reference for fold.
+template <typename T>
+CodeFold RowFold(const T* codes, int count, const uint64_t* mask) {
+  CodeFold f{0, static_cast<int64_t>(std::numeric_limits<T>::max()),
+             static_cast<int64_t>(std::numeric_limits<T>::min())};
+  for (int i = 0; i < count; ++i) {
+    if (mask != nullptr && ((mask[i / 64] >> (i % 64)) & 1) == 0) continue;
+    f.sum += static_cast<uint64_t>(codes[i]);
+    f.min = std::min<int64_t>(f.min, codes[i]);
+    f.max = std::max<int64_t>(f.max, codes[i]);
+  }
+  return f;
+}
+
+// One code width's and_mask and fold entries.
+template <typename T>
+struct WidthOps {
+  int (*and_mask)(const T*, int, T, T, uint64_t*);
+  CodeFold (*fold)(const T*, int, const uint64_t*);
+};
+
+WidthOps<uint8_t> OpsOf(const SimdOps& ops, uint8_t) {
+  return {ops.and_mask_u8, ops.fold_u8};
+}
+WidthOps<uint16_t> OpsOf(const SimdOps& ops, uint16_t) {
+  return {ops.and_mask_u16, ops.fold_u16};
+}
+WidthOps<uint32_t> OpsOf(const SimdOps& ops, uint32_t) {
+  return {ops.and_mask_u32, ops.fold_u32};
+}
+WidthOps<Value> OpsOf(const SimdOps& ops, Value) {
+  return {ops.and_mask_i64, ops.fold_i64};
+}
+
+// Every supported tier's and_mask and fold at width T equal both the
+// row-at-a-time loops and the portable table, at every length around the
+// lane and mask-word widths and at unaligned slice offsets. Each case's
+// codes sit in a buffer that ends exactly at the slice's last code, so an
+// over-read is a heap-buffer-overflow under ASan. Lengths that are
+// multiples of 64 catch an unguarded shift by 64 under UBSan.
+template <typename T>
+void CheckMaskAndFoldOps(Rng* rng) {
+  constexpr bool kRaw = std::is_signed_v<T>;
+  const T kMax = std::numeric_limits<T>::max();
+  const T kMin = std::numeric_limits<T>::min();
+  // Bounds: the full domain, each extreme alone, interior ranges, and (raw
+  // values, which compare untranslated) an inverted range.
+  std::vector<std::pair<T, T>> bounds = {
+      {kMin, kMax}, {kMin, kMin}, {kMax, kMax}, {T{3}, T{200}},
+      {T{1}, static_cast<T>(kMax / 2 + 1)}};
+  if constexpr (kRaw) {
+    bounds.push_back({-300, 300});
+    bounds.push_back({5, -5});  // lo > hi: matches nothing.
+  }
+  const WidthOps<T> portable = OpsOf(ScalarSimdOps(), T{});
+  for (SimdTier tier : {SimdTier::kNone, SimdTier::kNeon, SimdTier::kAvx2,
+                        SimdTier::kAvx512}) {
+    if (!SimdTierSupported(tier)) continue;
+    const WidthOps<T> ops = OpsOf(OpsForTier(tier), T{});
+    SCOPED_TRACE(SimdTierName(tier));
+    for (int count : {0,  1,  2,  3,  4,  5,   6,   7,    8,    9,    10,
+                      11, 12, 13, 14, 15, 16,  17,  31,   32,   33,   63,
+                      64, 65, 127, 128, 1000, 1023, 1024}) {
+      for (int off : {0, 1, 3, 61}) {
+        SCOPED_TRACE(testing::Message() << "count=" << count << " off=" << off);
+        // Codes: mostly small (so interior bounds split them), with the
+        // width's extremes mixed in; raw values reach kValueMin/kValueMax,
+        // so their sums wrap.
+        std::vector<T> buffer(off + count);
+        for (T& c : buffer) {
+          const uint64_t r = rng->NextBelow(16);
+          c = r == 0   ? kMin
+              : r == 1 ? kMax
+                       : static_cast<T>(kRaw ? rng->UniformValue(-1000, 1000)
+                                             : rng->UniformValue(0, 1000));
+        }
+        const T* codes = buffer.data() + off;
+        // Masks over [0, count): empty, full, only the last row, ~1% and
+        // ~50% of the rows.
+        std::vector<std::vector<uint64_t>> masks;
+        for (int shape = 0; shape < 5; ++shape) {
+          std::vector<uint64_t> m(kMaskWords, 0);
+          for (int i = 0; i < count; ++i) {
+            const bool set = shape == 1 || (shape == 2 && i == count - 1) ||
+                             (shape == 3 && rng->NextBelow(100) == 0) ||
+                             (shape == 4 && rng->NextBelow(2) == 0);
+            if (set) m[i / 64] |= uint64_t{1} << (i % 64);
+          }
+          masks.push_back(std::move(m));
+        }
+        for (const std::vector<uint64_t>& in : masks) {
+          const CodeFold want = RowFold(codes, count, in.data());
+          EXPECT_EQ(ops.fold(codes, count, in.data()), want);
+          EXPECT_EQ(portable.fold(codes, count, in.data()), want);
+          for (auto [lo, hi] : bounds) {
+            // Bits past `count` start set: and_mask must clear them in the
+            // covered words and leave later words alone.
+            std::vector<uint64_t> want_mask = in;
+            for (int i = count; i < kScanBlockRows; ++i) {
+              want_mask[i / 64] |= uint64_t{1} << (i % 64);
+            }
+            std::vector<uint64_t> got_mask = want_mask;
+            std::vector<uint64_t> portable_mask = want_mask;
+            const int want_n =
+                RowAndMask(codes, count, lo, hi, want_mask.data());
+            EXPECT_EQ(ops.and_mask(codes, count, lo, hi, got_mask.data()),
+                      want_n);
+            EXPECT_EQ(got_mask, want_mask) << "lo=" << lo << " hi=" << hi;
+            EXPECT_EQ(
+                portable.and_mask(codes, count, lo, hi, portable_mask.data()),
+                want_n);
+            EXPECT_EQ(portable_mask, want_mask);
+          }
+        }
+        const CodeFold all = RowFold<T>(codes, count, nullptr);
+        EXPECT_EQ(ops.fold(codes, count, nullptr), all);
+        EXPECT_EQ(portable.fold(codes, count, nullptr), all);
       }
     }
   }
+}
+
+TEST(ScanKernelTest, MaskAndFoldOpsMatchRowLoopsAtEveryLength) {
+  Rng rng(922);
+  CheckMaskAndFoldOps<uint8_t>(&rng);
+  CheckMaskAndFoldOps<uint16_t>(&rng);
+  CheckMaskAndFoldOps<uint32_t>(&rng);
+  CheckMaskAndFoldOps<Value>(&rng);
 }
 
 TEST(ScanKernelTest, DispatchResolvesToSupportedTier) {
@@ -455,6 +548,54 @@ TEST(ScanKernelTest, OverflowingSumWrapsIdenticallyEverywhere) {
       chunk.Scan(q, &delta, ScanOptions{tier});
       EXPECT_EQ(delta.agg, static_cast<int64_t>(wrapped))
           << "sealed delta chunk, " << SimdTierName(tier);
+    }
+  }
+}
+
+// Stores whose blocks all share one code width and whose last block is
+// short: the last block's codes end where the column's exact-size payload
+// ends, so under ASan any load past a slice's last code is a
+// heap-buffer-overflow. Filtered and exact ranges that end at the last row
+// must equal the oracle at every tier and width.
+TEST(ScanKernelTest, RangesEndingAtTheLastRowReadNoCodePastIt) {
+  const int64_t rows = 5 * kScanBlockRows + 37;
+  const std::pair<int, Value> kWidths[] = {
+      {1, 200}, {2, 60000}, {4, Value{3} << 30}, {8, Value{1} << 40}};
+  for (auto [width, span] : kWidths) {
+    SCOPED_TRACE(testing::Message() << "width=" << width);
+    Rng rng(930 + width);
+    Dataset data(2, {});
+    for (int64_t i = 0; i < rows; ++i) {
+      data.AppendRow({rng.UniformValue(0, span), rng.UniformValue(0, span)});
+    }
+    ColumnStore store(data, /*encode=*/true);
+#if defined(TSUNAMI_DISABLE_ENCODING)
+    const unsigned stored = 8;  // The build pins every block raw.
+#else
+    const unsigned stored = static_cast<unsigned>(width);
+#endif
+    for (int d = 0; d < 2; ++d) {
+      int64_t widths[4] = {0, 0, 0, 0};
+      store.encoded(d).WidthHistogram(widths);
+      ASSERT_EQ(widths[std::countr_zero(stored)], store.encoded(d).num_blocks());
+    }
+    Query q({Predicate{0, span / 10, span - span / 10},
+             Predicate{1, span / 4, span}},
+            {AggregateSpec{AggKind::kCount, 0}, AggregateSpec{AggKind::kSum, 0},
+             AggregateSpec{AggKind::kMin, 0}, AggregateSpec{AggKind::kMax, 0},
+             AggregateSpec{AggKind::kAvg, 1}});
+    for (int64_t begin : {int64_t{0}, rows - 1, rows - 36, rows - 37,
+                          rows - 38, rows - 64, rows - 65, rows - 100,
+                          4 * kScanBlockRows + 1, 5 * kScanBlockRows - 3}) {
+      for (bool exact : {false, true}) {
+        QueryResult want = InitResult(q);
+        OracleScan(store, begin, rows, q, exact, &want);
+        for (SimdTier tier : kTiers) {
+          QueryResult got = InitResult(q);
+          store.ScanRange(begin, rows, q, exact, &got, ScanOptions{tier});
+          ExpectSameResult(got, want, SimdTierName(tier));
+        }
+      }
     }
   }
 }
