@@ -301,8 +301,7 @@ void RunScanKernelAB(SimdTier forced_tier,
     Value lo = rng.UniformValue(0, (1 << 20) - width);
     q.filters.push_back(Predicate{0, lo, lo + width});
     q.filters.push_back(Predicate{1, 0, 1 << 19});
-    q.agg = AggKind::kSum;
-    q.agg_dim = 2;
+    q.SetAggregates({{AggKind::kSum, 2}});
     RangeTask task{0, store.size(), false};
     double none = TimeScan(store, {&task, 1}, q, SimdTier::kNone, 5);
     double simd = TimeScan(store, {&task, 1}, q, simd_tier, 5);
@@ -327,7 +326,6 @@ void RunScanKernelAB(SimdTier forced_tier,
     Query q;
     q.filters.push_back(Predicate{1, 0, 1 << 19});
     q.filters.push_back(Predicate{2, 0, 3 << 18});
-    q.agg = AggKind::kCount;
     const int kTasks = 512;
     std::vector<RangeTask> tasks;
     for (int t = 0; t < kTasks; ++t) {
@@ -468,8 +466,7 @@ void RunEncodingAB(std::vector<std::string>* records) {
         Value width = std::max<Value>(1, static_cast<Value>(sel * wc.range));
         q.filters.push_back(
             Predicate{0, 1000 + wc.range / 4, 1000 + wc.range / 4 + width});
-        q.agg = AggKind::kSum;
-        q.agg_dim = 1;
+        q.SetAggregates({{AggKind::kSum, 1}});
         RangeTask task{0, raw.size(), false};
         double t_raw = TimeScan(raw, {&task, 1}, q, tier, 5);
         double t_coded = TimeScan(coded, {&task, 1}, q, tier, 5);

@@ -54,8 +54,7 @@ int main() {
     Query report;
     Value day = rng.UniformValue(0, 3800);
     report.filters = {Predicate{0, day, day + 150}};
-    report.agg = AggKind::kSum;
-    report.agg_dim = 2;
+    report.SetAggregates({{AggKind::kSum, 2}});
     calibration.push_back(report);
   }
 
@@ -64,7 +63,7 @@ int main() {
   // for); the lookup traffic is what secondary indexes exist to absorb.
   Workload reports_only;
   for (const Query& q : calibration) {
-    if (q.agg == AggKind::kSum) reports_only.push_back(q);
+    if (q.agg_spec(0).op == AggKind::kSum) reports_only.push_back(q);
   }
   TsunamiOptions options;
   options.sample_rows = 50000;

@@ -62,6 +62,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -82,6 +83,47 @@
 #include "src/serve/query_service.h"
 
 using namespace tsunami;
+
+// --- Shared by the ingest soaks ----------------------------------------------
+
+// Quiesces an ingest store: joins the background compactor (every publish is
+// synchronous from here on), retires the open tail, drains any pending
+// reorganization, and folds everything into the sorted store.
+static void Quiesce(ingest::IngestStore& store) {
+  store.StopBackground();
+  store.ForceRoll();
+  store.BackgroundTick();
+  store.CompactNow();
+  store.BackgroundTick();
+}
+
+// The quiesced replay each ingest soak ends with: 32 COUNT + SUM(d1) range
+// queries (seed 555; the first is the unfiltered count-all) answered by
+// `execute` must equal a full scan over `reference_rows`, undegraded.
+// Returns how many do not.
+static int64_t ReplayMismatches(
+    const Dataset& reference_rows,
+    const std::function<QueryResult(const Query&)>& execute) {
+  FullScanIndex reference(reference_rows);
+  int64_t mismatches = 0;
+  Rng replay_rng(555);
+  for (int i = 0; i < 32; ++i) {
+    Query q;
+    if (i > 0) {
+      const int dim = i % 3;
+      Value lo = replay_rng.UniformValue(0, dim == 2 ? 9000 : 990000);
+      q.filters.push_back(Predicate{dim, lo, lo + (dim == 2 ? 500 : 30000)});
+    }
+    q.SetAggregates({{AggKind::kCount, 0}, {AggKind::kSum, 1}});
+    QueryResult got = execute(q);
+    QueryResult want = reference.Execute(q);
+    if (got.agg != want.agg || got.matched != want.matched ||
+        got.extra != want.extra || got.degraded) {
+      ++mismatches;
+    }
+  }
+  return mismatches;
+}
 
 // --- --net: soak the real wire front end over loopback -----------------------
 // Storms a TsunamiServer with 1024 simultaneously-open client connections,
@@ -247,23 +289,19 @@ static bool RunNetSoak(TsunamiIndex& index, bool soak) {
   }
 #endif
 
-  // A reader that never reads: ~3KB responses against 4KB socket buffers
-  // must trip the write-stall timer, not buffer without bound. The
-  // empty-range filter keeps execution free; the response still carries
-  // all 3000 accumulators.
+  // A reader that never reads: ~65 KB of responses against 4KB socket
+  // buffers must trip the write-stall timer, not buffer without bound. The
+  // empty-range filter keeps execution free; each answer still carries
+  // kMaxQueryAggs accumulators, and each query past the in-flight cap is
+  // answered with a kClientBusy error frame.
   {
     ClientOptions copts;
     copts.port = server.port();
     copts.rcvbuf_bytes = 4096;
     TsunamiClient stalled(copts);
-    Query wide;
-    wide.filters.push_back(Predicate{0, 1, 0});
-    std::vector<AggregateSpec> specs;
-    for (int i = 0; i < 3000; ++i) {
-      specs.push_back(AggregateSpec{AggKind::kCount, 0});
-    }
-    wide.SetAggregates(std::move(specs));
-    for (int i = 0; i < 8; ++i) stalled.Submit(wide);
+    const Query wide({Predicate{0, 1, 0}},
+                     std::vector<AggregateSpec>(kMaxQueryAggs));
+    for (int i = 0; i < 1024; ++i) stalled.Submit(wide);
     Timer timer;
     while (timer.ElapsedSeconds() < 20.0 &&
            server.stats().evicted_stalled < 1) {
@@ -572,44 +610,19 @@ static bool RunIngestSoak(bool soak) {
   }
 #endif
 
-  // Quiesce: retire the open tail, drain any pending reorganization, and
-  // fold everything. After this no publish can happen again, so the
-  // service (destroyed before the store) cannot be called back.
-  store.StopBackground();  // Join the compactor: all publishes synchronous
-                           // from here, so none can outlive the service.
-  store.ForceRoll();
-  store.BackgroundTick();
-  store.CompactNow();
-  store.BackgroundTick();
+  // After the quiesce no publish can happen again, so the service
+  // (destroyed before the store) cannot be called back.
+  Quiesce(store);
   IngestStore::Stats quiesced = store.stats();
 
   // The reference: base rows + every writer's rows, answered by full scan.
-  Dataset full(3, {});
+  Dataset full = data;
   full.Reserve(kBaseRows + int64_t{kWriters} * kRowsPerWriter);
-  for (int64_t i = 0; i < data.size(); ++i) {
-    full.AppendRow({data.at(i, 0), data.at(i, 1), data.at(i, 2)});
-  }
   for (int w = 0; w < kWriters; ++w) {
     for (const std::vector<Value>& row : writer_rows[w]) full.AppendRow(row);
   }
-  FullScanIndex reference(full);
-  int64_t replay_mismatches = 0;
-  Rng replay_rng(555);
-  for (int i = 0; i < 32; ++i) {
-    Query q;
-    if (i > 0) {
-      const int dim = i % 3;
-      Value lo = replay_rng.UniformValue(0, dim == 2 ? 9000 : 990000);
-      q.filters.push_back(Predicate{dim, lo, lo + (dim == 2 ? 500 : 30000)});
-    }  // i == 0: the unfiltered count-all.
-    q.SetAggregates({{AggKind::kCount, 0}, {AggKind::kSum, 1}});
-    QueryResult got = service.Run(q);
-    QueryResult want = reference.Execute(q);
-    if (got.agg != want.agg || got.matched != want.matched ||
-        got.extra != want.extra || got.degraded) {
-      ++replay_mismatches;
-    }
-  }
+  const int64_t replay_mismatches = ReplayMismatches(
+      full, [&](const Query& q) { return service.Run(q); });
   std::printf(
       "ingest soak: quiesced store v%llu (%lld sorted rows, %lld delta), "
       "epoch lag max %llu, %lld/32 replay mismatches\n",
@@ -858,39 +871,17 @@ static bool RunDurableSoak(bool soak) {
     // No unacked row double-applied and nothing corrupted: the recovered
     // store must answer exactly like a full scan over base + the recovered
     // prefix of the deterministic batch sequence. Quiesce first so the
-    // comparison is stable.
-    store->store().StopBackground();
-    store->store().ForceRoll();
-    store->store().BackgroundTick();
-    store->store().CompactNow();
-    store->store().BackgroundTick();
+    // comparison is stable. The replay's unfiltered count-all is the
+    // exact-prefix check.
+    Quiesce(store->store());
 
-    Dataset full(3, {});
+    Dataset full = base;
     full.Reserve(kBaseRows + rows);
-    for (int64_t i = 0; i < base.size(); ++i) {
-      full.AppendRow({base.at(i, 0), base.at(i, 1), base.at(i, 2)});
-    }
     for (int64_t b = 0; b < batches; ++b) {
       for (const std::vector<Value>& row : BatchRows(b)) full.AppendRow(row);
     }
-    FullScanIndex reference(full);
-    int64_t mismatches = 0;
-    Rng replay_rng(555);
-    for (int i = 0; i < 32; ++i) {
-      Query q;
-      if (i > 0) {
-        const int dim = i % 3;
-        Value lo = replay_rng.UniformValue(0, dim == 2 ? 9000 : 990000);
-        q.filters.push_back(Predicate{dim, lo, lo + (dim == 2 ? 500 : 30000)});
-      }  // i == 0: the unfiltered count-all (exact-prefix check).
-      q.SetAggregates({{AggKind::kCount, 0}, {AggKind::kSum, 1}});
-      QueryResult got = store->store().Execute(q);
-      QueryResult want = reference.Execute(q);
-      if (got.agg != want.agg || got.matched != want.matched ||
-          got.extra != want.extra || got.degraded) {
-        ++mismatches;
-      }
-    }
+    const int64_t mismatches = ReplayMismatches(
+        full, [&](const Query& q) { return store->store().Execute(q); });
     if (mismatches > 0) ok = false;
 
     std::printf(
@@ -1090,11 +1081,7 @@ static bool RunPressureSoak(bool soak) {
     store.InsertBatch(sentinel);
 
     scrubber.Stop();
-    store.StopBackground();
-    store.ForceRoll();
-    store.BackgroundTick();
-    store.CompactNow();
-    store.BackgroundTick();
+    Quiesce(store);
 
     const ResourceGovernor::Stats gstats = governor.stats();
     const auto& delta_pool =
@@ -1121,34 +1108,15 @@ static bool RunPressureSoak(bool soak) {
         static_cast<long long>(mem_fires), static_cast<long long>(rot_fires));
 
     // Replay: base + every writer row + the sentinel, bit-identical.
-    Dataset full(3, {});
+    Dataset full = data;
     full.Reserve(kBaseRows + int64_t{kWriters} * kBatches * kBatchRows +
                  kBatchRows);
-    for (int64_t i = 0; i < data.size(); ++i) {
-      full.AppendRow({data.at(i, 0), data.at(i, 1), data.at(i, 2)});
-    }
     for (int w = 0; w < kWriters; ++w) {
       for (const std::vector<Value>& row : writer_rows[w]) full.AppendRow(row);
     }
     for (const std::vector<Value>& row : sentinel) full.AppendRow(row);
-    FullScanIndex reference(full);
-    int64_t mismatches = 0;
-    Rng replay_rng(555);
-    for (int i = 0; i < 32; ++i) {
-      Query q;
-      if (i > 0) {
-        const int dim = i % 3;
-        Value lo = replay_rng.UniformValue(0, dim == 2 ? 9000 : 990000);
-        q.filters.push_back(Predicate{dim, lo, lo + (dim == 2 ? 500 : 30000)});
-      }
-      q.SetAggregates({{AggKind::kCount, 0}, {AggKind::kSum, 1}});
-      QueryResult got = store.Execute(q);
-      QueryResult want = reference.Execute(q);
-      if (got.agg != want.agg || got.matched != want.matched ||
-          got.extra != want.extra || got.degraded) {
-        ++mismatches;
-      }
-    }
+    const int64_t mismatches = ReplayMismatches(
+        full, [&](const Query& q) { return store.Execute(q); });
     const int64_t quarantined = store.store().QuarantinedBlocks();
     std::printf(
         "pressure soak (mem): quiesced delta=%lld used=%lld quarantined=%lld, "
@@ -1297,11 +1265,7 @@ static bool RunPressureSoak(bool soak) {
       }
     }
 
-    store->store().StopBackground();
-    store->store().ForceRoll();
-    store->store().BackgroundTick();
-    store->store().CompactNow();
-    store->store().BackgroundTick();
+    Quiesce(store->store());
 
     const durability::DurableIngestStore::Stats dstats = store->stats();
     std::printf(
@@ -1327,34 +1291,14 @@ static bool RunPressureSoak(bool soak) {
 
     // Replay: base + every batch (acked *and* fail-closed — all applied)
     // + the sentinel, bit-identical to the full scan.
-    Dataset full(3, {});
+    Dataset full = BaseData();
     const int64_t total_batches = int64_t{kWriters} * kBatchesPerWriter + 1;
     full.Reserve(kBaseRows + total_batches * durable_soak::kBatchRows);
-    const Dataset base = BaseData();
-    for (int64_t i = 0; i < base.size(); ++i) {
-      full.AppendRow({base.at(i, 0), base.at(i, 1), base.at(i, 2)});
-    }
     for (int64_t b = 0; b <= sentinel_index; ++b) {
       for (const std::vector<Value>& row : BatchRows(b)) full.AppendRow(row);
     }
-    FullScanIndex reference(full);
-    int64_t mismatches = 0;
-    Rng replay_rng(555);
-    for (int i = 0; i < 32; ++i) {
-      Query q;
-      if (i > 0) {
-        const int dim = i % 3;
-        Value lo = replay_rng.UniformValue(0, dim == 2 ? 9000 : 990000);
-        q.filters.push_back(Predicate{dim, lo, lo + (dim == 2 ? 500 : 30000)});
-      }
-      q.SetAggregates({{AggKind::kCount, 0}, {AggKind::kSum, 1}});
-      QueryResult got = store->store().Execute(q);
-      QueryResult want = reference.Execute(q);
-      if (got.agg != want.agg || got.matched != want.matched ||
-          got.extra != want.extra || got.degraded) {
-        ++mismatches;
-      }
-    }
+    const int64_t mismatches = ReplayMismatches(
+        full, [&](const Query& q) { return store->store().Execute(q); });
     std::printf("pressure soak (disk): %lld/32 replay mismatches\n",
                 static_cast<long long>(mismatches));
     const bool all_applied =

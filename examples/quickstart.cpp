@@ -47,8 +47,7 @@ int main() {
               static_cast<long long>(count.cell_ranges));
 
   Query sum_query = count_query;
-  sum_query.agg = AggKind::kSum;
-  sum_query.agg_dim = 3;
+  sum_query.SetAggregates({{AggKind::kSum, 3}});
   QueryResult sum = index.Execute(sum_query);
   std::printf("SUM(d3) over the same filter  ->  %lld\n",
               static_cast<long long>(sum.agg));

@@ -4,7 +4,9 @@
 #
 # Ten passes:
 #  1. the default build (SIMD tiers compiled in, runtime-dispatched; column
-#     blocks FOR + bit-width encoded);
+#     blocks FOR + bit-width encoded), plus a compile-only build of
+#     perfbench/, the repository benchmark, so a library API change that
+#     breaks the benchmark fails here rather than at the benchmark gate;
 #  2. a -DTSUNAMI_DISABLE_SIMD=ON build that pins the portable scalar
 #     kernel, so the fallback path can never silently rot;
 #  3. a -DTSUNAMI_DISABLE_ENCODING=ON build that pins every column block to
@@ -67,6 +69,11 @@ cd "$(dirname "$0")/.."
 cmake -B build -S . -DTSUNAMI_WERROR=ON
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
+
+# Compile-only, without -Werror: libstdc++'s -Wrestrict warnings fire in
+# perfbench at -O2.
+cmake -S perfbench -B build-perfbench
+cmake --build build-perfbench -j"$(nproc)" --target perfbench
 
 cmake -B build-nosimd -S . -DTSUNAMI_WERROR=ON -DTSUNAMI_DISABLE_SIMD=ON
 cmake --build build-nosimd -j"$(nproc)"

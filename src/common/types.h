@@ -3,20 +3,15 @@
 #define TSUNAMI_COMMON_TYPES_H_
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
-
-/// Deprecation marker for the pre-batch-API surface. Legacy integrations
-/// that cannot migrate yet define TSUNAMI_ALLOW_DEPRECATED (the single
-/// opt-out) to keep building under -Werror without warnings.
-#if defined(TSUNAMI_ALLOW_DEPRECATED)
-#define TSUNAMI_DEPRECATED(msg)
-#else
-#define TSUNAMI_DEPRECATED(msg) [[deprecated(msg)]]
-#endif
 
 namespace tsunami {
 
@@ -92,66 +87,57 @@ struct AggregateSpec {
   bool operator==(const AggregateSpec&) const = default;
 };
 
-/// SELECT-list length the SQL parser accepts. Enforced only at the parser:
-/// programmatic queries may carry longer lists (every kernel loops over the
-/// full list; accumulators live in QueryResult::extra, not a fixed array) —
-/// the cap just keeps statement cost proportional to what a user would
-/// reasonably write.
+/// Most aggregates one query computes. A Query stores its list inline in
+/// an array of this size, and its constructor and SetAggregates throw
+/// beyond it; the SQL parser and the wire decoder reject a longer list from
+/// outside the program with a typed error before any Query is built. The
+/// cap keeps statement cost proportional to what a user would reasonably
+/// write.
 inline constexpr int kMaxQueryAggs = 8;
 
 /// A conjunctive range query:
 /// `SELECT AGG1(col), AGG2(col), ... FROM t WHERE p1 AND p2 ...`.
 ///
-/// Aggregates: the common single-aggregate form lives in `agg` / `agg_dim`
-/// (back-compat: every pre-batch-API call site reads these). Multi-
-/// aggregate queries additionally fill `aggs`, whose first entry mirrors
-/// `agg` / `agg_dim` — use SetAggregates() to keep that invariant. All
-/// aggregates of one query are computed in a single scan pass.
+/// Aggregates: 1..kMaxQueryAggs specs, one COUNT by default, stored inline
+/// so copying a Query allocates nothing for them. Only the constructor and
+/// SetAggregates set the list. All aggregates of one query are computed in
+/// a single scan pass.
 ///
 /// `type` labels the query type (§4.3.1) when known from the workload
 /// generator; -1 means unlabeled (Tsunami will cluster types itself).
 struct Query {
   std::vector<Predicate> filters;
-  AggKind agg = AggKind::kCount;
-  int agg_dim = 0;  // Aggregated column for kSum; ignored for kCount.
   int type = -1;
-  /// Multi-aggregate list; empty means the single aggregate in `agg` /
-  /// `agg_dim`. When non-empty, aggs[0] == {agg, agg_dim}.
-  std::vector<AggregateSpec> aggs;
 
   Query() = default;
-  TSUNAMI_DEPRECATED(
-      "single-aggregate shim; use Query(filters, {AggregateSpec{...}, ...})")
-  Query(std::vector<Predicate> fs, AggKind a, int a_dim = 0)
-      : filters(std::move(fs)), agg(a), agg_dim(a_dim) {}
-  Query(std::vector<Predicate> fs, std::vector<AggregateSpec> specs)
+  Query(std::vector<Predicate> fs, const std::vector<AggregateSpec>& specs)
       : filters(std::move(fs)) {
-    SetAggregates(std::move(specs));
+    SetAggregates(specs);
   }
 
-  /// Number of aggregates this query computes (at least 1).
-  int num_aggs() const {
-    return aggs.empty() ? 1 : static_cast<int>(aggs.size());
+  /// Number of aggregates this query computes (1..kMaxQueryAggs).
+  int num_aggs() const { return num_aggs_; }
+
+  /// The i-th aggregate, 0 <= i < num_aggs().
+  AggregateSpec agg_spec(int i) const { return aggs_[i]; }
+
+  /// The aggregate list, in SELECT order.
+  std::span<const AggregateSpec> aggs() const {
+    return {aggs_.data(), static_cast<size_t>(num_aggs_)};
   }
 
-  /// The i-th aggregate; i == 0 is the primary `agg` / `agg_dim` pair.
-  AggregateSpec agg_spec(int i) const {
-    return aggs.empty() ? AggregateSpec{agg, agg_dim} : aggs[i];
-  }
-
-  /// Installs `specs` as this query's aggregates, keeping the legacy
-  /// `agg` / `agg_dim` fields mirrored on specs[0]. An empty list resets
-  /// to the default COUNT. A single spec stores no `aggs` vector at all,
-  /// so single-aggregate queries stay bit-identical to the legacy form.
-  void SetAggregates(std::vector<AggregateSpec> specs) {
-    if (specs.empty()) specs.push_back(AggregateSpec{});
-    agg = specs[0].op;
-    agg_dim = specs[0].column;
-    if (specs.size() == 1) {
-      aggs.clear();
-    } else {
-      aggs = std::move(specs);
+  /// Installs `specs` as this query's aggregates; an empty list resets to
+  /// one COUNT. Throws std::invalid_argument for more than kMaxQueryAggs.
+  void SetAggregates(std::span<const AggregateSpec> specs) {
+    if (specs.size() > static_cast<size_t>(kMaxQueryAggs)) {
+      throw std::invalid_argument("more than kMaxQueryAggs aggregates");
     }
+    std::copy(specs.begin(), specs.end(), aggs_.begin());
+    if (specs.empty()) aggs_[0] = AggregateSpec{};
+    num_aggs_ = specs.empty() ? 1 : static_cast<int>(specs.size());
+  }
+  void SetAggregates(std::initializer_list<AggregateSpec> specs) {
+    SetAggregates(std::span<const AggregateSpec>(specs));
   }
 
   /// Returns the filter over `dim`, or nullptr if the query does not
@@ -162,6 +148,10 @@ struct Query {
     }
     return nullptr;
   }
+
+ private:
+  std::array<AggregateSpec, kMaxQueryAggs> aggs_{};
+  int num_aggs_ = 1;
 };
 
 /// Result of executing one query, plus the execution counters used by the
@@ -211,10 +201,7 @@ inline void MergeAggValue(AggKind kind, int64_t in, int64_t* out) {
 /// Merges a partial result into `out`: counters add once; every
 /// accumulator (primary + extras) combines per its aggregate's kind from
 /// `query`. Partials must cover disjoint row sets for counts to be exact.
-/// Used by parallel region execution and disjoint-box unions. Kinds are
-/// read through agg_spec() — the same source the scan kernels use — so a
-/// Query whose `aggs` was filled directly (without SetAggregates keeping
-/// the `agg` mirror in sync) still merges every accumulator correctly.
+/// Used by parallel region execution and disjoint-box unions.
 inline void MergeQueryResults(const Query& query, const QueryResult& in,
                               QueryResult* out) {
   out->scanned += in.scanned;
@@ -231,8 +218,7 @@ inline void MergeQueryResults(const Query& query, const QueryResult& in,
 
 /// A QueryResult whose accumulators are initialized for the query's
 /// aggregates (0 for COUNT/SUM/AVG, +inf for MIN, -inf for MAX). Every
-/// index's Execute starts from this. Reads kinds through agg_spec(), like
-/// the kernels and MergeQueryResults.
+/// index's Execute starts from this.
 inline QueryResult InitResult(const Query& query) {
   QueryResult result;
   result.agg = AggIdentity(query.agg_spec(0).op);
@@ -305,7 +291,7 @@ inline std::vector<Predicate> NormalizedFilters(const Query& query) {
 /// overload lets a caller that already normalized the query hash without
 /// renormalizing.
 inline uint64_t QueryFingerprint(const std::vector<Predicate>& rect,
-                                 const std::vector<AggregateSpec>& aggs) {
+                                 std::span<const AggregateSpec> aggs) {
   uint64_t h = 0x5161'7573'6572'7631ULL;  // Arbitrary non-zero seed.
   for (const Predicate& p : rect) {
     h = HashCombine(h, static_cast<uint64_t>(p.dim));
@@ -320,19 +306,8 @@ inline uint64_t QueryFingerprint(const std::vector<Predicate>& rect,
   return h;
 }
 
-/// The query's aggregate list as a vector (the fingerprint/cache-key
-/// shape).
-inline std::vector<AggregateSpec> AggregateList(const Query& query) {
-  std::vector<AggregateSpec> aggs;
-  aggs.reserve(query.num_aggs());
-  for (int a = 0; a < query.num_aggs(); ++a) {
-    aggs.push_back(query.agg_spec(a));
-  }
-  return aggs;
-}
-
 inline uint64_t QueryFingerprint(const Query& query) {
-  return QueryFingerprint(NormalizedFilters(query), AggregateList(query));
+  return QueryFingerprint(NormalizedFilters(query), query.aggs());
 }
 
 /// Element-wise equality of two normalized rectangles — the one
@@ -353,11 +328,8 @@ inline bool NormalizedRectEqual(const std::vector<Predicate>& a,
 /// normalized filter rectangle and same aggregate list. (The `type` label
 /// is irrelevant to execution and deliberately excluded.)
 inline bool FingerprintEquivalent(const Query& a, const Query& b) {
-  if (a.num_aggs() != b.num_aggs()) return false;
-  for (int i = 0; i < a.num_aggs(); ++i) {
-    if (!(a.agg_spec(i) == b.agg_spec(i))) return false;
-  }
-  return NormalizedRectEqual(NormalizedFilters(a), NormalizedFilters(b));
+  return std::ranges::equal(a.aggs(), b.aggs()) &&
+         NormalizedRectEqual(NormalizedFilters(a), NormalizedFilters(b));
 }
 
 /// A workload is a list of queries; types, when present, are stored on the

@@ -9,12 +9,10 @@ namespace net {
 
 namespace {
 
-/// Upper bound on filters / aggregates one query frame may carry. Far above
-/// anything the planner produces; a count beyond it is corruption, and
-/// rejecting it here keeps a malformed length prefix from driving a huge
-/// allocation.
+/// Upper bound on filters one query frame may carry. Far above anything
+/// the planner produces; a count beyond it is corruption, and rejecting it
+/// here keeps a malformed length prefix from driving a huge allocation.
 constexpr uint64_t kMaxQueryFilters = 4096;
-constexpr uint64_t kMaxWireAggs = 4096;
 constexpr uint64_t kMaxErrorMessage = 4096;
 
 void PutLe16(uint16_t v, char* out) {
@@ -160,22 +158,24 @@ bool DecodeQueryPayload(std::string_view payload, Query* out) {
     if (p.dim < 0) return false;
     q.filters.push_back(p);
   }
+  // Checked against the cap before any Query holds the list, so an
+  // over-long list is a malformed frame, not an exception.
   const uint64_t num_aggs = r.GetVarU64();
-  if (!r.ok() || num_aggs == 0 || num_aggs > kMaxWireAggs) return false;
-  std::vector<AggregateSpec> specs;
-  specs.reserve(num_aggs);
+  if (!r.ok() || num_aggs == 0 ||
+      num_aggs > static_cast<uint64_t>(kMaxQueryAggs)) {
+    return false;
+  }
+  AggregateSpec specs[kMaxQueryAggs];
   for (uint64_t i = 0; i < num_aggs && r.ok(); ++i) {
     const uint8_t op = r.GetU8();
     if (op > static_cast<uint8_t>(AggKind::kAvg)) return false;
-    AggregateSpec spec;
-    spec.op = static_cast<AggKind>(op);
-    spec.column = static_cast<int>(r.GetVarI64());
-    if (spec.column < 0) return false;
-    specs.push_back(spec);
+    specs[i].op = static_cast<AggKind>(op);
+    specs[i].column = static_cast<int>(r.GetVarI64());
+    if (specs[i].column < 0) return false;
   }
   q.type = static_cast<int>(r.GetVarI64());
   if (!r.ok() || !r.AtEnd()) return false;
-  q.SetAggregates(std::move(specs));
+  q.SetAggregates(std::span<const AggregateSpec>(specs, num_aggs));
   *out = q;
   return true;
 }
@@ -211,8 +211,11 @@ bool DecodeResultPayload(std::string_view payload, ResultPayload* out) {
   p.result.cell_ranges = r.GetVarI64();
   p.result.degraded = r.GetBool();
   p.result.quarantined_blocks = r.GetVarI64();
+  // One accumulator per aggregate: `agg` plus at most kMaxQueryAggs - 1.
   const uint64_t num_extra = r.GetVarU64();
-  if (!r.ok() || num_extra > kMaxWireAggs) return false;
+  if (!r.ok() || num_extra >= static_cast<uint64_t>(kMaxQueryAggs)) {
+    return false;
+  }
   p.result.extra.reserve(num_extra);
   for (uint64_t i = 0; i < num_extra && r.ok(); ++i) {
     p.result.extra.push_back(r.GetVarI64());

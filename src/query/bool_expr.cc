@@ -33,9 +33,7 @@ void Box::Intersect(const Predicate& p) {
 
 Query Box::ToQuery(const Query& proto) const {
   Query q;
-  q.agg = proto.agg;
-  q.agg_dim = proto.agg_dim;
-  q.aggs = proto.aggs;
+  q.SetAggregates(proto.aggs());
   q.type = proto.type;
   for (int d = 0; d < dims(); ++d) {
     if (lo[d] != kValueMin || hi[d] != kValueMax) {

@@ -181,7 +181,7 @@ class Parser {
     out.where = BoolExpr::And({});  // No WHERE clause == TRUE.
 
     if (!Expect("SELECT")) return Fail();
-    if (!ParseAggregateList(&out.query)) return Fail();
+    if (!ParseSelectList(&out.query)) return Fail();
     if (!Expect("FROM")) return Fail();
     if (!ParseTableName()) return Fail();
     if (Peek().IsKeyword("WHERE")) {
@@ -299,7 +299,7 @@ class Parser {
 
   /// Comma-separated aggregate list; every aggregate of one statement is
   /// computed in a single scan pass.
-  bool ParseAggregateList(Query* query) {
+  bool ParseSelectList(Query* query) {
     std::vector<AggregateSpec> specs;
     while (true) {
       AggregateSpec spec;
@@ -316,7 +316,7 @@ class Parser {
       }
       break;
     }
-    query->SetAggregates(std::move(specs));
+    query->SetAggregates(specs);
     return true;
   }
 

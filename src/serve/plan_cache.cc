@@ -1,5 +1,6 @@
 #include "src/serve/plan_cache.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace tsunami {
@@ -7,15 +8,13 @@ namespace tsunami {
 int64_t PlanCache::EstimatePlanBytes(const QueryPlan& plan) {
   // The dominant variable cost is the task vector — a broad rectangle over
   // a fragmented grid can plan thousands of ranges while a point lookup
-  // plans one — plus the bound query's own vectors. The cache entry's key
-  // (normalized rect + aggregate list) and list/map node overhead ride in
-  // the sizeof(Entry) constant added at insert time.
+  // plans one — plus the bound query's filter vector. The cache entry's
+  // key (normalized rect + aggregate list) and list/map node overhead ride
+  // in the sizeof(Entry) constant added at insert time.
   int64_t bytes = static_cast<int64_t>(sizeof(QueryPlan));
   bytes += static_cast<int64_t>(plan.tasks.capacity() * sizeof(RangeTask));
   bytes += static_cast<int64_t>(plan.query.filters.capacity() *
                                 sizeof(Predicate));
-  bytes += static_cast<int64_t>(plan.query.aggs.capacity() *
-                                sizeof(AggregateSpec));
   bytes += static_cast<int64_t>(plan.counters.extra.capacity() *
                                 sizeof(int64_t));
   return bytes;
@@ -23,12 +22,10 @@ int64_t PlanCache::EstimatePlanBytes(const QueryPlan& plan) {
 
 namespace {
 
-/// Footprint of one Entry beyond the plan itself: the entry, its key's
-/// vectors, and the bucket-map node.
-int64_t EntryOverheadBytes(const std::vector<Predicate>& rect,
-                           const std::vector<AggregateSpec>& aggs) {
+/// Footprint of one Entry beyond the plan itself: its key's normalized
+/// rectangle and the bucket-map node.
+int64_t EntryOverheadBytes(const std::vector<Predicate>& rect) {
   return static_cast<int64_t>(rect.capacity() * sizeof(Predicate)) +
-         static_cast<int64_t>(aggs.capacity() * sizeof(AggregateSpec)) +
          64;  // List/map node bookkeeping, amortized.
 }
 
@@ -36,14 +33,16 @@ int64_t EntryOverheadBytes(const std::vector<Predicate>& rect,
 
 PlanCache::Key PlanCache::Key::Of(const Query& query) {
   Key key;
-  key.rect = NormalizedFilters(query);
-  key.aggs = AggregateList(query);
-  key.fingerprint = QueryFingerprint(key.rect, key.aggs);
+  key.normalized.filters = NormalizedFilters(query);
+  key.normalized.SetAggregates(query.aggs());
+  key.fingerprint =
+      QueryFingerprint(key.normalized.filters, key.normalized.aggs());
   return key;
 }
 
 bool PlanCache::Key::Matches(const Key& other) const {
-  return aggs == other.aggs && NormalizedRectEqual(rect, other.rect);
+  return std::ranges::equal(normalized.aggs(), other.normalized.aggs()) &&
+         NormalizedRectEqual(normalized.filters, other.normalized.filters);
 }
 
 PlanCache::LruList::iterator PlanCache::FindLocked(const MultiDimIndex& index,
@@ -110,7 +109,7 @@ void PlanCache::InsertKeyed(const MultiDimIndex& index, Key key,
   if (capacity_ <= 0) return;
   const int64_t entry_bytes = static_cast<int64_t>(sizeof(Entry)) +
                               EstimatePlanBytes(*plan) +
-                              EntryOverheadBytes(key.rect, key.aggs);
+                              EntryOverheadBytes(key.normalized.filters);
   std::lock_guard<std::mutex> lock(mu_);
   LruList::iterator existing = FindLocked(index, key);
   if (existing != lru_.end()) {

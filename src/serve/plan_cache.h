@@ -120,12 +120,13 @@ class PlanCache {
 
  private:
   /// A query's cache identity, normalized once per call — *outside* mu_ —
-  /// so the locked sections compare plain vectors instead of re-running
+  /// so the locked sections compare plain lists instead of re-running
   /// NormalizedFilters (which allocates) per candidate entry.
   struct Key {
     uint64_t fingerprint = 0;
-    std::vector<Predicate> rect;       // NormalizedFilters(query).
-    std::vector<AggregateSpec> aggs;   // The query's aggregate list.
+    /// The query's aggregate list, with NormalizedFilters(query) as its
+    /// filters; `type` is left unset (it never affects answers).
+    Query normalized;
 
     static Key Of(const Query& query);
     bool Matches(const Key& other) const;

@@ -77,10 +77,8 @@ void MergePartials(const Query& query, int64_t n, FoldColumn fold,
         f = folds[j];
       } else {
         f = fold(spec.column);
-        if (cached < kMaxQueryAggs) {
-          columns[cached] = spec.column;
-          folds[cached++] = f;
-        }
+        columns[cached] = spec.column;
+        folds[cached++] = f;
       }
       partial = spec.op == AggKind::kMin   ? f.min
                 : spec.op == AggKind::kMax ? f.max

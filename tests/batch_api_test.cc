@@ -258,19 +258,15 @@ TEST_F(BatchApiTest, KernelSinglePassComputesFourAggregates) {
   }
 }
 
-TEST_F(BatchApiTest, AggsListWithoutMirrorSyncStillCorrect) {
-  // `aggs` is a public field; a caller may fill it directly and leave the
-  // legacy `agg`/`agg_dim` mirror at its default. Init/merge/kernels must
-  // all read kinds through agg_spec(0), not the mirror.
-  Query q;
-  q.aggs = {{AggKind::kMin, 1}, {AggKind::kSum, 2}};  // agg stays kCount.
+TEST_F(BatchApiTest, MinFirstAggregateListInitsAndMergesByKind) {
+  // The first aggregate's kind, not the default COUNT's, sets the primary
+  // accumulator's identity and its merge rule.
+  Query q({}, {{AggKind::kMin, 1}, {AggKind::kSum, 2}});
   QueryResult init = InitResult(q);
   EXPECT_EQ(init.agg, kValueMax);  // MIN identity, not COUNT's 0.
 
-  Query synced = q;
-  synced.SetAggregates({{AggKind::kMin, 1}, {AggKind::kSum, 2}});
   FloodIndex index(data_, workload_);
-  QueryResult want = index.Execute(synced);
+  QueryResult want = FullScanIndex(data_).Execute(q);
   QueryResult got = index.Execute(q);
   EXPECT_EQ(got.agg, want.agg);
   ASSERT_EQ(got.extra.size(), want.extra.size());

@@ -168,8 +168,7 @@ TEST_P(ConsistencyTest, AllIndexesAgreeWithFullScanOnAllAggregates) {
   for (Query q : probes) {
     for (AggKind agg : {AggKind::kCount, AggKind::kSum, AggKind::kMin,
                         AggKind::kMax, AggKind::kAvg}) {
-      q.agg = agg;
-      q.agg_dim = 2;
+      q.SetAggregates({{agg, 2}});
       QueryResult want = ExecuteFullScan(reference, q);
       QueryResult oracle = InitResult(q);
       OracleScan(reference, 0, reference.size(), q, /*exact=*/false, &oracle);

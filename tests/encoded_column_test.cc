@@ -70,8 +70,7 @@ Dataset MakeMixedWidthData(int64_t rows, int dims, uint64_t seed) {
 
 Query RandomQuery(Rng* rng, int dims, int num_filters, AggKind agg) {
   Query q;
-  q.agg = agg;
-  q.agg_dim = static_cast<int>(rng->NextBelow(dims));
+  q.SetAggregates({{agg, static_cast<int>(rng->NextBelow(dims))}});
   for (int f = 0; f < num_filters; ++f) {
     int dim = static_cast<int>(rng->NextBelow(dims));
     // Bounds spanning the width classes above, plus occasional extremes.
@@ -307,8 +306,7 @@ TEST(EncodedColumnTest, UnalignedRangesAndTranslationBoundaries) {
     for (const auto& [begin, end] : ranges) {
       for (AggKind agg : kAggs) {
         Query q;
-        q.agg = agg;
-        q.agg_dim = 2;
+        q.SetAggregates({{agg, 2}});
         q.filters = filters;
         QueryResult want = InitResult(q);
         OracleScan(raw, begin, end, q, /*exact=*/false, &want);

@@ -170,8 +170,7 @@ TEST(AugmentedGridTest, SumAggregationMatches) {
   ColumnStore store(bench.data, rows);
   grid.Attach(&store, 0);
   for (Query q : bench.workload) {
-    q.agg = AggKind::kSum;
-    q.agg_dim = 2;
+    q.SetAggregates({{AggKind::kSum, 2}});
     QueryResult expected = reference.Execute(q);
     QueryResult got;
     grid.Execute(q, &got);

@@ -237,10 +237,9 @@ TEST(DeltaChunkTest, RawScanBitIdenticalToRowMajorLoop) {
                            AggKind::kMax, AggKind::kAvg};
   for (int trial = 0; trial < 120; ++trial) {
     Query q;
-    q.agg = kAggs[trial % 5];
-    q.agg_dim = trial % 3;
+    q.SetAggregates({{kAggs[trial % 5], trial % 3}});
     if (trial % 4 == 0) {
-      q.SetAggregates({{q.agg, q.agg_dim},
+      q.SetAggregates({q.agg_spec(0),
                        {AggKind::kSum, (trial + 1) % 3},
                        {AggKind::kMax, (trial + 2) % 3}});
     }

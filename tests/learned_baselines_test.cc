@@ -203,8 +203,7 @@ TEST(QdTreeTest, AggregatesMatchFullScan) {
        {AggKind::kCount, AggKind::kSum, AggKind::kMin, AggKind::kMax,
         AggKind::kAvg}) {
     Query q = workload[3];
-    q.agg = agg;
-    q.agg_dim = 2;
+    q.SetAggregates({{agg, 2}});
     QueryResult got = index.Execute(q);
     QueryResult want = full.Execute(q);
     EXPECT_EQ(got.agg, want.agg) << static_cast<int>(agg);

@@ -23,6 +23,7 @@
 #include "src/common/random.h"
 #include "src/common/stats.h"
 #include "src/ingest/ingest_store.h"
+#include "src/io/serializer.h"
 #include "src/net/client.h"
 #include "src/net/server.h"
 #include "src/net/wire.h"
@@ -43,6 +44,21 @@ using net::TsunamiServer;
 using net::WireError;
 
 // ---- Codec ----------------------------------------------------------------
+
+// An unfiltered query payload with `num_aggs` COUNT aggregates, encoded by
+// hand in EncodeQueryPayload's layout so it can carry more aggregates than
+// a Query holds.
+std::string CountAggsPayload(int num_aggs) {
+  BinaryWriter w;
+  w.PutVarU64(0);  // No filters.
+  w.PutVarU64(static_cast<uint64_t>(num_aggs));
+  for (int i = 0; i < num_aggs; ++i) {
+    w.PutU8(static_cast<uint8_t>(AggKind::kCount));
+    w.PutVarI64(0);
+  }
+  w.PutVarI64(-1);  // Unlabeled type.
+  return w.Release();
+}
 
 TEST(WireCodec, FrameHeaderRoundTrip) {
   FrameHeader in;
@@ -123,6 +139,14 @@ TEST(WireCodec, QueryPayloadStrictDecodeRejectsCorruption) {
             static_cast<uint8_t>(AggKind::kAvg));
   bad_op[op_index] = 0x7F;
   EXPECT_FALSE(net::DecodeQueryPayload(bad_op, &out));
+  // The aggregate list is capped at kMaxQueryAggs: a full list decodes (and
+  // re-encodes to the same bytes), one more is a malformed payload.
+  const std::string full = CountAggsPayload(kMaxQueryAggs);
+  ASSERT_TRUE(net::DecodeQueryPayload(full, &out));
+  EXPECT_EQ(out.num_aggs(), kMaxQueryAggs);
+  EXPECT_EQ(net::EncodeQueryPayload(out), full);
+  EXPECT_FALSE(
+      net::DecodeQueryPayload(CountAggsPayload(kMaxQueryAggs + 1), &out));
 }
 
 TEST(WireCodec, ResultAndErrorPayloadRoundTrip) {
@@ -151,6 +175,14 @@ TEST(WireCodec, ResultAndErrorPayloadRoundTrip) {
     EXPECT_FALSE(net::DecodeResultPayload(
         std::string_view(payload).substr(0, cut), &out));
   }
+  // One accumulator per aggregate: at most kMaxQueryAggs - 1 extras.
+  in.result.extra.assign(kMaxQueryAggs - 1, 5);
+  ASSERT_TRUE(
+      net::DecodeResultPayload(net::EncodeResultPayload(in), &out));
+  EXPECT_EQ(out.result.extra, in.result.extra);
+  in.result.extra.push_back(5);
+  EXPECT_FALSE(
+      net::DecodeResultPayload(net::EncodeResultPayload(in), &out));
 
   const std::string err =
       net::EncodeErrorPayload(WireError::kQueueFull, "try later");
@@ -506,6 +538,16 @@ TEST_F(NetTest, MalformedPayloadGetsTypedErrorAndConnectionSurvives) {
   EXPECT_TRUE(err.transport_ok);
   EXPECT_EQ(err.error, WireError::kMalformedFrame)
       << net::ToString(err.error);
+  // A well-formed payload with one aggregate past kMaxQueryAggs is
+  // malformed too: rejected by the decoder, never thrown in the loop.
+  h.request_id = 78;
+  frame.clear();
+  net::AppendFrame(h, CountAggsPayload(kMaxQueryAggs + 1), &frame);
+  ASSERT_TRUE(client.SendRaw(frame));
+  ASSERT_TRUE(client.Await(78, &err));
+  EXPECT_TRUE(err.transport_ok);
+  EXPECT_EQ(err.error, WireError::kMalformedFrame)
+      << net::ToString(err.error);
   // Same connection, next query still works: frame sync held.
   Rng rng(5);
   const ClientResult ok = client.Run(Needle(rng));
@@ -750,19 +792,15 @@ TEST_F(NetTest, StalledReaderIsEvicted) {
     copts.rcvbuf_bytes = 4096;  // Shrink the reader side too.
     TsunamiClient client(copts);
 
-    // Many multi-aggregate responses (~KBs each) against 4KB socket
-    // buffers and a reader that never reads: the server's write buffer
-    // stalls, and the stall timer evicts the connection instead of
-    // buffering forever. The empty-range filter keeps execution cheap (no
-    // rows match); the response still carries all 3000 accumulators.
-    Query wide;
-    wide.filters.push_back(Predicate{0, 1, 0});
-    std::vector<AggregateSpec> specs;
-    for (int i = 0; i < 3000; ++i) {
-      specs.push_back(AggregateSpec{AggKind::kCount, 0});
-    }
-    wide.SetAggregates(std::move(specs));
-    for (int i = 0; i < 24; ++i) {
+    // Many responses (~100 KB in all) against 4KB socket buffers and a
+    // reader that never reads: the server's write buffer stalls, and the
+    // stall timer evicts the connection instead of buffering forever. The
+    // empty-range filter keeps execution cheap (no rows match); each
+    // answer still carries kMaxQueryAggs accumulators, and each query past
+    // the in-flight cap is answered with a kClientBusy error frame.
+    const Query wide({Predicate{0, 1, 0}},
+                     std::vector<AggregateSpec>(kMaxQueryAggs));
+    for (int i = 0; i < 1536; ++i) {
       ASSERT_NE(client.Submit(wide), 0u);
     }
     // Never Await: just wait for the eviction.

@@ -85,8 +85,8 @@ Workload MakeRandomQueries(const Dataset& data, int count, uint64_t seed) {
     }
     if (rng.NextBool(0.2)) q.filters.clear();  // Unfiltered COUNT(*).
     if (rng.NextBool(0.3)) {
-      q.agg = AggKind::kSum;
-      q.agg_dim = static_cast<int>(rng.NextBelow(data.dims()));
+      q.SetAggregates(
+          {{AggKind::kSum, static_cast<int>(rng.NextBelow(data.dims()))}});
     }
     w.push_back(q);
   }

@@ -2,8 +2,11 @@
 // query engine end to end (over FullScan and Tsunami indexes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/baselines/full_scan.h"
 #include "src/common/random.h"
@@ -273,6 +276,21 @@ TEST_F(QueryLayerTest, ErrorNegatedString) {
   EXPECT_FALSE(r.ok);
 }
 
+TEST_F(QueryLayerTest, ErrorTooManyAggregates) {
+  // kMaxQueryAggs aggregates bind; one more is the parser's error.
+  std::string select = "SELECT COUNT(*)";
+  for (int i = 1; i < kMaxQueryAggs; ++i) select += ", SUM(distance)";
+  SqlResult r = engine_->Run(select + " FROM trips");
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.query.num_aggs(), kMaxQueryAggs);
+  ASSERT_EQ(r.values.size(), static_cast<size_t>(kMaxQueryAggs));
+  EXPECT_EQ(r.values.back(), 1 + 2 + 3 + 5 + 8 + 13);
+  r = engine_->Run(select + ", MAX(fare) FROM trips");
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("too many aggregates"), std::string::npos)
+      << r.error;
+}
+
 // --- Aggregate accumulator helpers ------------------------------------------
 
 TEST(AggregateTest, IdentityElements) {
@@ -300,9 +318,31 @@ TEST(AggregateTest, AccumulateMatchesSemantics) {
   EXPECT_EQ(mx, 9);
 }
 
+TEST(AggregateTest, QueryHoldsOneToMaxAggregates) {
+  const AggregateSpec count{AggKind::kCount, 0};
+  const Query fresh;
+  EXPECT_TRUE(std::ranges::equal(fresh.aggs(), std::vector{count}));
+
+  Query q({}, {{AggKind::kSum, 1}, {AggKind::kMax, 2}});
+  q.SetAggregates({});
+  EXPECT_TRUE(std::ranges::equal(q.aggs(), std::vector{count}));
+
+  std::vector<AggregateSpec> specs;
+  for (int i = 0; i < kMaxQueryAggs; ++i) specs.push_back({AggKind::kSum, i});
+  q.SetAggregates(specs);
+  const Query copy = q;
+  EXPECT_EQ(copy.num_aggs(), kMaxQueryAggs);
+  EXPECT_TRUE(std::ranges::equal(copy.aggs(), specs));
+
+  // One past the cap throws and leaves the list as it was.
+  specs.push_back({AggKind::kMin, 0});
+  EXPECT_THROW(q.SetAggregates(specs), std::invalid_argument);
+  EXPECT_EQ(q.num_aggs(), kMaxQueryAggs);
+  EXPECT_THROW((void)Query({}, specs), std::invalid_argument);
+}
+
 TEST(AggregateTest, FinalAvgDividesByMatched) {
-  Query q;
-  q.agg = AggKind::kAvg;
+  Query q({}, {{AggKind::kAvg, 0}});
   QueryResult r;
   r.agg = 10;
   r.matched = 4;
@@ -339,8 +379,7 @@ TEST_P(AggThroughIndexTest, TsunamiMatchesFullScan) {
   ColumnStore reference(data);
 
   for (Query q : workload) {
-    q.agg = GetParam();
-    q.agg_dim = 1;
+    q.SetAggregates({{GetParam(), 1}});
     QueryResult got = index.Execute(q);
     QueryResult want = ExecuteFullScan(reference, q);
     EXPECT_EQ(got.matched, want.matched);

@@ -63,8 +63,7 @@ Dataset MakeData(int64_t rows, int dims, bool clustered, uint64_t seed) {
 
 Query RandomQuery(Rng* rng, int dims, int num_filters, AggKind agg) {
   Query q;
-  q.agg = agg;
-  q.agg_dim = static_cast<int>(rng->NextBelow(dims));
+  q.SetAggregates({{agg, static_cast<int>(rng->NextBelow(dims))}});
   for (int f = 0; f < num_filters; ++f) {
     int dim = static_cast<int>(rng->NextBelow(dims));
     Value lo = rng->UniformValue(-6000, 6000);
@@ -145,8 +144,7 @@ TEST(ScanKernelTest, SimdTiersBitForBitOnUnalignedRanges) {
         for (const auto& [begin, end] : ranges) {
           for (AggKind agg : kAggs) {
             Query q;
-            q.agg = agg;
-            q.agg_dim = 2;
+            q.SetAggregates({{agg, 2}});
             q.filters = filters;
             QueryResult got = InitResult(q), want = InitResult(q);
             store.ScanRange(begin, end, q, /*exact=*/false, &got,
@@ -327,12 +325,12 @@ TEST(ScanKernelTest, ExactRangesCrossCheck) {
   Rng rng(904);
   for (int trial = 0; trial < 200; ++trial) {
     Query q;
-    q.agg = kAggs[trial % 5];
-    q.agg_dim = static_cast<int>(rng.NextBelow(3));
+    const int column = static_cast<int>(rng.NextBelow(3));
+    q.SetAggregates({{kAggs[trial % 5], column}});
     if (trial % 4 == 0) {
-      q.SetAggregates({{q.agg, q.agg_dim},
+      q.SetAggregates({{kAggs[trial % 5], column},
                        {AggKind::kCount, 0},
-                       {AggKind::kMax, (q.agg_dim + 1) % 3}});
+                       {AggKind::kMax, (column + 1) % 3}});
     }
     int64_t begin = rng.UniformValue(0, store.size());
     int64_t end = rng.UniformValue(begin, store.size());
@@ -356,8 +354,7 @@ TEST(ScanKernelTest, ExactSumUsesZoneMapSums) {
     int64_t begin = rng.UniformValue(0, store.size());
     int64_t end = rng.UniformValue(begin, store.size());
     Query q;
-    q.agg = AggKind::kSum;
-    q.agg_dim = 1;
+    q.SetAggregates({{AggKind::kSum, 1}});
     int64_t expected = 0;
     for (int64_t r = begin; r < end; ++r) expected += data.at(r, 1);
     QueryResult vec;
@@ -439,8 +436,7 @@ TEST(ScanKernelTest, GridWithOutlierBufferCrossChecksAllAggregates) {
   FullScanIndex reference(data);
   for (int trial = 0; trial < 100; ++trial) {
     Query q;
-    q.agg = kAggs[trial % 5];
-    q.agg_dim = trial % 2;
+    q.SetAggregates({{kAggs[trial % 5], trial % 2}});
     Value lo = rng.UniformValue(0, 600000000);
     q.filters.push_back(Predicate{1, lo, lo + rng.UniformValue(0, 100000000)});
     if (trial % 2 == 0) {

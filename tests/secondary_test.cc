@@ -99,8 +99,7 @@ TEST_P(SecondaryKindTest, AllAggregateKinds) {
                       AggKind::kMax, AggKind::kAvg}) {
     Query q;
     q.filters = {Predicate{1, 500, 700}};
-    q.agg = agg;
-    q.agg_dim = 2;
+    q.SetAggregates({{agg, 2}});
     QueryResult got = index->Execute(q);
     QueryResult want = full.Execute(q);
     EXPECT_EQ(got.agg, want.agg) << static_cast<int>(agg);

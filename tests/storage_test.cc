@@ -58,8 +58,7 @@ TEST(ColumnStoreTest, SumAggregationOverExactRange) {
   Dataset data = SmallDataset();
   ColumnStore store(data);
   Query q;
-  q.agg = AggKind::kSum;
-  q.agg_dim = 1;
+  q.SetAggregates({{AggKind::kSum, 1}});
   QueryResult r;
   store.ScanRange(1, 3, q, /*exact=*/true, &r);
   EXPECT_EQ(r.agg, 50);  // 20 + 30.
@@ -69,8 +68,7 @@ TEST(ColumnStoreTest, SumWithFilters) {
   Dataset data = SmallDataset();
   ColumnStore store(data);
   Query q;
-  q.agg = AggKind::kSum;
-  q.agg_dim = 1;
+  q.SetAggregates({{AggKind::kSum, 1}});
   q.filters = {Predicate{0, 2, 4}};
   QueryResult r;
   store.ScanRange(0, 4, q, false, &r);
