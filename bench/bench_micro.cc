@@ -2,7 +2,9 @@
 // the two ablations DESIGN.md calls out: the exact-range scan skip and the
 // sort-dimension binary-search refinement. main() additionally runs the
 // scan kernel's portable-vs-SIMD tier sweep and writes
-// BENCH_scan_kernel.json before the registered benchmarks.
+// BENCH_scan_kernel.json before the registered benchmarks. `--scan` runs
+// only that tier sweep (about a second); `--encoding`, `--service` and
+// `--overload` run only their own sections.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -350,28 +352,10 @@ void RunScanKernelAB(SimdTier forced_tier,
   }
   // scan_wide's shape: three filters on uint8/uint16 code columns and
   // COUNT+SUM+MIN+MAX of one uint32 column, over the full store and over
-  // 256/1024-row cells. Values are uniform within every block, so zone
-  // maps neither skip nor cover blocks and every block runs the predicate
-  // passes and the aggregate fold. Each filter keeps the cube root of the
-  // target selectivity: at 0.001 the first filter keeps 10% of the rows.
-  Dataset wide(4, {});
-  wide.Reserve(kRows);
-  std::vector<Value> row(4);
-  for (int64_t i = 0; i < kRows; ++i) {
-    row[0] = rng.UniformValue(0, 250);           // uint8 codes.
-    row[1] = rng.UniformValue(0, 60000);         // uint16 codes.
-    row[2] = rng.UniformValue(0, 250);           // uint8 codes.
-    row[3] = rng.UniformValue(0, Value{1} << 30);  // uint32 codes.
-    wide.AppendRow(row);
-  }
-  ColumnStore wide_store(wide);
-  for (double sel : {0.001, 0.05, 0.5}) {
-    const double keep = std::cbrt(sel);
-    Query q({Predicate{0, 0, static_cast<Value>(keep * 250)},
-             Predicate{1, 0, static_cast<Value>(keep * 60000)},
-             Predicate{2, 0, static_cast<Value>(keep * 250)}},
-            {AggregateSpec{AggKind::kCount, 0}, AggregateSpec{AggKind::kSum, 3},
-             AggregateSpec{AggKind::kMin, 3}, AggregateSpec{AggKind::kMax, 3}});
+  // 256/1024-row cells, timed at `sel` (the query's selectivity) with
+  // `zone_covered` of the three filters proved by every block's zone map.
+  auto time_wide = [&](const char* label, const ColumnStore& wide_store,
+                       const Query& q, double sel, int zone_covered) {
     for (int64_t range_len : {int64_t{0}, int64_t{256}, int64_t{1024}}) {
       std::vector<RangeTask> tasks;
       if (range_len == 0) {
@@ -388,7 +372,7 @@ void RunScanKernelAB(SimdTier forced_tier,
       double simd = TimeScan(wide_store, tasks, q, simd_tier, 5);
       double speedup = simd > 0 ? none / simd : 0.0;
       char shape[32];
-      std::snprintf(shape, sizeof(shape), "wide %s sel=%g",
+      std::snprintf(shape, sizeof(shape), "%s %s sel=%g", label,
                     range_len == 0 ? "full" : range_len == 256 ? "c256"
                                                                : "c1024",
                     sel);
@@ -398,6 +382,7 @@ void RunScanKernelAB(SimdTier forced_tier,
           bench::EnvRecord("wide_multi_agg", tier, /*threads=*/1,
                            /*batch_size=*/static_cast<int64_t>(tasks.size()))
               .Num("selectivity", sel)
+              .Int("zone_covered_filters", zone_covered)
               .Int("rows_per_scan", range_len == 0 ? kRows : range_len)
               .Int("num_ranges", static_cast<int64_t>(tasks.size()))
               .Num("none_ns_per_row", none * 1e9 / scanned)
@@ -405,6 +390,47 @@ void RunScanKernelAB(SimdTier forced_tier,
               .Num("simd_speedup_vs_none", speedup)
               .Finish());
     }
+  };
+  const std::vector<AggregateSpec> wide_aggs = {
+      {AggKind::kCount, 0}, {AggKind::kSum, 3}, {AggKind::kMin, 3},
+      {AggKind::kMax, 3}};
+  // Values uniform within every block, so zone maps neither skip nor cover
+  // blocks and every block runs all three predicate passes and the fold.
+  // Each filter keeps the cube root of the target selectivity: at 0.001
+  // the first filter keeps 10% of the rows.
+  Dataset wide(4, {});
+  wide.Reserve(kRows);
+  std::vector<Value> row(4);
+  for (int64_t i = 0; i < kRows; ++i) {
+    row[0] = rng.UniformValue(0, 250);           // uint8 codes.
+    row[1] = rng.UniformValue(0, 60000);         // uint16 codes.
+    row[2] = rng.UniformValue(0, 250);           // uint8 codes.
+    row[3] = rng.UniformValue(0, Value{1} << 30);  // uint32 codes.
+    wide.AppendRow(row);
+  }
+  const ColumnStore wide_store(wide);
+  for (double sel : {0.001, 0.05, 0.5}) {
+    const double keep = std::cbrt(sel);
+    const Query q({Predicate{0, 0, static_cast<Value>(keep * 250)},
+                   Predicate{1, 0, static_cast<Value>(keep * 60000)},
+                   Predicate{2, 0, static_cast<Value>(keep * 250)}},
+                  wide_aggs);
+    time_wide("wide", wide_store, q, sel, /*zone_covered=*/0);
+  }
+  // The same shape with the d0 and d1 filters proved by every block's zone
+  // map: their values stay inside the filters' ranges, though not inside
+  // the whole code domain (which the code-space translation would already
+  // skip). Only the d2 filter, keeping `sel` of the rows, runs a pass.
+  for (int64_t i = 0; i < kRows; ++i) {
+    wide.raw()[i * 4] = rng.UniformValue(0, 200);
+    wide.raw()[i * 4 + 1] = rng.UniformValue(0, 50000);
+  }
+  const ColumnStore covered_store(wide);
+  for (double sel : {0.05, 0.5}) {
+    const Query q({Predicate{0, 0, 220}, Predicate{1, 0, 55000},
+                   Predicate{2, 0, static_cast<Value>(sel * 250)}},
+                  wide_aggs);
+    time_wide("cov2", covered_store, q, sel, /*zone_covered=*/2);
   }
 }
 
@@ -1143,49 +1169,27 @@ SimdTier ParseSimdFlag(int* argc, char** argv) {
   return tier;
 }
 
-/// Parses and strips a `--service` argument (run only the serving-path
-/// section — plan cache + work-stealing skewed batch).
-bool ParseServiceFlag(int* argc, char** argv) {
-  bool service_only = false;
-  StripArgs(argc, argv, [&service_only](std::string_view arg) {
-    if (arg != "--service") return false;
-    service_only = true;
+/// Parses and strips `flag` (one of the section-only flags: `--scan` runs
+/// the scan-kernel tier sweep, `--encoding` the raw-vs-coded sweep,
+/// `--service` the serving-path section, `--overload` the shedding sweep).
+bool ParseOnlyFlag(int* argc, char** argv, std::string_view flag) {
+  bool found = false;
+  StripArgs(argc, argv, [&found, flag](std::string_view arg) {
+    if (arg != flag) return false;
+    found = true;
     return true;
   });
-  return service_only;
-}
-
-/// Parses and strips a `--encoding` argument (run only the encoded-block
-/// raw-vs-coded sweep and write it to BENCH_scan_kernel.json).
-bool ParseEncodingFlag(int* argc, char** argv) {
-  bool encoding_only = false;
-  StripArgs(argc, argv, [&encoding_only](std::string_view arg) {
-    if (arg != "--encoding") return false;
-    encoding_only = true;
-    return true;
-  });
-  return encoding_only;
-}
-
-/// Parses and strips a `--overload` argument (run only the bounded-vs-
-/// unbounded overload shedding sweep).
-bool ParseOverloadFlag(int* argc, char** argv) {
-  bool overload_only = false;
-  StripArgs(argc, argv, [&overload_only](std::string_view arg) {
-    if (arg != "--overload") return false;
-    overload_only = true;
-    return true;
-  });
-  return overload_only;
+  return found;
 }
 
 }  // namespace
 }  // namespace tsunami
 
 int main(int argc, char** argv) {
-  bool service_only = tsunami::ParseServiceFlag(&argc, argv);
-  bool encoding_only = tsunami::ParseEncodingFlag(&argc, argv);
-  bool overload_only = tsunami::ParseOverloadFlag(&argc, argv);
+  bool scan_only = tsunami::ParseOnlyFlag(&argc, argv, "--scan");
+  bool service_only = tsunami::ParseOnlyFlag(&argc, argv, "--service");
+  bool encoding_only = tsunami::ParseOnlyFlag(&argc, argv, "--encoding");
+  bool overload_only = tsunami::ParseOnlyFlag(&argc, argv, "--overload");
   tsunami::SimdTier tier = tsunami::ParseSimdFlag(&argc, argv);
   std::vector<std::string> records;
   if (overload_only) {
@@ -1199,10 +1203,11 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  if (encoding_only) {
-    // Encoding-only run: the raw-vs-coded sweep is part of the scan-kernel
-    // bench family, so its records land in BENCH_scan_kernel.json.
-    tsunami::RunEncodingAB(&records);
+  if (scan_only || encoding_only) {
+    // Scan- or encoding-only run: both sweeps are part of the scan-kernel
+    // bench family, so their records land in BENCH_scan_kernel.json.
+    if (scan_only) tsunami::RunScanKernelAB(tier, &records);
+    if (encoding_only) tsunami::RunEncodingAB(&records);
     if (tsunami::bench::WriteBenchJson("BENCH_scan_kernel.json",
                                        "scan_kernel", records)) {
       std::printf("wrote BENCH_scan_kernel.json\n");

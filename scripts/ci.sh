@@ -33,12 +33,13 @@
 #     through int64 wraparound, the index-build suites (optimizer,
 #     grid, outlier, skew), whose index arithmetic the cost model's
 #     per-candidate layout, the fence selection and the clustering
-#     embeddings rewrite, and consistency_test, which runs every index's
-#     scans end to end. Under ASan a scan kernel load past a slice's last
-#     code is a heap-buffer-overflow (scan_kernel_test scans stores whose
-#     last block ends where the code payload ends). UBSan is fatal here
-#     (-fno-sanitize-recover=undefined), so passes 6, 7, 9 and 10 fail on
-#     any report;
+#     embeddings rewrite, consistency_test, which runs every index's
+#     scans end to end, and the three baseline suites, whose planners emit
+#     through the task-coalescing helper. Under ASan a scan kernel load
+#     past a slice's last code is a heap-buffer-overflow (scan_kernel_test
+#     scans stores whose last block ends where the code payload ends).
+#     UBSan is fatal here (-fno-sanitize-recover=undefined), so passes 6,
+#     7, 9 and 10 fail on any report;
 #  7. the network front end under the same ASan+UBSan+FI build:
 #     tsunami_serverd + net_test (which gates the wire-level NetFaultTest
 #     fault soaks on TSUNAMI_FAULT_INJECTION), a loopback daemon smoke via
@@ -106,9 +107,10 @@ ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" -R \
 # Sixth pass: ASan+UBSan on the robustness suites (storage integrity, file
 # error paths, scheduler exception-safety, service overload/degrade) and on
 # the index-build arithmetic (the cost model's per-candidate layout, the
-# outlier fence selection, the clustering embeddings), fault injection
-# compiled in. Scoped to the relevant suites: this is a 1-core CI host and
-# a full ASan ctest would double the wall time for no new signal.
+# outlier fence selection, the clustering embeddings) and the baselines'
+# range planners, fault injection compiled in. Scoped to the relevant
+# suites: this is a 1-core CI host and a full ASan ctest would double the
+# wall time for no new signal.
 cmake -B build-asan -S . -DTSUNAMI_WERROR=ON \
   -DTSUNAMI_SANITIZE=address,undefined -DTSUNAMI_FAULT_INJECTION=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -116,9 +118,10 @@ cmake --build build-asan -j"$(nproc)" --target \
   io_test encoded_column_test storage_test scan_kernel_test \
   task_scheduler_test query_service_test tsunami_test ingest_test \
   exec_test batch_api_test property_test optimizer_test grid_test \
-  outlier_test skew_test consistency_test
+  outlier_test skew_test consistency_test baselines_test \
+  related_baselines_test learned_baselines_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" -R \
-  'io_test|encoded_column_test|storage_test|scan_kernel_test|task_scheduler_test|query_service_test|tsunami_test|ingest_test|exec_test|batch_api_test|property_test|optimizer_test|grid_test|outlier_test|skew_test|consistency_test'
+  'io_test|encoded_column_test|storage_test|scan_kernel_test|task_scheduler_test|query_service_test|tsunami_test|ingest_test|exec_test|batch_api_test|property_test|optimizer_test|grid_test|outlier_test|skew_test|consistency_test|baselines_test|related_baselines_test|learned_baselines_test'
 
 # Seventh pass: the network front end, reusing the ASan+UBSan+FI build.
 # net_test's NetFaultTest suite (injected accept failures, short writes,

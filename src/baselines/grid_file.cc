@@ -69,9 +69,10 @@ int GridFileIndex::BucketOf(int dim, Value v) const {
                           scale.begin());
 }
 
-QueryResult GridFileIndex::Execute(const Query& query) const {
-  QueryResult result = InitResult(query);
-  if (store_.size() == 0) return result;
+void GridFileIndex::PlanTasks(const Query& query,
+                              std::vector<RangeTask>* tasks,
+                              QueryResult* counters) const {
+  if (store_.size() == 0) return;
   // Per-dimension bucket ranges, plus whether the query covers each bucket
   // entirely (for the exact-scan optimization).
   std::vector<int> lo(dims_, 0), hi(dims_, 0);
@@ -82,10 +83,7 @@ QueryResult GridFileIndex::Execute(const Query& query) const {
   }
 
   // Odometer over the cell box; runs along the innermost dimension are
-  // contiguous in the directory, so scan them as single ranges. Runs are
-  // collected and submitted to the scan kernel as one batch.
-  static thread_local std::vector<RangeTask> tasks;
-  tasks.clear();
+  // contiguous in the directory, so scan them as single ranges.
   std::vector<int> cur(lo);
   for (;;) {
     int64_t base = 0;
@@ -112,8 +110,8 @@ QueryResult GridFileIndex::Execute(const Query& query) const {
           break;
         }
       }
-      ++result.cell_ranges;
-      tasks.push_back(RangeTask{begin, end, exact});
+      ++counters->cell_ranges;
+      AppendRangeTask(tasks, RangeTask{begin, end, exact});
     }
     // Advance the odometer over dims [0, dims_-1).
     int d = dims_ - 2;
@@ -124,8 +122,6 @@ QueryResult GridFileIndex::Execute(const Query& query) const {
     if (d < 0) break;
     ++cur[d];
   }
-  store_.ScanRanges(tasks, query, &result);
-  return result;
 }
 
 int64_t GridFileIndex::IndexSizeBytes() const {

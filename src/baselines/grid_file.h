@@ -20,7 +20,7 @@ namespace tsunami {
 /// Static clustered Grid File: equi-depth linear scales per dimension, rows
 /// clustered by cell in row-major cell order, and a directory of cell start
 /// offsets.
-class GridFileIndex : public MultiDimIndex {
+class GridFileIndex : public RangePlanIndex {
  public:
   struct Options {
     /// Target rows per cell; partition counts per dimension are the largest
@@ -35,7 +35,6 @@ class GridFileIndex : public MultiDimIndex {
   GridFileIndex(const Dataset& data, const Options& options);
 
   std::string Name() const override { return "GridFile"; }
-  QueryResult Execute(const Query& query) const override;
   int64_t IndexSizeBytes() const override;
   const ColumnStore& store() const override { return store_; }
 
@@ -43,6 +42,9 @@ class GridFileIndex : public MultiDimIndex {
   const std::vector<int>& partitions() const { return partitions_; }
 
  private:
+  void PlanTasks(const Query& query, std::vector<RangeTask>* tasks,
+                 QueryResult* counters) const override;
+
   int BucketOf(int dim, Value v) const;
 
   int dims_ = 0;

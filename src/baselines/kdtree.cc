@@ -80,16 +80,12 @@ int32_t KdTree::BuildNode(const Dataset& data, std::vector<uint32_t>* perm,
   return idx;
 }
 
-QueryResult KdTree::Execute(const Query& query) const {
-  QueryResult result = InitResult(query);
-  if (nodes_.empty()) return result;
+void KdTree::PlanTasks(const Query& query, std::vector<RangeTask>* tasks,
+                       QueryResult* counters) const {
+  if (nodes_.empty()) return;
   std::vector<Value> lo = bounds_.lo;
   std::vector<Value> hi = bounds_.hi;
-  static thread_local std::vector<RangeTask> tasks;
-  tasks.clear();
-  PlanNode(0, query, &lo, &hi, &tasks, &result);
-  store_.ScanRanges(tasks, query, &result);
-  return result;
+  PlanNode(0, query, &lo, &hi, tasks, counters);
 }
 
 void KdTree::PlanNode(int32_t node_idx, const Query& query,
@@ -105,9 +101,7 @@ void KdTree::PlanNode(int32_t node_idx, const Query& query,
       }
     }
     ++out->cell_ranges;
-    if (node.begin < node.end) {
-      tasks->push_back(RangeTask{node.begin, node.end, exact});
-    }
+    AppendRangeTask(tasks, RangeTask{node.begin, node.end, exact});
     return;
   }
   int dim = node.split_dim;

@@ -15,7 +15,7 @@
 
 namespace tsunami {
 
-class KdTree : public MultiDimIndex {
+class KdTree : public RangePlanIndex {
  public:
   struct Options {
     int64_t page_size = 4096;
@@ -27,7 +27,6 @@ class KdTree : public MultiDimIndex {
          const Options& options);
 
   std::string Name() const override { return "KdTree"; }
-  QueryResult Execute(const Query& query) const override;
   int64_t IndexSizeBytes() const override {
     return static_cast<int64_t>(nodes_.size()) * sizeof(Node);
   }
@@ -37,6 +36,9 @@ class KdTree : public MultiDimIndex {
   int64_t num_leaves() const;
 
  private:
+  void PlanTasks(const Query& query, std::vector<RangeTask>* tasks,
+                 QueryResult* counters) const override;
+
   struct Node {
     int64_t begin = 0;
     int64_t end = 0;

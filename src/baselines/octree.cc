@@ -87,16 +87,12 @@ int32_t HyperOctree::BuildNode(const Dataset& data,
   return idx;
 }
 
-QueryResult HyperOctree::Execute(const Query& query) const {
-  QueryResult result = InitResult(query);
-  if (nodes_.empty()) return result;
+void HyperOctree::PlanTasks(const Query& query, std::vector<RangeTask>* tasks,
+                            QueryResult* counters) const {
+  if (nodes_.empty()) return;
   std::vector<Value> lo = bounds_.lo;
   std::vector<Value> hi = bounds_.hi;
-  static thread_local std::vector<RangeTask> tasks;
-  tasks.clear();
-  PlanNode(0, query, &lo, &hi, &tasks, &result);
-  store_.ScanRanges(tasks, query, &result);
-  return result;
+  PlanNode(0, query, &lo, &hi, tasks, counters);
 }
 
 void HyperOctree::PlanNode(int32_t node_idx, const Query& query,
@@ -113,9 +109,7 @@ void HyperOctree::PlanNode(int32_t node_idx, const Query& query,
       }
     }
     ++out->cell_ranges;
-    if (node.begin < node.end) {
-      tasks->push_back(RangeTask{node.begin, node.end, exact});
-    }
+    AppendRangeTask(tasks, RangeTask{node.begin, node.end, exact});
     return;
   }
   std::vector<Value> mid(dims_);

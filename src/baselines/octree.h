@@ -15,7 +15,7 @@
 
 namespace tsunami {
 
-class HyperOctree : public MultiDimIndex {
+class HyperOctree : public RangePlanIndex {
  public:
   struct Options {
     int64_t page_size = 4096;
@@ -26,13 +26,15 @@ class HyperOctree : public MultiDimIndex {
   HyperOctree(const Dataset& data, const Options& options);
 
   std::string Name() const override { return "Hyperoctree"; }
-  QueryResult Execute(const Query& query) const override;
   int64_t IndexSizeBytes() const override;
   const ColumnStore& store() const override { return store_; }
 
   int64_t num_nodes() const { return static_cast<int64_t>(nodes_.size()); }
 
  private:
+  void PlanTasks(const Query& query, std::vector<RangeTask>* tasks,
+                 QueryResult* counters) const override;
+
   struct Node {
     int64_t begin = 0;
     int64_t end = 0;

@@ -185,24 +185,17 @@ void QdTreeIndex::PlanNode(int32_t node_id, const Query& query,
   if (!Intersects(query, node.min, node.max)) return;
   if (node.dim < 0) {
     ++out->cell_ranges;
-    if (node.begin < node.end) {
-      tasks->push_back(RangeTask{node.begin, node.end,
-                                 Covered(query, node.min, node.max)});
-    }
+    AppendRangeTask(tasks, RangeTask{node.begin, node.end,
+                                     Covered(query, node.min, node.max)});
     return;
   }
   PlanNode(node.left, query, tasks, out);
   PlanNode(node.right, query, tasks, out);
 }
 
-QueryResult QdTreeIndex::Execute(const Query& query) const {
-  QueryResult result = InitResult(query);
-  if (nodes_.empty()) return result;
-  static thread_local std::vector<RangeTask> tasks;
-  tasks.clear();
-  PlanNode(0, query, &tasks, &result);
-  store_.ScanRanges(tasks, query, &result);
-  return result;
+void QdTreeIndex::PlanTasks(const Query& query, std::vector<RangeTask>* tasks,
+                            QueryResult* counters) const {
+  if (!nodes_.empty()) PlanNode(0, query, tasks, counters);
 }
 
 int64_t QdTreeIndex::IndexSizeBytes() const {

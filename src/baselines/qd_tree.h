@@ -24,7 +24,7 @@
 
 namespace tsunami {
 
-class QdTreeIndex : public MultiDimIndex {
+class QdTreeIndex : public RangePlanIndex {
  public:
   struct Options {
     /// Stop splitting below this many rows (the paper's block-size floor).
@@ -45,7 +45,6 @@ class QdTreeIndex : public MultiDimIndex {
               const Options& options);
 
   std::string Name() const override { return "Qd-tree"; }
-  QueryResult Execute(const Query& query) const override;
   int64_t IndexSizeBytes() const override;
   const ColumnStore& store() const override { return store_; }
 
@@ -53,6 +52,9 @@ class QdTreeIndex : public MultiDimIndex {
   int depth() const { return depth_; }
 
  private:
+  void PlanTasks(const Query& query, std::vector<RangeTask>* tasks,
+                 QueryResult* counters) const override;
+
   struct Node {
     int dim = -1;       // Split dimension; -1 for leaves.
     Value cut = 0;      // Left: value < cut; right: value >= cut.

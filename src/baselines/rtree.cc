@@ -111,30 +111,27 @@ bool RTreeIndex::Covered(const Node& node, const Query& query) const {
   return true;
 }
 
-QueryResult RTreeIndex::Execute(const Query& query) const {
-  QueryResult result = InitResult(query);
-  if (root_ < 0) return result;
+void RTreeIndex::PlanTasks(const Query& query, std::vector<RangeTask>* tasks,
+                           QueryResult* counters) const {
+  if (root_ < 0) return;
   // Iterative DFS; children of one parent are consecutive node indices.
   static thread_local std::vector<int32_t> stack;
-  static thread_local std::vector<RangeTask> tasks;
   stack.clear();
-  tasks.clear();
   stack.push_back(root_);
   while (!stack.empty()) {
     const Node& node = nodes_[stack.back()];
     stack.pop_back();
     if (!Intersects(node, query)) continue;
     if (node.first_child < 0) {
-      ++result.cell_ranges;
-      tasks.push_back(RangeTask{node.begin, node.end, Covered(node, query)});
+      ++counters->cell_ranges;
+      AppendRangeTask(tasks,
+                      RangeTask{node.begin, node.end, Covered(node, query)});
       continue;
     }
     for (int32_t c = 0; c < node.num_children; ++c) {
       stack.push_back(node.first_child + c);
     }
   }
-  store_.ScanRanges(tasks, query, &result);
-  return result;
 }
 
 int64_t RTreeIndex::IndexSizeBytes() const {

@@ -20,7 +20,7 @@ namespace tsunami {
 /// STR-packed R-tree over the shared column store. Leaves hold contiguous
 /// physical row ranges (the index is clustered, like every index in this
 /// library); internal nodes hold minimum bounding rectangles (MBRs).
-class RTreeIndex : public MultiDimIndex {
+class RTreeIndex : public RangePlanIndex {
  public:
   struct Options {
     int64_t page_size = 4096;  // Rows per leaf (tunable, §6.3).
@@ -31,7 +31,6 @@ class RTreeIndex : public MultiDimIndex {
   RTreeIndex(const Dataset& data, const Options& options);
 
   std::string Name() const override { return "RTree"; }
-  QueryResult Execute(const Query& query) const override;
   int64_t IndexSizeBytes() const override;
   const ColumnStore& store() const override { return store_; }
 
@@ -39,6 +38,9 @@ class RTreeIndex : public MultiDimIndex {
   int height() const { return height_; }
 
  private:
+  void PlanTasks(const Query& query, std::vector<RangeTask>* tasks,
+                 QueryResult* counters) const override;
+
   struct Node {
     std::vector<Value> lo;  // MBR, inclusive.
     std::vector<Value> hi;

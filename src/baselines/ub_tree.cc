@@ -111,9 +111,9 @@ uint32_t UbTreeIndex::BucketOf(int dim, Value v) const {
       bucket_models_[dim]->PartitionOf(v, 1 << bits_per_dim_));
 }
 
-QueryResult UbTreeIndex::Execute(const Query& query) const {
-  QueryResult result = InitResult(query);
-  if (pages_.empty()) return result;
+void UbTreeIndex::PlanTasks(const Query& query, std::vector<RangeTask>* tasks,
+                            QueryResult* counters) const {
+  if (pages_.empty()) return;
   // Corner Z-addresses of the query box in bucket space.
   std::vector<uint32_t> lo_coords(dims_, 0), hi_coords(dims_, 0);
   for (int d = 0; d < dims_; ++d) {
@@ -127,10 +127,7 @@ QueryResult UbTreeIndex::Execute(const Query& query) const {
   const uint64_t zmax = MortonEncode(hi_coords, bits_per_dim_);
 
   // Walk pages in Z order, jumping with BIGMIN past pages whose Z-interval
-  // contains no address inside the box. Page ranges are batched and
-  // submitted to the scan kernel in one call.
-  static thread_local std::vector<RangeTask> tasks;
-  tasks.clear();
+  // contains no address inside the box.
   uint64_t cur = zmin;  // Next box address we still have to cover.
   size_t i = static_cast<size_t>(
       std::lower_bound(pages_.begin(), pages_.end(), cur,
@@ -155,14 +152,12 @@ QueryResult UbTreeIndex::Execute(const Query& query) const {
         continue;  // This Z-region provably holds no box address.
       }
     }
-    ++result.cell_ranges;
-    tasks.push_back(RangeTask{page.begin, page.end, /*exact=*/false});
+    ++counters->cell_ranges;
+    AppendRangeTask(tasks, RangeTask{page.begin, page.end, /*exact=*/false});
     if (page.z_max >= zmax) break;
     if (!ZBigMin(page.z_max, zmin, zmax, dims_, bits_per_dim_, &cur)) break;
     ++i;
   }
-  store_.ScanRanges(tasks, query, &result);
-  return result;
 }
 
 int64_t UbTreeIndex::IndexSizeBytes() const {

@@ -27,7 +27,7 @@ namespace tsunami {
 bool ZBigMin(uint64_t z, uint64_t minz, uint64_t maxz, int dims,
              int bits_per_dim, uint64_t* out);
 
-class UbTreeIndex : public MultiDimIndex {
+class UbTreeIndex : public RangePlanIndex {
  public:
   struct Options {
     int64_t page_size = 4096;  // Rows per Z-region (tunable, §6.3).
@@ -38,13 +38,15 @@ class UbTreeIndex : public MultiDimIndex {
   UbTreeIndex(const Dataset& data, const Options& options);
 
   std::string Name() const override { return "UBTree"; }
-  QueryResult Execute(const Query& query) const override;
   int64_t IndexSizeBytes() const override;
   const ColumnStore& store() const override { return store_; }
 
   int64_t num_pages() const { return static_cast<int64_t>(pages_.size()); }
 
  private:
+  void PlanTasks(const Query& query, std::vector<RangeTask>* tasks,
+                 QueryResult* counters) const override;
+
   struct Page {
     int64_t begin = 0;
     int64_t end = 0;

@@ -85,8 +85,8 @@ uint32_t ZOrderIndex::BucketOf(int dim, Value v) const {
       bucket_models_[dim]->PartitionOf(v, 1 << bits_per_dim_));
 }
 
-QueryResult ZOrderIndex::Execute(const Query& query) const {
-  QueryResult result = InitResult(query);
+void ZOrderIndex::PlanTasks(const Query& query, std::vector<RangeTask>* tasks,
+                            QueryResult* counters) const {
   // Smallest and largest Morton codes inside the query box: codes of the
   // low and high bucket corners (Morton is monotone per coordinate).
   std::vector<uint32_t> lo_corner(dims_, 0);
@@ -103,8 +103,6 @@ QueryResult ZOrderIndex::Execute(const Query& query) const {
   auto first = std::partition_point(
       pages_.begin(), pages_.end(),
       [&](const Page& page) { return page.z_max < z_lo; });
-  static thread_local std::vector<RangeTask> tasks;
-  tasks.clear();
   for (auto it = first; it != pages_.end() && it->z_min <= z_hi; ++it) {
     bool intersects = true;
     bool exact = true;
@@ -116,11 +114,9 @@ QueryResult ZOrderIndex::Execute(const Query& query) const {
       if (p.lo > it->min[p.dim] || p.hi < it->max[p.dim]) exact = false;
     }
     if (!intersects) continue;
-    ++result.cell_ranges;
-    tasks.push_back(RangeTask{it->begin, it->end, exact});
+    ++counters->cell_ranges;
+    AppendRangeTask(tasks, RangeTask{it->begin, it->end, exact});
   }
-  store_.ScanRanges(tasks, query, &result);
-  return result;
 }
 
 int64_t ZOrderIndex::IndexSizeBytes() const {

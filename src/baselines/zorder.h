@@ -25,7 +25,7 @@ uint64_t MortonEncode(const std::vector<uint32_t>& coords, int bits_per_dim);
 /// Inverse of MortonEncode (used by tests).
 std::vector<uint32_t> MortonDecode(uint64_t code, int dims, int bits_per_dim);
 
-class ZOrderIndex : public MultiDimIndex {
+class ZOrderIndex : public RangePlanIndex {
  public:
   struct Options {
     int64_t page_size = 4096;  // Rows per page (tunable, §6.3).
@@ -36,13 +36,15 @@ class ZOrderIndex : public MultiDimIndex {
   ZOrderIndex(const Dataset& data, const Options& options);
 
   std::string Name() const override { return "ZOrder"; }
-  QueryResult Execute(const Query& query) const override;
   int64_t IndexSizeBytes() const override;
   const ColumnStore& store() const override { return store_; }
 
   int64_t num_pages() const { return static_cast<int64_t>(pages_.size()); }
 
  private:
+  void PlanTasks(const Query& query, std::vector<RangeTask>* tasks,
+                 QueryResult* counters) const override;
+
   struct Page {
     int64_t begin = 0;
     int64_t end = 0;

@@ -12,6 +12,22 @@ QueryPlan MultiDimIndex::Prepare(const Query& query) const {
   return plan;
 }
 
+QueryResult RangePlanIndex::Execute(const Query& query) const {
+  QueryResult result = InitResult(query);
+  static thread_local std::vector<RangeTask> tasks;
+  tasks.clear();
+  PlanTasks(query, &tasks, &result);
+  store().ScanRanges(tasks, query, &result);
+  return result;
+}
+
+QueryPlan RangePlanIndex::Prepare(const Query& query) const {
+  QueryPlan plan = MultiDimIndex::Prepare(query);
+  plan.use_tasks = true;
+  PlanTasks(query, &plan.tasks, &plan.counters);
+  return plan;
+}
+
 QueryResult MultiDimIndex::ExecutePlan(const QueryPlan& plan,
                                        ExecContext& ctx) const {
   if (!plan.use_tasks) return Execute(plan.query);

@@ -272,6 +272,23 @@ class MultiDimIndex {
   virtual const ColumnStore& store() const = 0;
 };
 
+/// An index whose every query is one batch of range tasks over its own
+/// store(), planned in one pass (Flood and the tree, grid and curve
+/// baselines). The subclass supplies PlanTasks; Execute plans into a reused
+/// per-thread buffer and scans it, and Prepare hands the same tasks to the
+/// batch path.
+class RangePlanIndex : public MultiDimIndex {
+ public:
+  QueryResult Execute(const Query& query) const override;
+  QueryPlan Prepare(const Query& query) const override;
+
+ protected:
+  /// Appends the query's range tasks in scan order through AppendRangeTask
+  /// and counts every cell range it visits into counters->cell_ranges.
+  virtual void PlanTasks(const Query& query, std::vector<RangeTask>* tasks,
+                         QueryResult* counters) const = 0;
+};
+
 }  // namespace tsunami
 
 #endif  // TSUNAMI_COMMON_INDEX_H_

@@ -169,8 +169,10 @@ struct QueryResult {
 
   /// True when the scan had to skip quarantined (checksum-failed) storage
   /// blocks: the answer is complete over every healthy block but may be
-  /// missing rows. `quarantined_blocks` counts the skipped block touches
-  /// (the same block reached through two range tasks counts twice).
+  /// missing rows. `quarantined_blocks` counts the skipped block touches:
+  /// planners coalesce ranges that meet into one task, which touches a
+  /// block once, but a block shared by two tasks that do not meet (or by
+  /// the halves of a task an executor split inside it) counts once each.
   bool degraded = false;
   int64_t quarantined_blocks = 0;
 
@@ -258,25 +260,34 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t v) {
   return seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 12) + (seed >> 4));
 }
 
-/// The query's filters normalized into a canonical rectangle: one predicate
-/// per filtered dimension (same-dim conjuncts intersect), sorted by
-/// dimension. Two queries with equal normalized filters and equal aggregate
-/// lists are answer-equivalent on any index, which is exactly the
-/// equivalence a plan cache needs.
-inline std::vector<Predicate> NormalizedFilters(const Query& query) {
-  std::vector<Predicate> rect;
-  for (const Predicate& p : query.filters) {
-    bool merged = false;
-    for (Predicate& r : rect) {
-      if (r.dim == p.dim) {
-        r.lo = std::max(r.lo, p.lo);
-        r.hi = std::min(r.hi, p.hi);
-        merged = true;
-        break;
-      }
+/// `filters` merged to one predicate per filtered dimension, in order of
+/// each dimension's first filter: same-dim conjuncts intersect, and an
+/// empty intersection (lo > hi) matches nothing. Answer-equivalent to the
+/// input on any index, and scanned with one pass per dimension.
+inline std::vector<Predicate> MergedFilters(
+    const std::vector<Predicate>& filters) {
+  std::vector<Predicate> merged;
+  for (const Predicate& p : filters) {
+    auto same_dim = std::find_if(merged.begin(), merged.end(),
+                                 [&](const Predicate& m) {
+                                   return m.dim == p.dim;
+                                 });
+    if (same_dim == merged.end()) {
+      merged.push_back(p);
+    } else {
+      same_dim->lo = std::max(same_dim->lo, p.lo);
+      same_dim->hi = std::min(same_dim->hi, p.hi);
     }
-    if (!merged) rect.push_back(p);
   }
+  return merged;
+}
+
+/// The query's filters normalized into a canonical rectangle: the
+/// MergedFilters, sorted by dimension. Two queries with equal normalized
+/// filters and equal aggregate lists are answer-equivalent on any index,
+/// which is exactly the equivalence a plan cache needs.
+inline std::vector<Predicate> NormalizedFilters(const Query& query) {
+  std::vector<Predicate> rect = MergedFilters(query.filters);
   std::sort(rect.begin(), rect.end(),
             [](const Predicate& a, const Predicate& b) { return a.dim < b.dim; });
   return rect;

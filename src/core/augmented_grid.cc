@@ -358,8 +358,8 @@ void AugmentedGrid::PlanRanges(const Query& query,
   auto plan_outliers = [&]() {
     if (grid_rows_ < num_rows_) {
       ++counters->cell_ranges;
-      tasks->push_back(RangeTask{base_ + grid_rows_, base_ + num_rows_,
-                                 /*exact=*/false});
+      AppendRangeTask(tasks, RangeTask{base_ + grid_rows_, base_ + num_rows_,
+                                       /*exact=*/false});
     }
   };
   bool mapped_covered = true;
@@ -450,9 +450,7 @@ void AugmentedGrid::EnumerateRuns(
       rb = store_->LowerBound(sort_dim_, rb, re, orig_lo[dim]);
       re = store_->UpperBound(sort_dim_, rb, re, orig_hi[dim]);
     }
-    if (rb < re) {
-      tasks->push_back(RangeTask{rb, re, covered && mapped_covered});
-    }
+    AppendRangeTask(tasks, RangeTask{rb, re, covered && mapped_covered});
     return;
   }
 

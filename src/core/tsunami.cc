@@ -333,9 +333,7 @@ void TsunamiIndex::PlanRegion(int region, const Query& query,
     }
   }
   ++counters->cell_ranges;
-  if (reg.begin < reg.end) {
-    tasks->push_back(RangeTask{reg.begin, reg.end, exact});
-  }
+  AppendRangeTask(tasks, RangeTask{reg.begin, reg.end, exact});
 }
 
 QueryResult TsunamiIndex::Execute(const Query& query) const {

@@ -21,7 +21,7 @@ struct FloodOptions {
   AgdOptions agd;  // independent_only is forced on.
 };
 
-class FloodIndex : public MultiDimIndex {
+class FloodIndex : public RangePlanIndex {
  public:
   FloodIndex(const Dataset& data, const Workload& workload)
       : FloodIndex(data, workload, FloodOptions()) {}
@@ -29,26 +29,6 @@ class FloodIndex : public MultiDimIndex {
              const FloodOptions& options);
 
   std::string Name() const override { return "Flood"; }
-  QueryResult Execute(const Query& query) const override {
-    QueryResult result = InitResult(query);
-    grid_.Execute(query, &result);
-    return result;
-  }
-
-  /// Plans the grid's candidate runs up front; the base ExecutePlan /
-  /// ExecuteBatch then submit them as one batched scan through the
-  /// context's pool and scan options. Flood plans are pure range scans
-  /// (no FinishPlan epilogue), so QueryService decomposes them into
-  /// work-stealing chunks with no index-specific hook needed.
-  QueryPlan Prepare(const Query& query) const override {
-    QueryPlan plan;
-    plan.query = query;
-    plan.counters = InitResult(query);
-    plan.use_tasks = true;
-    grid_.PlanRanges(query, &plan.tasks, &plan.counters);
-    return plan;
-  }
-
   int64_t IndexSizeBytes() const override { return grid_.SizeBytes(); }
   const ColumnStore& store() const override { return store_; }
 
@@ -58,6 +38,14 @@ class FloodIndex : public MultiDimIndex {
   double sort_seconds() const { return sort_seconds_; }
 
  private:
+  /// The grid's candidate runs. Flood plans are pure range scans (no
+  /// FinishPlan epilogue), so QueryService decomposes them into
+  /// work-stealing chunks with no index-specific hook needed.
+  void PlanTasks(const Query& query, std::vector<RangeTask>* tasks,
+                 QueryResult* counters) const override {
+    grid_.PlanRanges(query, tasks, counters);
+  }
+
   AugmentedGrid grid_;
   ColumnStore store_;
   double optimize_seconds_ = 0.0;

@@ -66,12 +66,14 @@ void DeltaChunk::Scan(const Query& query, QueryResult* result,
     return;
   }
   // Unsealed: each kScanBlockRows slice of the raw columns is one block.
+  // It has no zone map, so no filter is known to cover it.
   result->scanned += rows;
   const SimdOps& ops = OpsForTier(options.tier);
   for (int64_t begin = 0; begin < rows; begin += kScanBlockRows) {
     const int count = static_cast<int>(std::min(kScanBlockRows, rows - begin));
     const BlockColumns slice(values_.data() + begin, capacity_);
-    ScanBlockSlice(slice, /*off=*/0, count, query, ops, result);
+    ScanBlockSlice(slice, /*off=*/0, count, query, SmallIndexSet{}, ops,
+                   result);
   }
 }
 

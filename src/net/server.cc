@@ -463,6 +463,9 @@ bool TsunamiServer::HandleQuery(Conn* c, const FrameHeader& header,
     return SendError(c, header.request_id, WireError::kMalformedFrame,
                      missing);
   }
+  // A frame may repeat a column's filter up to the wire cap; the scan runs
+  // one pass per filter, so admit the per-column intersection instead.
+  query.filters = MergedFilters(query.filters);
   if (draining_active_ || service_->draining()) {
     ++stats_.drain_rejected;
     return SendError(c, header.request_id, WireError::kDraining,

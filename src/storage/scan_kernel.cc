@@ -178,20 +178,29 @@ void ScanKernel::Scan(int64_t begin, int64_t end, const Query& query,
       out->scanned -= hi - lo;  // Skipped, never read: not scanned.
       continue;
     }
-    // Zone-map triage: a block disjoint from any filter contributes
-    // nothing; a block inside every filter needs no per-row checks.
+    // Zone-map triage, per filter: a block disjoint from any filter
+    // contributes nothing. A filter whose range holds the block's
+    // [min, max] holds on every row of the block, and so of the slice
+    // [lo, hi): it joins `covered` and runs no pass. A block every filter
+    // covers needs no per-row checks at all.
+    SmallIndexSet covered;
     bool all_match = exact || filters.empty();
     if (!all_match && !zones_->empty()) {
       all_match = true;
       bool skip = false;
-      for (const Predicate& p : filters) {
+      for (size_t i = 0; i < filters.size(); ++i) {
+        const Predicate& p = filters[i];
         const Value zmin = zones_->Min(p.dim, b);
         const Value zmax = zones_->Max(p.dim, b);
         if (zmin > p.hi || zmax < p.lo) {
           skip = true;
           break;
         }
-        all_match = all_match && p.lo <= zmin && zmax <= p.hi;
+        if (p.lo <= zmin && zmax <= p.hi) {
+          covered.Insert(i);
+        } else {
+          all_match = false;
+        }
       }
       if (skip) continue;
     }
@@ -201,7 +210,7 @@ void ScanKernel::Scan(int64_t begin, int64_t end, const Query& query,
       continue;
     }
     ScanBlockSlice(BlockColumns(*columns_, b), lo - b * kScanBlockRows,
-                   static_cast<int>(hi - lo), query, ops, out);
+                   static_cast<int>(hi - lo), query, covered, ops, out);
   }
 }
 
@@ -241,18 +250,21 @@ bool ScanKernel::BlockReadable(int64_t block, const Query& query, bool exact,
                                QueryResult* out) const {
   const std::vector<EncodedColumn>& columns = *columns_;
   // No short-circuit: every involved column advances its lazy verification
-  // even when an earlier one is already quarantined.
+  // even when an earlier one is already quarantined. A column's verdict is
+  // settled by its first check, so a repeat would only re-read it.
   bool ok = true;
-  if (!exact) {
-    for (const Predicate& p : query.filters) {
-      ok = columns[p.dim].EnsureReadable(block) && ok;
+  SmallIndexSet checked;
+  auto check = [&](int column) {
+    if (checked.Insert(static_cast<size_t>(column))) {
+      ok = columns[column].EnsureReadable(block) && ok;
     }
+  };
+  if (!exact) {
+    for (const Predicate& p : query.filters) check(p.dim);
   }
   for (int a = 0; a < query.num_aggs(); ++a) {
     const AggregateSpec spec = query.agg_spec(a);
-    if (spec.op != AggKind::kCount) {
-      ok = columns[spec.column].EnsureReadable(block) && ok;
-    }
+    if (spec.op != AggKind::kCount) check(spec.column);
   }
   if (!ok) {
     out->degraded = true;
@@ -262,15 +274,19 @@ bool ScanKernel::BlockReadable(int64_t block, const Query& query, bool exact,
 }
 
 void ScanBlockSlice(const BlockColumns& columns, int64_t off, int count,
-                    const Query& query, const SimdOps& ops, QueryResult* out) {
+                    const Query& query, SmallIndexSet covered,
+                    const SimdOps& ops, QueryResult* out) {
   // Bit i of the mask is row off + i. Each effective predicate ANDs its
   // in-range bits in at its column's code width; `masked` is false until
-  // the first pass runs (every predicate so far covered the whole block's
-  // code domain, so every row is still selected).
+  // the first pass runs (every predicate so far was covered or spanned the
+  // whole block's code domain, so every row is still selected).
   uint64_t mask[kMaskWords];
   bool masked = false;
   int n = count;  // Rows still selected.
-  for (const Predicate& p : query.filters) {
+  const std::vector<Predicate>& filters = query.filters;
+  for (size_t i = 0; i < filters.size(); ++i) {
+    if (covered.Contains(i)) continue;  // Holds on every row: no pass.
+    const Predicate& p = filters[i];
     const EncodedColumn::BlockView view = columns.view(p.dim);
     CodeRange cr{CodeRange::kCompare, 0, 0};
     if (view.width != 8) {

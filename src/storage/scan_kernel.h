@@ -4,9 +4,10 @@
 // cluster time. Scans process one block at a time, column-at-a-time: each
 // predicate ANDs its in-range rows into a per-block row bitmask, COUNT is
 // the mask's popcount, and each aggregated column is folded once under the
-// mask. Zone maps let whole blocks be skipped (disjoint from a filter) or
-// aggregated without per-row checks (fully covered by every filter, with
-// SUM served straight from the block sums).
+// mask. Zone maps triage each block per filter: a block disjoint from a
+// filter is skipped, a filter whose range holds the block's [min, max] runs
+// no pass over it, and a block every filter covers is aggregated without
+// per-row checks (SUM served straight from the block sums).
 //
 // There is one kernel body. Its data-parallel inner loops (predicate
 // compares into the mask, masked sum/min/max folds, zone-map builds) come
@@ -19,6 +20,7 @@
 #define TSUNAMI_STORAGE_SCAN_KERNEL_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -69,6 +71,45 @@ struct RangeTask {
   int64_t begin = 0;
   int64_t end = 0;  // Exclusive.
   bool exact = false;
+};
+
+/// Appends `task` to a plan, extending the plan's last task instead when
+/// `task` starts where it ends with the same `exact` flag, so a contiguous
+/// run of planned ranges reaches the scan as one task. Empty tasks are
+/// dropped. Every row keeps its exactness, so answers and `scanned` are
+/// unchanged; planners count `cell_ranges` themselves.
+inline void AppendRangeTask(std::vector<RangeTask>* tasks, RangeTask task) {
+  if (task.begin >= task.end) return;
+  if (!tasks->empty() && tasks->back().end == task.begin &&
+      tasks->back().exact == task.exact) {
+    tasks->back().end = task.end;
+    return;
+  }
+  tasks->push_back(task);
+}
+
+/// A set of small indexes (filter positions, column ids) in one word. An
+/// index at or past kCapacity is never a member: Insert reports it as new
+/// every time and Contains never finds it, so a caller that skips members'
+/// work still does that work for such an index.
+class SmallIndexSet {
+ public:
+  static constexpr size_t kCapacity = 64;
+
+  /// Adds `i`; returns false when it was already a member.
+  bool Insert(size_t i) {
+    if (i >= kCapacity) return true;
+    const uint64_t bit = uint64_t{1} << i;
+    const bool fresh = (bits_ & bit) == 0;
+    bits_ |= bit;
+    return fresh;
+  }
+  bool Contains(size_t i) const {
+    return i < kCapacity && ((bits_ >> i) & 1) != 0;
+  }
+
+ private:
+  uint64_t bits_ = 0;
 };
 
 /// Per-block min/max/sum per dimension over a set of columns. Blocks are
@@ -137,14 +178,17 @@ class BlockColumns {
 /// The per-block scan step every scan path shares: selects the rows
 /// [off, off + count) of the block whose values match every filter, counts
 /// them into out->matched, and folds them into every aggregate accumulator.
-/// Each predicate ANDs its in-range rows into a kScanBlockRows-bit mask at
+/// `covered` holds the positions in query.filters known to hold on every
+/// row of the block (its zone map proves them); they run no pass. Each
+/// other predicate ANDs its in-range rows into a kScanBlockRows-bit mask at
 /// its column's code width, with bounds translated into code space (a
 /// predicate empty after translation ends the block without reading a
 /// code; one covering the whole code domain skips its pass), and the block
 /// ends as soon as the mask is empty. COUNT is the mask's popcount; each
 /// distinct aggregated column is folded once under the mask.
 void ScanBlockSlice(const BlockColumns& columns, int64_t off, int count,
-                    const Query& query, const SimdOps& ops, QueryResult* out);
+                    const Query& query, SmallIndexSet covered,
+                    const SimdOps& ops, QueryResult* out);
 
 /// A non-owning view over a table's encoded columns plus its zone maps that
 /// executes scans. Construction is two pointers; ColumnStore hands one out
@@ -180,13 +224,13 @@ class ScanKernel {
 
  private:
   // Integrity gate: true when every column this query must read — filter
-  // dims for non-exact ranges, plus non-COUNT aggregate columns — is
-  // readable (checksum-verified, not quarantined) in `block`. On failure
-  // the block is counted into out->quarantined_blocks and the result
-  // flagged degraded; the caller skips the block. Columns the query never
-  // reads (e.g. everything, for an exact COUNT) are not checked, so
-  // zone-map- or count-only answers stay exact even over a quarantined
-  // store.
+  // dims for non-exact ranges, plus non-COUNT aggregate columns, each
+  // checked once — is readable (checksum-verified, not quarantined) in
+  // `block`. On failure the block is counted into out->quarantined_blocks
+  // and the result flagged degraded; the caller skips the block. Columns
+  // the query never reads (e.g. everything, for an exact COUNT) are not
+  // checked, so zone-map- or count-only answers stay exact even over a
+  // quarantined store.
   bool BlockReadable(int64_t block, const Query& query, bool exact,
                      QueryResult* out) const;
 

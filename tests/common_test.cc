@@ -1,11 +1,12 @@
 // Tests for src/common: RNG determinism and distributions, summary stats,
-// mass histograms, Earth Mover's Distance, bounded linear regression, and
-// sorted-sample selectivities.
+// mass histograms, Earth Mover's Distance, bounded linear regression,
+// sorted-sample selectivities, and per-dimension filter merging.
 #include <cmath>
 #include <numeric>
 
 #include <gtest/gtest.h>
 
+#include "src/baselines/full_scan.h"
 #include "src/common/emd.h"
 #include "src/common/histogram.h"
 #include "src/common/linear_model.h"
@@ -308,6 +309,59 @@ TEST(SortedSampleTest, AvgSelectivityEqualsLinearOnTpch) {
                    [&](int a, int b) { return linear[a] < linear[b]; });
   EXPECT_EQ(DimsBySelectivity(sorted, bench.workload, dims), order);
   EXPECT_EQ(DimsBySelectivity(avg), order);
+}
+
+void ExpectPredicate(const Predicate& got, int dim, Value lo, Value hi) {
+  EXPECT_EQ(got.dim, dim);
+  EXPECT_EQ(got.lo, lo);
+  EXPECT_EQ(got.hi, hi);
+}
+
+TEST(MergedFiltersTest, IntersectsEachDimensionInFirstOccurrenceOrder) {
+  const std::vector<Predicate> filters = {
+      {2, 0, 100}, {0, -5, 50}, {2, 10, 200}, {1, 7, 7},
+      {0, 0, 40},  {2, 20, 90}, {0, 3, 60}};
+  const std::vector<Predicate> merged = MergedFilters(filters);
+  ASSERT_EQ(merged.size(), 3u);
+  ExpectPredicate(merged[0], 2, 20, 90);
+  ExpectPredicate(merged[1], 0, 3, 40);
+  ExpectPredicate(merged[2], 1, 7, 7);
+  // NormalizedFilters is the same merge, sorted by dimension.
+  const std::vector<Predicate> rect = NormalizedFilters(Query(filters, {}));
+  ASSERT_EQ(rect.size(), 3u);
+  ExpectPredicate(rect[0], 0, 3, 40);
+  ExpectPredicate(rect[1], 1, 7, 7);
+  ExpectPredicate(rect[2], 2, 20, 90);
+  EXPECT_TRUE(MergedFilters({}).empty());
+}
+
+TEST(MergedFiltersTest, EmptyIntersectionMatchesNothing) {
+  const std::vector<Predicate> merged =
+      MergedFilters({{0, 0, 10}, {1, 0, 5}, {0, 20, 30}});
+  ASSERT_EQ(merged.size(), 2u);
+  ExpectPredicate(merged[0], 0, 20, 10);
+  for (Value v = -5; v <= 40; ++v) EXPECT_FALSE(merged[0].Matches(v)) << v;
+
+  // Answer-equivalent to the unmerged conjunction, empty or not.
+  Rng rng(61);
+  Dataset data(2, {});
+  for (int i = 0; i < 3000; ++i) {
+    data.AppendRow({rng.UniformValue(0, 40), rng.UniformValue(0, 10)});
+  }
+  FullScanIndex index(data);
+  const std::vector<std::vector<Predicate>> cases = {
+      {{0, 0, 10}, {1, 0, 5}, {0, 20, 30}},
+      {{0, 0, 30}, {1, 2, 9}, {0, 5, 35}, {1, 0, 6}, {0, 5, 25}}};
+  for (const std::vector<Predicate>& filters : cases) {
+    const std::vector<AggregateSpec> aggs = {{AggKind::kCount, 0},
+                                             {AggKind::kSum, 1}};
+    const QueryResult want = index.Execute(Query(filters, aggs));
+    const QueryResult got = index.Execute(Query(MergedFilters(filters), aggs));
+    EXPECT_EQ(got.matched, want.matched);
+    EXPECT_EQ(got.agg, want.agg);
+    EXPECT_EQ(got.extra, want.extra);
+  }
+  EXPECT_EQ(index.Execute(Query(MergedFilters(cases[0]), {})).matched, 0);
 }
 
 }  // namespace

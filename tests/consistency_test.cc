@@ -4,7 +4,8 @@
 // aggregate kind. This is the library's strongest end-to-end invariant. The
 // full scan runs the same block kernel as every index, so it is itself
 // checked against the row-at-a-time oracle (tests/scan_oracle.h), which
-// shares none of the kernel's code.
+// shares none of the kernel's code. Every index's batch path must plan
+// coalesced range tasks and execute them to the same answer and counters.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -145,6 +146,20 @@ std::vector<std::unique_ptr<MultiDimIndex>> BuildAll(const Benchmark& bench) {
 
 class ConsistencyTest : public ::testing::TestWithParam<uint64_t> {};
 
+// A coalesced plan: no empty task, and no task that starts where the
+// previous one ends with the same exactness (it would have extended it).
+void ExpectCoalesced(const QueryPlan& plan, const std::string& index) {
+  for (size_t i = 0; i < plan.tasks.size(); ++i) {
+    const RangeTask& task = plan.tasks[i];
+    ASSERT_LT(task.begin, task.end) << index << " task " << i;
+    if (i == 0) continue;
+    const RangeTask& prev = plan.tasks[i - 1];
+    ASSERT_FALSE(prev.end == task.begin && prev.exact == task.exact)
+        << index << " tasks " << i - 1 << " and " << i << " meet at "
+        << task.begin;
+  }
+}
+
 TEST_P(ConsistencyTest, AllIndexesAgreeWithFullScanOnAllAggregates) {
   Benchmark bench = MakeMixedBenchmark(20000, GetParam());
   std::vector<std::unique_ptr<MultiDimIndex>> indexes = BuildAll(bench);
@@ -165,6 +180,7 @@ TEST_P(ConsistencyTest, AllIndexesAgreeWithFullScanOnAllAggregates) {
     probes.push_back(q);
   }
 
+  ExecContext ctx;
   for (Query q : probes) {
     for (AggKind agg : {AggKind::kCount, AggKind::kSum, AggKind::kMin,
                         AggKind::kMax, AggKind::kAvg}) {
@@ -184,6 +200,14 @@ TEST_P(ConsistencyTest, AllIndexesAgreeWithFullScanOnAllAggregates) {
             << static_cast<int>(agg) << ")";
         ASSERT_EQ(got.matched, want.matched) << index->Name();
         ASSERT_GE(got.scanned, 0) << index->Name();
+        const QueryPlan plan = index->Prepare(q);
+        ExpectCoalesced(plan, index->Name());
+        const QueryResult planned = index->ExecutePlan(plan, ctx);
+        ASSERT_EQ(planned.agg, want.agg) << index->Name() << " plan";
+        ASSERT_EQ(planned.matched, want.matched) << index->Name() << " plan";
+        ASSERT_EQ(planned.scanned, got.scanned) << index->Name() << " plan";
+        ASSERT_EQ(planned.cell_ranges, got.cell_ranges)
+            << index->Name() << " plan";
       }
     }
   }

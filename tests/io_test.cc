@@ -19,6 +19,7 @@
 #include "src/core/tsunami.h"
 #include "src/io/serializer.h"
 #include "src/storage/column_store.h"
+#include "tests/scan_oracle.h"
 
 namespace tsunami {
 namespace {
@@ -464,6 +465,25 @@ TEST(StructureIoTest, FlippedBlockChecksumQuarantinesInsteadOfFailing) {
   QueryResult got = ExecuteFullScan(loaded, sum);
   EXPECT_TRUE(got.degraded);
   EXPECT_EQ(got.quarantined_blocks, 1);
+
+  // SUM+MIN+MAX of the quarantined column, filtered on it too: the gate
+  // checks each column once per block, so the block still counts once and
+  // every healthy block answers as the row-at-a-time oracle does.
+  const Query multi({Predicate{0, 0, 100000}, Predicate{last_dim, -40, 40}},
+                    {{AggKind::kSum, last_dim},
+                     {AggKind::kMin, last_dim},
+                     {AggKind::kMax, last_dim}});
+  const QueryResult got_multi = ExecuteFullScan(loaded, multi);
+  QueryResult want_multi = InitResult(multi);
+  OracleScan(loaded, 0, loaded.size(), multi, /*exact=*/false, &want_multi);
+  EXPECT_TRUE(got_multi.degraded);
+  EXPECT_EQ(got_multi.quarantined_blocks, 1);
+  EXPECT_EQ(got_multi.quarantined_blocks, want_multi.quarantined_blocks);
+  EXPECT_EQ(got_multi.degraded, want_multi.degraded);
+  EXPECT_EQ(got_multi.matched, want_multi.matched);
+  EXPECT_EQ(got_multi.scanned, want_multi.scanned);
+  EXPECT_EQ(got_multi.agg, want_multi.agg);
+  EXPECT_EQ(got_multi.extra, want_multi.extra);
 
   // COUNT filtered on a healthy column: exact, equal to the pristine store.
   Query count;

@@ -554,6 +554,49 @@ TEST_F(NetTest, MalformedPayloadGetsTypedErrorAndConnectionSurvives) {
   EXPECT_TRUE(ok.ok()) << net::ToString(ok.error);
 }
 
+// A frame may repeat a column's filter up to the wire cap of 4,096, and the
+// scan would run one pass per filter. The server admits the per-column
+// intersection instead: the reply is the merged query's answer, and the
+// connection keeps serving.
+TEST_F(NetTest, RepeatedColumnFiltersAreMergedBeforeAdmission) {
+  QueryService service(index_.get());
+  ServerHarness harness(&service);
+  TsunamiClient client(harness.ClientFor());
+  ASSERT_TRUE(client.Ping());
+
+  Query q;
+  for (int i = 0; i < 4096; ++i) {
+    q.filters.push_back(Predicate{i % 3, 0, 900000});
+  }
+  q.filters.back() = Predicate{0, 1000, 30000};  // One narrowing repeat.
+  q.SetAggregates({{AggKind::kSum, 1}, {AggKind::kCount, 0}});
+  FrameHeader h;
+  h.type = FrameType::kQuery;
+  h.request_id = 41;
+  std::string frame;
+  net::AppendFrame(h, net::EncodeQueryPayload(q), &frame);
+  ASSERT_TRUE(client.SendRaw(frame));
+  ClientResult got;
+  ASSERT_TRUE(client.Await(41, &got));
+  ASSERT_TRUE(got.ok()) << net::ToString(got.error) << " "
+                        << got.error_message;
+
+  Query merged = q;
+  merged.filters = MergedFilters(q.filters);
+  ASSERT_EQ(merged.filters.size(), 3u);
+  const QueryResult want = index_->Execute(merged);
+  EXPECT_EQ(got.result.agg, want.agg);
+  EXPECT_EQ(got.result.extra, want.extra);
+  EXPECT_EQ(got.result.matched, want.matched);
+  EXPECT_EQ(got.result.scanned, want.scanned);
+  EXPECT_LT(want.matched, static_cast<int64_t>(data_.size()));
+
+  EXPECT_TRUE(client.connected());
+  Rng rng(17);
+  const ClientResult next = client.Run(Needle(rng));
+  EXPECT_TRUE(next.ok()) << net::ToString(next.error);
+}
+
 // A query naming a column the index lacks — a filter dim or an aggregate
 // column — passes the strict decode but is still malformed: a typed error
 // instead of an out-of-bounds read in the kernel, and the connection keeps

@@ -2,8 +2,9 @@
 // tiers the CPU lacks fall back to the portable kNone loops) must agree
 // bit-for-bit with the row-at-a-time oracle (tests/scan_oracle.h) on every
 // QueryResult field, for every aggregate, range shape (empty / exact /
-// ragged block edges / sub-SIMD-width tails), filter count, and through the
-// batched multi-range executor and the grid's outlier buffer.
+// ragged block edges / sub-SIMD-width tails), filter count, zone-map
+// coverage per filter, and through the batched multi-range executor, the
+// grid's outlier buffer and coalesced range plans.
 #include <bit>
 #include <limits>
 #include <numeric>
@@ -82,6 +83,8 @@ void ExpectSameResult(const QueryResult& got, const QueryResult& want,
   EXPECT_EQ(got.matched, want.matched) << what;
   EXPECT_EQ(got.cell_ranges, want.cell_ranges) << what;
   EXPECT_EQ(got.extra, want.extra) << what;
+  EXPECT_EQ(got.degraded, want.degraded) << what;
+  EXPECT_EQ(got.quarantined_blocks, want.quarantined_blocks) << what;
 }
 
 TEST(ScanKernelTest, RandomizedCrossCheckAgainstScalar) {
@@ -594,6 +597,213 @@ TEST(ScanKernelTest, RangesEndingAtTheLastRowReadNoCodePastIt) {
       }
     }
   }
+}
+
+// Zone-map coverage per filter: a filter whose range holds a block's
+// [min, max] runs no pass over the block. Every tier, over encoded and raw
+// stores and exact and filtered ranges, must still answer like the oracle:
+// covered and uncovered filters in one block, coverage that holds in one
+// block but not in its neighbour, slices of a block, and more filters than
+// SmallIndexSet holds.
+TEST(ScanKernelTest, ZoneCoveredFiltersMatchOracleOnEveryTier) {
+  // d0 is the row number, so block b's d0 zone is
+  // [b * kScanBlockRows, (b + 1) * kScanBlockRows - 1].
+  constexpr int64_t kRows = 4 * kScanBlockRows + 300;
+  constexpr Value kB = kScanBlockRows;
+  Rng rng(951);
+  Dataset data(3, {});
+  for (int64_t r = 0; r < kRows; ++r) {
+    data.AppendRow({r, rng.UniformValue(0, 5000), rng.UniformValue(-700, 700)});
+  }
+  const ColumnStore probe(data);
+  const ZoneMaps& zones = probe.zone_maps();
+  const Value z1_lo = zones.Min(1, 1), z1_hi = zones.Max(1, 1);
+  const Value z2_lo = zones.Min(2, 2), z2_hi = zones.Max(2, 2);
+  ASSERT_LT(z1_lo + 1, z1_hi);
+
+  std::vector<std::vector<Predicate>> cases = {
+      // lo == zmin and hi == zmax: d1 covers block 1; d2 is partial.
+      {{1, z1_lo, z1_hi}, {2, -300, 300}},
+      // lo == zmin + 1: d1 no longer covers block 1.
+      {{1, z1_lo + 1, z1_hi}, {2, -300, 300}},
+      // d0 covers block 1 but only half of block 2, d2 covers block 2
+      // exactly, and d1 is partial everywhere.
+      {{0, kB, 2 * kB + kB / 2}, {2, z2_lo, z2_hi}, {1, 100, 4000}},
+      // Every filter covers block 2 (the whole-block aggregate path), and
+      // the covered d0 filter comes last.
+      {{2, z2_lo, z2_hi}, {1, kValueMin, kValueMax}, {0, 2 * kB, 3 * kB - 1}},
+      // A filter disjoint from some blocks next to covered ones.
+      {{1, kValueMin, kValueMax}, {0, 3 * kB + 5, kRows + 10}},
+  };
+  // More filters than the covered set holds. Filters 5 and 66 drop rows;
+  // every other one spans the whole domain, so every block covers it —
+  // including 69, which shares filter 5's bit position modulo 64.
+  std::vector<Predicate> many;
+  for (int i = 0; i < 70; ++i) many.push_back({i % 3, kValueMin, kValueMax});
+  many[5] = Predicate{2, -200, 500};
+  many[66] = Predicate{1, 1000, 3500};
+  ASSERT_GT(many.size(), SmallIndexSet::kCapacity);
+  cases.push_back(many);
+
+  const std::pair<int64_t, int64_t> ranges[] = {
+      {0, kRows},                   // Whole store.
+      {kB, 2 * kB},                 // Exactly block 1.
+      {kB + 100, 3 * kB - 50},      // Slices of blocks 1 and 2.
+      {2 * kB + 10, 2 * kB + 700},  // Inside one block.
+      {4 * kB - 3, kRows}};         // Into the ragged last block.
+  const std::vector<AggregateSpec> aggs = {{AggKind::kCount, 0},
+                                           {AggKind::kSum, 1},
+                                           {AggKind::kMin, 2},
+                                           {AggKind::kMax, 1},
+                                           {AggKind::kAvg, 0}};
+  for (bool encode : {true, false}) {
+    const ColumnStore store(data, encode);
+    for (size_t c = 0; c < cases.size(); ++c) {
+      const Query q(cases[c], aggs);
+      for (auto [begin, end] : ranges) {
+        for (bool exact : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << "encode=" << encode << " case=" << c << " ["
+                       << begin << ", " << end << ") exact=" << exact);
+          QueryResult want = InitResult(q);
+          OracleScan(store, begin, end, q, exact, &want);
+          if (!exact && begin == 0) {
+            EXPECT_GT(want.matched, 0);
+            EXPECT_LT(want.matched, end - begin);
+          }
+          for (SimdTier tier : kTiers) {
+            QueryResult got = InitResult(q);
+            store.ScanRange(begin, end, q, exact, &got, ScanOptions{tier});
+            ExpectSameResult(got, want, SimdTierName(tier));
+          }
+        }
+      }
+    }
+  }
+}
+
+// ScanBlockSlice runs no pass for a filter in its covered set, even one
+// that would drop rows (the caller vouches for it), and always runs the
+// filters past the set's capacity.
+TEST(ScanKernelTest, ScanBlockSliceSkipsOnlyCoveredFilters) {
+  // One raw block: column 0 is the row number, column 1 is row % 10.
+  std::vector<Value> raw(2 * kScanBlockRows);
+  for (int64_t r = 0; r < kScanBlockRows; ++r) {
+    raw[r] = r;
+    raw[kScanBlockRows + r] = r % 10;
+  }
+  const BlockColumns block(raw.data(), kScanBlockRows);
+  const SimdOps& ops = OpsForTier(SimdTier::kAuto);
+  auto matched = [&](const Query& q, SmallIndexSet covered) {
+    QueryResult out = InitResult(q);
+    ScanBlockSlice(block, /*off=*/0, static_cast<int>(kScanBlockRows), q,
+                   covered, ops, &out);
+    return out.matched;
+  };
+  // Rows 0-99 pass filter 0; 514 of the block's rows (r % 10 < 5) pass
+  // filter 1; 50 pass both.
+  const Query two({{0, 0, 99}, {1, 0, 4}}, {});
+  SmallIndexSet first, second;
+  first.Insert(0);
+  second.Insert(1);
+  EXPECT_EQ(matched(two, SmallIndexSet{}), 50);
+  EXPECT_EQ(matched(two, first), 514);
+  EXPECT_EQ(matched(two, second), 100);
+
+  Query many;
+  for (int i = 0; i < 70; ++i) many.filters.push_back({i % 2});
+  many.filters[5] = Predicate{1, 0, 4};
+  many.filters[69] = Predicate{0, 0, 99};
+  SmallIndexSet past_capacity;
+  EXPECT_TRUE(past_capacity.Insert(69));
+  EXPECT_TRUE(past_capacity.Insert(69));  // Never becomes a member.
+  EXPECT_FALSE(past_capacity.Contains(69));
+  EXPECT_FALSE(past_capacity.Contains(5));
+  EXPECT_EQ(matched(many, past_capacity), 50);
+}
+
+TEST(ScanKernelTest, AppendRangeTaskCoalescesOnlyAdjacentEqualExactness) {
+  std::vector<RangeTask> tasks;
+  AppendRangeTask(&tasks, {10, 20, false});
+  AppendRangeTask(&tasks, {20, 30, false});  // Adjacent: extends.
+  AppendRangeTask(&tasks, {30, 30, true});   // Empty: dropped.
+  AppendRangeTask(&tasks, {30, 40, true});   // Other exactness: new task.
+  AppendRangeTask(&tasks, {41, 50, true});   // Gap: new task.
+  AppendRangeTask(&tasks, {50, 60, true});
+  ASSERT_EQ(tasks.size(), 3u);
+  EXPECT_EQ(tasks[0].begin, 10);
+  EXPECT_EQ(tasks[0].end, 30);
+  EXPECT_FALSE(tasks[0].exact);
+  EXPECT_EQ(tasks[1].begin, 30);
+  EXPECT_EQ(tasks[1].end, 40);
+  EXPECT_TRUE(tasks[1].exact);
+  EXPECT_EQ(tasks[2].begin, 41);
+  EXPECT_EQ(tasks[2].end, 60);
+}
+
+// Two adjacent cell runs that share a quarantined block reach the scan as
+// one task, so the block is skipped and counted once: the degraded result
+// is what the oracle reports for the coalesced plan.
+TEST(ScanKernelTest, CoalescedRunsSharingAQuarantinedBlockCountItOnce) {
+  // Eight well-separated d0 groups of 1500 rows: each of d0's eight
+  // partitions holds one group, so cell runs end mid-block.
+  constexpr int64_t kGroup = 1500;
+  Rng rng(961);
+  Dataset data(2, {});
+  for (int64_t g = 0; g < 8; ++g) {
+    for (int64_t i = 0; i < kGroup; ++i) {
+      data.AppendRow({g * 1000 + rng.UniformValue(0, 99),
+                      rng.UniformValue(-1000, 1000)});
+    }
+  }
+  AugmentedGrid grid;
+  AugmentedGrid::BuildOptions options;
+  options.sort_dim = 1;
+  std::vector<uint32_t> rows(data.size());
+  std::iota(rows.begin(), rows.end(), 0u);
+  grid.Build(data, &rows, Skeleton::AllIndependent(2), {8, 1}, options);
+  ColumnStore store(data, rows);
+  grid.Attach(&store, 0);
+  auto plan = [&](const Query& q, QueryResult* counters) {
+    std::vector<RangeTask> tasks;
+    grid.PlanRanges(q, &tasks, counters);
+    return tasks;
+  };
+  const std::vector<AggregateSpec> sum = {{AggKind::kSum, 1}};
+  // Groups 1 and 2 each plan one exact run, and the runs meet mid-block.
+  QueryResult unused = InitResult(Query({}, sum));
+  const std::vector<RangeTask> one =
+      plan(Query({{0, 1000, 1099}}, sum), &unused);
+  const std::vector<RangeTask> two =
+      plan(Query({{0, 2000, 2099}}, sum), &unused);
+  ASSERT_EQ(one.size(), 1u);
+  ASSERT_EQ(two.size(), 1u);
+  ASSERT_TRUE(one[0].exact && two[0].exact);
+  ASSERT_EQ(one[0].end, two[0].begin);
+  const int64_t seam = two[0].begin;
+  ASSERT_NE(seam % kScanBlockRows, 0);
+
+  const Query q({{0, 1000, 2099}}, sum);
+  QueryResult counters = InitResult(q);
+  const std::vector<RangeTask> tasks = plan(q, &counters);
+  ASSERT_EQ(counters.cell_ranges, 2);
+  ASSERT_EQ(tasks.size(), 1u);
+  EXPECT_EQ(tasks[0].begin, one[0].begin);
+  EXPECT_EQ(tasks[0].end, two[0].end);
+
+  store.encoded(1).Quarantine(seam / kScanBlockRows);
+  QueryResult got = InitResult(q);
+  grid.Execute(q, &got);
+  QueryResult want = counters;
+  OracleScanTasks(store, tasks, q, &want);
+  ExpectSameResult(got, want, "coalesced");
+  EXPECT_TRUE(got.degraded);
+  EXPECT_EQ(got.quarantined_blocks, 1);
+  // The two runs as separate tasks would touch the block twice.
+  const std::vector<RangeTask> runs = {one[0], two[0]};
+  QueryResult split = InitResult(q);
+  OracleScanTasks(store, runs, q, &split);
+  EXPECT_EQ(split.quarantined_blocks, 2);
 }
 
 TEST(ScanKernelTest, ZoneMapsCoverEveryBlock) {
