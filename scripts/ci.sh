@@ -34,10 +34,13 @@
 #     grid, outlier, skew), whose index arithmetic the cost model's
 #     per-candidate layout, the fence selection and the clustering
 #     embeddings rewrite, consistency_test, which runs every index's
-#     scans end to end, and the three baseline suites, whose planners emit
-#     through the task-coalescing helper. Under ASan a scan kernel load
-#     past a slice's last code is a heap-buffer-overflow (scan_kernel_test
-#     scans stores whose last block ends where the code payload ends).
+#     scans end to end, the three baseline suites, whose planners emit
+#     through the task-coalescing helper, and the secondary-index and
+#     router suites, whose plans carry zero-task key probes and routed
+#     access paths through FinishPlan and PlanTarget. Under ASan a scan
+#     kernel load past a slice's last code is a heap-buffer-overflow
+#     (scan_kernel_test scans stores whose last block ends where the code
+#     payload ends).
 #     UBSan is fatal here (-fno-sanitize-recover=undefined), so passes 6,
 #     7, 9 and 10 fail on any report;
 #  7. the network front end under the same ASan+UBSan+FI build:
@@ -107,8 +110,9 @@ ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" -R \
 # Sixth pass: ASan+UBSan on the robustness suites (storage integrity, file
 # error paths, scheduler exception-safety, service overload/degrade) and on
 # the index-build arithmetic (the cost model's per-candidate layout, the
-# outlier fence selection, the clustering embeddings) and the baselines'
-# range planners, fault injection compiled in. Scoped to the relevant
+# outlier fence selection, the clustering embeddings), the baselines'
+# range planners and the secondary-index and router plans, fault injection
+# compiled in. Scoped to the relevant
 # suites: this is a 1-core CI host and a full ASan ctest would double the
 # wall time for no new signal.
 cmake -B build-asan -S . -DTSUNAMI_WERROR=ON \
@@ -119,9 +123,9 @@ cmake --build build-asan -j"$(nproc)" --target \
   task_scheduler_test query_service_test tsunami_test ingest_test \
   exec_test batch_api_test property_test optimizer_test grid_test \
   outlier_test skew_test consistency_test baselines_test \
-  related_baselines_test learned_baselines_test
+  related_baselines_test learned_baselines_test secondary_test router_test
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" -R \
-  'io_test|encoded_column_test|storage_test|scan_kernel_test|task_scheduler_test|query_service_test|tsunami_test|ingest_test|exec_test|batch_api_test|property_test|optimizer_test|grid_test|outlier_test|skew_test|consistency_test|baselines_test|related_baselines_test|learned_baselines_test'
+  'io_test|encoded_column_test|storage_test|scan_kernel_test|task_scheduler_test|query_service_test|tsunami_test|ingest_test|exec_test|batch_api_test|property_test|optimizer_test|grid_test|outlier_test|skew_test|consistency_test|baselines_test|related_baselines_test|learned_baselines_test|secondary_test|router_test'
 
 # Seventh pass: the network front end, reusing the ASan+UBSan+FI build.
 # net_test's NetFaultTest suite (injected accept failures, short writes,

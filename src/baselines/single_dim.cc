@@ -33,24 +33,22 @@ SingleDimIndex::SingleDimIndex(const Dataset& data, const Workload& workload,
                                      : PickSortDim(data, workload)),
       store_(BuildSorted(data, sort_dim_)) {}
 
-QueryResult SingleDimIndex::Execute(const Query& query) const {
-  QueryResult result = InitResult(query);
+void SingleDimIndex::PlanTasks(const Query& query,
+                               std::vector<RangeTask>* tasks,
+                               QueryResult* counters) const {
+  ++counters->cell_ranges;
   const Predicate* p = query.FilterOn(sort_dim_);
   if (p == nullptr) {
     // No filter on the sort dimension: full scan.
-    RangeTask task{0, store_.size(), /*exact=*/false};
-    store_.ScanRanges({&task, 1}, query, &result);
-    result.cell_ranges = 1;
-    return result;
+    AppendRangeTask(tasks, RangeTask{0, store_.size(), /*exact=*/false});
+    return;
   }
   int64_t begin = store_.LowerBound(sort_dim_, 0, store_.size(), p->lo);
   int64_t end = store_.UpperBound(sort_dim_, 0, store_.size(), p->hi);
   // The range is exact when the sort dimension is the only filter: every
   // row in [begin, end) matches by construction.
-  RangeTask task{begin, end, /*exact=*/query.filters.size() == 1};
-  store_.ScanRanges({&task, 1}, query, &result);
-  result.cell_ranges = 1;
-  return result;
+  AppendRangeTask(tasks,
+                  RangeTask{begin, end, /*exact=*/query.filters.size() == 1});
 }
 
 }  // namespace tsunami

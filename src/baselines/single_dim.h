@@ -5,6 +5,7 @@
 #define TSUNAMI_BASELINES_SINGLE_DIM_H_
 
 #include <string>
+#include <vector>
 
 #include "src/common/index.h"
 #include "src/common/types.h"
@@ -12,7 +13,7 @@
 
 namespace tsunami {
 
-class SingleDimIndex : public MultiDimIndex {
+class SingleDimIndex : public RangePlanIndex {
  public:
   /// Sorts by the most selective dimension of `workload` (estimated on a
   /// sample), or by `forced_sort_dim` if >= 0.
@@ -20,13 +21,17 @@ class SingleDimIndex : public MultiDimIndex {
                  int forced_sort_dim = -1);
 
   std::string Name() const override { return "SingleDim"; }
-  QueryResult Execute(const Query& query) const override;
   int64_t IndexSizeBytes() const override { return sizeof(int); }
   const ColumnStore& store() const override { return store_; }
 
   int sort_dim() const { return sort_dim_; }
 
  private:
+  /// One range: the sort dimension's binary-searched slice, or the whole
+  /// store when the query does not filter it.
+  void PlanTasks(const Query& query, std::vector<RangeTask>* tasks,
+                 QueryResult* counters) const override;
+
   int sort_dim_ = 0;
   ColumnStore store_;
 };

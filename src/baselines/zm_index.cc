@@ -78,9 +78,9 @@ int64_t ZmIndex::LowerBound(int64_t lo, int64_t hi, uint64_t z) const {
   return lo;
 }
 
-QueryResult ZmIndex::Execute(const Query& query) const {
-  QueryResult result = InitResult(query);
-  if (num_rows_ == 0) return result;
+void ZmIndex::PlanTasks(const Query& query, std::vector<RangeTask>* tasks,
+                        QueryResult* counters) const {
+  if (num_rows_ == 0) return;
 
   // Z-address range of the query box: codes of its low and high bucket
   // corners (Morton is monotone per coordinate).
@@ -118,11 +118,9 @@ QueryResult ZmIndex::Execute(const Query& query) const {
     end = LowerBound(end_lo, end_hi, z_hi + 1);
   }
 
-  if (begin >= end) return result;
-  ++result.cell_ranges;
-  RangeTask task{begin, end, /*exact=*/false};
-  store_.ScanRanges({&task, 1}, query, &result);
-  return result;
+  if (begin >= end) return;
+  ++counters->cell_ranges;
+  AppendRangeTask(tasks, RangeTask{begin, end, /*exact=*/false});
 }
 
 int64_t ZmIndex::IndexSizeBytes() const {

@@ -23,7 +23,7 @@
 
 namespace tsunami {
 
-class ZmIndex : public MultiDimIndex {
+class ZmIndex : public RangePlanIndex {
  public:
   struct Options {
     int bits_per_dim = 0;  // 0 = auto: min(16, 63 / dims).
@@ -38,7 +38,6 @@ class ZmIndex : public MultiDimIndex {
   ZmIndex(const Dataset& data, const Options& options);
 
   std::string Name() const override { return "ZM-index"; }
-  QueryResult Execute(const Query& query) const override;
 
   /// Bucket models + RMI + error bound. The Z-addresses themselves are not
   /// materialized: they are recomputed from the clustered store on demand,
@@ -50,6 +49,11 @@ class ZmIndex : public MultiDimIndex {
   int64_t max_error() const { return max_error_; }
 
  private:
+  /// One range: the rows whose Z-addresses lie between the query box's
+  /// corner codes, located through the RMI plus a last-mile search.
+  void PlanTasks(const Query& query, std::vector<RangeTask>* tasks,
+                 QueryResult* counters) const override;
+
   uint32_t BucketOf(int dim, Value v) const;
   uint64_t CodeOfRow(int64_t row) const;
 

@@ -5,13 +5,6 @@
 
 namespace tsunami {
 
-QueryPlan MultiDimIndex::Prepare(const Query& query) const {
-  QueryPlan plan;
-  plan.query = query;
-  plan.counters = InitResult(query);
-  return plan;
-}
-
 QueryResult RangePlanIndex::Execute(const Query& query) const {
   QueryResult result = InitResult(query);
   static thread_local std::vector<RangeTask> tasks;
@@ -22,15 +15,15 @@ QueryResult RangePlanIndex::Execute(const Query& query) const {
 }
 
 QueryPlan RangePlanIndex::Prepare(const Query& query) const {
-  QueryPlan plan = MultiDimIndex::Prepare(query);
-  plan.use_tasks = true;
+  QueryPlan plan;
+  plan.query = query;
+  plan.counters = InitResult(query);
   PlanTasks(query, &plan.tasks, &plan.counters);
   return plan;
 }
 
 QueryResult MultiDimIndex::ExecutePlan(const QueryPlan& plan,
                                        ExecContext& ctx) const {
-  if (!plan.use_tasks) return Execute(plan.query);
   QueryResult result = plan.counters;
   QueryResult scans =
       ExecuteRangeTasks(store(), plan.tasks, plan.query, ctx);

@@ -2,8 +2,11 @@
 // index in this library (baselines, Flood, Tsunami, secondary indexes, the
 // access-path router).
 //
-// Two execution surfaces:
-//  * the legacy per-query path — Execute(query) — one synchronous query;
+// Every index answers a query the same way: it plans the physical row
+// ranges to scan (§5.3.1 charges w0 per range and w1 per scanned point),
+// scans them, and runs whatever non-range work is left (FinishPlan). Two
+// execution surfaces share that one plan shape:
+//  * the per-query path — Execute(query) — one synchronous query;
 //  * the batch path — Prepare(query) -> QueryPlan, then
 //    ExecutePlan(plan, ctx) or ExecuteBatch(queries, ctx) — which amortizes
 //    planning, runs scans on the task scheduler and forced SIMD tier
@@ -29,21 +32,19 @@ namespace tsunami {
 
 class TaskScheduler;
 
-/// A prepared query: the bound query plus, when the index supports
-/// plan-then-scan execution, the physical row ranges to scan. Plans borrow
-/// nothing but are only executable by the index that produced them (the
-/// tasks address that index's clustered store).
+/// A prepared query: the bound query plus the physical row ranges to scan.
+/// Plans borrow nothing but are only executable by the index that produced
+/// them (the tasks address that index's clustered store). A plan may carry
+/// no tasks at all, when its whole answer is FinishPlan work (a secondary
+/// index's key probes) or no row can match.
 struct QueryPlan {
   Query query;
-  /// Physical ranges to scan, in submission order. Meaningful only when
-  /// `use_tasks` is true.
+  /// Physical ranges to scan against PlanTarget(plan).store(), in
+  /// submission order.
   std::vector<RangeTask> tasks;
   /// Plan-time counters: initialized accumulators plus the cell_ranges
   /// visited during planning. Execution merges scan counters into a copy.
   QueryResult counters;
-  /// False: the index has no plan-then-scan path; execution falls back to
-  /// Execute(query). True: execution scans `tasks` against store().
-  bool use_tasks = false;
   /// Position of the owning access path within a routing layer; set by
   /// AccessPathRouter::Prepare so replays skip re-routing. -1 = not routed.
   int routed_index = -1;
@@ -73,24 +74,13 @@ struct BatchStats {
     matched += r.matched;
     cell_ranges += r.cell_ranges;
   }
-
-  /// Folds a forwarded sub-batch's stats in. `seconds` is excluded on
-  /// purpose: each layer accounts its own wall clock, and sub-batch time
-  /// is already inside it.
-  void MergeCounters(const BatchStats& other) {
-    queries += other.queries;
-    scanned += other.scanned;
-    matched += other.matched;
-    cell_ranges += other.cell_ranges;
-  }
 };
 
 /// Execution context for the batch path. Carries the resources a batch
 /// shares — the task scheduler, scan options (forced SIMD tier) — plus
 /// cooperative cancellation (an external flag and/or a deadline, both
 /// checked between range tasks and between queries) and per-batch stats.
-/// Copyable: forwarding layers fork a context per sub-batch and merge
-/// stats back.
+/// Copyable: forwarding layers fork a context per slice of work.
 class ExecContext {
  public:
   ExecContext() = default;
@@ -156,11 +146,11 @@ class ExecContext {
     return options;
   }
 
-  /// A child context for running a slice of this batch elsewhere (a routed
-  /// sub-batch, one worker's query, one statement): same scheduler, scan
-  /// options, and cancel flag; fresh stats; deadline clipped to this
-  /// batch's *remaining* time, so the child's StartBatch cannot extend the
-  /// parent's deadline. Forwarding layers must fork rather than copy.
+  /// A child context for running a slice of this batch elsewhere (one
+  /// worker's query, one statement): same scheduler, scan options, and
+  /// cancel flag; fresh stats; deadline clipped to this batch's *remaining*
+  /// time, so the child's StartBatch cannot extend the parent's deadline.
+  /// Forwarding layers must fork rather than copy.
   ExecContext Fork() const {
     ExecContext child(scheduler, scan);
     child.cancel = cancel;
@@ -193,26 +183,24 @@ class MultiDimIndex {
   /// counters. Multi-aggregate queries get every aggregate in one pass.
   virtual QueryResult Execute(const Query& query) const = 0;
 
-  /// Plans `query` without scanning row data. The default returns a
-  /// passthrough plan (use_tasks = false) that ExecutePlan serves via
-  /// Execute(); indexes with a plan-then-scan path override this to emit
-  /// their RangeTasks up front so batches amortize planning.
-  virtual QueryPlan Prepare(const Query& query) const;
+  /// Plans `query` without scanning row data: the range tasks Execute()
+  /// would scan plus the plan-time counters, so batches and the service
+  /// amortize planning and split the scans across workers.
+  virtual QueryPlan Prepare(const Query& query) const = 0;
 
-  /// Executes a prepared plan. Task-backed plans scan through the context's
+  /// Executes a prepared plan: scans its tasks through the context's
   /// scheduler and scan options (one job, row-balanced across workers) and
-  /// then run FinishPlan(); passthrough plans delegate to Execute().
-  /// Bit-identical to Execute(plan.query) for any worker count and
-  /// supported tier. Throws std::runtime_error when a scheduler chunk
-  /// fails.
+  /// then runs FinishPlan(). Bit-identical to Execute(plan.query) for any
+  /// worker count and supported tier. Throws std::runtime_error when a
+  /// scheduler chunk fails.
   virtual QueryResult ExecutePlan(const QueryPlan& plan,
                                   ExecContext& ctx) const;
 
-  /// The non-range epilogue of a task-backed plan: whatever Execute() does
-  /// besides scanning the planned ranges (an IngestStore snapshot's delta
-  /// chunks, the Hermit index's uncovered-outlier probes). The
-  /// decomposition contract every external executor (ExecutePlan here,
-  /// QueryService's chunked scheduler jobs) relies on is:
+  /// The non-range epilogue of a plan: whatever Execute() does besides
+  /// scanning the planned ranges (an IngestStore snapshot's delta chunks,
+  /// the secondary indexes' row-id probes). The decomposition contract
+  /// every external executor (ExecutePlan here, QueryService's chunked
+  /// scheduler jobs) relies on is:
   ///
   ///   Execute(plan.query) == plan.counters
   ///                          (+) scan of plan.tasks against PlanTarget's
@@ -236,19 +224,19 @@ class MultiDimIndex {
     return *this;
   }
 
-  /// Executes a batch: plans every query first, then runs the scans. With a
-  /// multi-worker scheduler the batch is one job of one chunk per query,
-  /// spread across the workers (each query's scans run inline on its
-  /// worker — batch items never submit nested jobs); results are
-  /// positionally stable and bit-identical to per-query Execute() either
+  /// Executes a batch: each query is Prepare()d and run through
+  /// ExecutePlan(). With a multi-worker scheduler the batch is one job of
+  /// one chunk per query, spread across the workers (each query's scans run
+  /// inline on its worker — batch items never submit nested jobs); results
+  /// are positionally stable and bit-identical to per-query Execute() either
   /// way, and a failed job throws std::runtime_error. Cancellation is
   /// checked between queries; skipped queries — and the query in flight
   /// when cancellation fires, whose scans may have stopped early — return
   /// their initialized (identity) results, so a partial aggregate is never
   /// passed off as an answer. Fills ctx.stats (counting only fully
   /// executed queries).
-  virtual std::vector<QueryResult> ExecuteBatch(std::span<const Query> queries,
-                                                ExecContext& ctx) const;
+  std::vector<QueryResult> ExecuteBatch(std::span<const Query> queries,
+                                        ExecContext& ctx) const;
 
   /// Executes a batch of already-prepared plans: the amortization lever for
   /// served workloads — Prepare once, ExecutePlans every time the batch
@@ -273,10 +261,11 @@ class MultiDimIndex {
 };
 
 /// An index whose every query is one batch of range tasks over its own
-/// store(), planned in one pass (Flood and the tree, grid and curve
-/// baselines). The subclass supplies PlanTasks; Execute plans into a reused
-/// per-thread buffer and scans it, and Prepare hands the same tasks to the
-/// batch path.
+/// store(), planned in one pass, with no FinishPlan work (Tsunami, Flood,
+/// the full scan and every tree, grid, sort and curve baseline). The
+/// subclass supplies PlanTasks; Execute plans into a reused per-thread
+/// buffer and scans it, and Prepare hands the same tasks to the batch
+/// path.
 class RangePlanIndex : public MultiDimIndex {
  public:
   QueryResult Execute(const Query& query) const override;

@@ -17,7 +17,6 @@ CostWeights CalibrateCostWeights(const ExecContext& ctx) {
 }
 
 double PredictPlanNanos(const QueryPlan& plan, const CostWeights& weights) {
-  if (!plan.use_tasks) return 0.0;
   int64_t inexact_rows = 0;
   int64_t exact_rows = 0;
   for (const RangeTask& task : plan.tasks) {

@@ -63,14 +63,15 @@ CostWeights CalibrateCostWeights(const ScanOptions& options = {});
 /// execute the queries.
 CostWeights CalibrateCostWeights(const ExecContext& ctx);
 
-/// Predicted execution time in nanoseconds for an already-prepared plan,
-/// straight from the §5.3.1 analytic form: w0 per planned range plus the
-/// per-row scan term over the rows the ranges cover — filtered dimensions
-/// for inexact ranges, aggregate columns for exact ones. This is the
-/// admission-control half of the model: QueryService compares it against a
-/// query's deadline budget and rejects (kDeadlineInfeasible) work that
-/// could not finish even on an idle machine. Plans without range tasks
-/// (passthrough indexes) predict 0 — never rejected.
+/// Predicted execution time in nanoseconds for an already-prepared plan of
+/// any index, straight from the §5.3.1 analytic form: w0 per planned range
+/// plus the per-row scan term over the rows the ranges cover — filtered
+/// dimensions for inexact ranges, aggregate columns for exact ones. This
+/// is the admission-control half of the model: QueryService compares it
+/// against a query's deadline budget and rejects (kDeadlineInfeasible) work
+/// that could not finish even on an idle machine. FinishPlan work (delta
+/// chunks, secondary-index probes) is not charged, so a plan with no tasks
+/// predicts 0 and is never rejected.
 double PredictPlanNanos(const QueryPlan& plan, const CostWeights& weights);
 
 /// Predicts average query time for Augmented Grid candidates over a region,

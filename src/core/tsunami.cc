@@ -315,59 +315,32 @@ Dataset TsunamiIndex::MaterializeData() const {
   return data;
 }
 
-void TsunamiIndex::PlanRegion(int region, const Query& query,
-                              std::vector<RangeTask>* tasks,
-                              QueryResult* counters) const {
-  const Region& reg = regions_[region];
-  if (reg.has_grid) {
-    reg.grid.PlanRanges(query, tasks, counters);
-    return;
-  }
-  // Unindexed region (no query type intersected it at build time): scan it
-  // whole; exact when the query's box contains the region's box.
-  bool exact = true;
-  for (const Predicate& p : query.filters) {
-    if (p.lo > reg.box_lo[p.dim] || p.hi < reg.box_hi[p.dim]) {
-      exact = false;
-      break;
-    }
-  }
-  ++counters->cell_ranges;
-  AppendRangeTask(tasks, RangeTask{reg.begin, reg.end, exact});
-}
-
-QueryResult TsunamiIndex::Execute(const Query& query) const {
-  QueryResult result = InitResult(query);
+void TsunamiIndex::PlanTasks(const Query& query, std::vector<RangeTask>* tasks,
+                             QueryResult* counters) const {
   static thread_local std::vector<int> hits;
-  static thread_local std::vector<RangeTask> tasks;
-  tasks.clear();
-  if (use_grid_tree_) {
-    tree_.CollectRegions(query, &hits);
-  } else {
-    hits.assign(1, 0);
-  }
-  // Batch submission: plan every intersected region's ranges first, then
-  // hand the whole batch to the scan kernel in one call.
-  for (int region : hits) PlanRegion(region, query, &tasks, &result);
-  store_.ScanRanges(tasks, query, &result);
-  return result;
-}
-
-QueryPlan TsunamiIndex::Prepare(const Query& query) const {
-  QueryPlan plan;
-  plan.query = query;
-  plan.counters = InitResult(query);
-  plan.use_tasks = true;
-  std::vector<int> hits;
   if (use_grid_tree_) {
     tree_.CollectRegions(query, &hits);
   } else {
     hits.assign(1, 0);
   }
   for (int region : hits) {
-    PlanRegion(region, query, &plan.tasks, &plan.counters);
+    const Region& reg = regions_[region];
+    if (reg.has_grid) {
+      reg.grid.PlanRanges(query, tasks, counters);
+      continue;
+    }
+    // Unindexed region (no query type intersected it at build time): scan
+    // it whole; exact when the query's box contains the region's box.
+    bool exact = true;
+    for (const Predicate& p : query.filters) {
+      if (p.lo > reg.box_lo[p.dim] || p.hi < reg.box_hi[p.dim]) {
+        exact = false;
+        break;
+      }
+    }
+    ++counters->cell_ranges;
+    AppendRangeTask(tasks, RangeTask{reg.begin, reg.end, exact});
   }
-  return plan;
 }
 
 int64_t TsunamiIndex::IndexSizeBytes() const {

@@ -50,7 +50,7 @@ struct TsunamiOptions {
   std::string name = "Tsunami";
 };
 
-class TsunamiIndex : public MultiDimIndex {
+class TsunamiIndex : public RangePlanIndex {
  public:
   /// Index statistics after optimization (Tab. 4) plus build timings
   /// (Fig. 9b: sort time vs optimization time).
@@ -96,13 +96,6 @@ class TsunamiIndex : public MultiDimIndex {
                const Workload& new_workload, const TsunamiOptions& options);
 
   std::string Name() const override { return name_; }
-  QueryResult Execute(const Query& query) const override;
-
-  /// Plans every intersected region's RangeTasks up front (the batch path's
-  /// planning half). The returned plan scans through ExecutePlan; the
-  /// planned ranges are the whole answer, so there is no FinishPlan work.
-  QueryPlan Prepare(const Query& query) const override;
-
   int64_t IndexSizeBytes() const override;
   const ColumnStore& store() const override { return store_; }
 
@@ -166,10 +159,11 @@ class TsunamiIndex : public MultiDimIndex {
                   const TsunamiOptions& options,
                   const TsunamiIndex* previous);
 
-  // Plans one region's RangeTasks (grid runs or the raw region range)
-  // without scanning; counts visited ranges into counters->cell_ranges.
-  void PlanRegion(int region, const Query& query,
-                  std::vector<RangeTask>* tasks, QueryResult* counters) const;
+  // Plans every region the Grid Tree says the query intersects: its grid
+  // runs, or the raw region range for a region without a grid. The planned
+  // ranges are the whole answer, so there is no FinishPlan work.
+  void PlanTasks(const Query& query, std::vector<RangeTask>* tasks,
+                 QueryResult* counters) const override;
 
   // RepairedCopy's in-place half, run on the fresh clone: re-encodes every
   // quarantined block wholly covered by fold_backup_. Returns blocks healed.

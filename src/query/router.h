@@ -83,12 +83,6 @@ class AccessPathRouter : public MultiDimIndex {
     return *this;
   }
 
-  /// Routes a batch by grouping the queries per chosen access path and
-  /// forwarding one sub-batch per index; results are scattered back to
-  /// their original positions, so output order matches input order.
-  std::vector<QueryResult> ExecuteBatch(std::span<const Query> queries,
-                                        ExecContext& ctx) const override;
-
   /// The router's own overhead: the selectivity sample plus the
   /// calibration table (the routed indexes account for themselves).
   int64_t IndexSizeBytes() const override;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <type_traits>
 
 namespace tsunami {
 
@@ -18,13 +19,34 @@ std::vector<uint32_t> SortPermByDim(const Dataset& data, int dim) {
   return perm;
 }
 
+/// Runs `loop(std::true_type{})` while some column of `store` has a
+/// quarantined or unverified block, the only case in which a probed row
+/// can fail the integrity gate, and `loop(std::false_type{})` otherwise:
+/// the probe loops are compiled once per case, so a fully readable store
+/// probes without a per-row check.
+template <typename Loop>
+void WithRowGate(const ColumnStore& store, const Loop& loop) {
+  for (int d = 0; d < store.dims(); ++d) {
+    if (!store.encoded(d).AllBlocksReadable()) return loop(std::true_type{});
+  }
+  loop(std::false_type{});
+}
+
 /// Probes one physical row against every filter, accumulating on match.
 /// Each probe is a random access into the host store — the "pointer
 /// chasing" cost of secondary indexes (§1) — so it also counts one range.
+/// With `gate`, the row passes the integrity gate a scan of its block
+/// would: a row in a block quarantined in any column the query reads is
+/// skipped, not scanned, and flags the result degraded.
+template <typename Gate>
 void ProbeRow(const ColumnStore& store, int64_t row, const Query& query,
-              QueryResult* out) {
-  ++out->scanned;
+              Gate gate, QueryResult* out) {
   ++out->cell_ranges;
+  if (gate && !store.kernel().BlockReadable(row / kScanBlockRows, query,
+                                            /*exact=*/false, out)) {
+    return;
+  }
+  ++out->scanned;
   for (const Predicate& p : query.filters) {
     Value v = store.Get(row, p.dim);
     if (v < p.lo || v > p.hi) return;
@@ -46,7 +68,6 @@ QueryPlan PlanHostScan(const ColumnStore& store, int host_dim,
   QueryPlan plan;
   plan.query = query;
   plan.counters = InitResult(query);
-  plan.use_tasks = true;
   int64_t begin = 0, end = store.size();
   if (const Predicate* p = query.FilterOn(host_dim)) {
     begin = store.LowerBound(host_dim, 0, store.size(), p->lo);
@@ -89,24 +110,41 @@ SortedSecondaryIndex::SortedSecondaryIndex(const Dataset& data, int host_dim,
 
 QueryPlan SortedSecondaryIndex::Prepare(const Query& query) const {
   if (query.FilterOn(key_dim_) != nullptr) {
-    // Probe path: row-id chasing has no contiguous ranges to plan.
-    return MultiDimIndex::Prepare(query);
+    // Probe path: row-id chasing has no contiguous ranges to plan, so the
+    // plan carries no tasks and FinishPlan runs the probes.
+    QueryPlan plan;
+    plan.query = query;
+    plan.counters = InitResult(query);
+    return plan;
   }
   return PlanHostScan(store_, host_dim_, query);
 }
 
+void SortedSecondaryIndex::FinishPlan(const QueryPlan& plan,
+                                      QueryResult* result) const {
+  if (plan.query.FilterOn(key_dim_) != nullptr) ProbeKeys(plan.query, result);
+}
+
 QueryResult SortedSecondaryIndex::Execute(const Query& query) const {
-  const Predicate* key_filter = query.FilterOn(key_dim_);
-  if (key_filter == nullptr) {
+  if (query.FilterOn(key_dim_) == nullptr) {
     return HostScan(store_, host_dim_, query);
   }
+  // Probes without building a plan, which would copy the query per call.
   QueryResult result = InitResult(query);
+  ProbeKeys(query, &result);
+  return result;
+}
+
+void SortedSecondaryIndex::ProbeKeys(const Query& query,
+                                     QueryResult* out) const {
+  const Predicate* key_filter = query.FilterOn(key_dim_);
   auto first = std::lower_bound(keys_.begin(), keys_.end(), key_filter->lo);
   auto last = std::upper_bound(first, keys_.end(), key_filter->hi);
-  for (auto it = first; it != last; ++it) {
-    ProbeRow(store_, rows_[it - keys_.begin()], query, &result);
-  }
-  return result;
+  WithRowGate(store_, [&](auto gate) {
+    for (auto it = first; it != last; ++it) {
+      ProbeRow(store_, rows_[it - keys_.begin()], query, gate, out);
+    }
+  });
 }
 
 int64_t SortedSecondaryIndex::IndexSizeBytes() const {
@@ -212,7 +250,6 @@ QueryPlan CorrelationSecondaryIndex::Prepare(const Query& query) const {
   QueryPlan plan;
   plan.query = query;
   plan.counters = InitResult(query);
-  plan.use_tasks = true;
 
   // Map the key range through each overlapping segment's model. The host
   // ranges of different segments can overlap arbitrarily (and are not even
@@ -260,12 +297,19 @@ void CorrelationSecondaryIndex::FinishPlan(const QueryPlan& plan,
         [](int64_t r, const RangeTask& range) { return r < range.begin; });
     return it != plan.tasks.begin() && row < (it - 1)->end;
   };
-  for (uint32_t row : outliers_) {
-    Value key = store_.Get(row, key_dim_);
-    if (key < key_filter->lo || key > key_filter->hi) continue;
-    if (covered(row)) continue;
-    ProbeRow(store_, row, query, result);
-  }
+  const EncodedColumn& keys = store_.encoded(key_dim_);
+  WithRowGate(store_, [&](auto gate) {
+    for (uint32_t row : outliers_) {
+      // A key in a quarantined block cannot rule its row out: ProbeRow
+      // skips such a row and flags the result degraded.
+      if (!gate || keys.EnsureReadable(row / kScanBlockRows)) {
+        Value key = keys.Get(row);
+        if (key < key_filter->lo || key > key_filter->hi) continue;
+      }
+      if (covered(row)) continue;
+      ProbeRow(store_, row, query, gate, result);
+    }
+  });
 }
 
 QueryResult CorrelationSecondaryIndex::Execute(const Query& query) const {

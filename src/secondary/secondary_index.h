@@ -47,10 +47,11 @@ class SortedSecondaryIndex : public MultiDimIndex {
   QueryResult Execute(const Query& query) const override;
 
   /// Host-scan queries (no key filter) plan their bounded host range as a
-  /// task batch; key-filtered queries keep the probe path (random row-id
-  /// chasing cannot be expressed as contiguous RangeTasks) and return a
-  /// passthrough plan.
+  /// task batch. Key-filtered queries plan no tasks: random row-id chasing
+  /// cannot be expressed as contiguous RangeTasks, so FinishPlan runs the
+  /// probes.
   QueryPlan Prepare(const Query& query) const override;
+  void FinishPlan(const QueryPlan& plan, QueryResult* result) const override;
 
   /// The entry list: one (value, row id) pair per row.
   int64_t IndexSizeBytes() const override;
@@ -59,6 +60,9 @@ class SortedSecondaryIndex : public MultiDimIndex {
   int key_dim() const { return key_dim_; }
 
  private:
+  /// Probes every row whose key lies in the query's key filter.
+  void ProbeKeys(const Query& query, QueryResult* out) const;
+
   int host_dim_ = 0;
   int key_dim_ = 0;
   std::vector<Value> keys_;      // Sorted.
@@ -97,8 +101,8 @@ class CorrelationSecondaryIndex : public MultiDimIndex {
   QueryPlan Prepare(const Query& query) const override;
 
   /// Probes the outlier rows no planned range covers — the non-range half
-  /// of a Hermit plan, run by base ExecutePlan and by QueryService's
-  /// chunked jobs after the task scans.
+  /// of a Hermit plan, run by base ExecutePlan and by QueryService's Await
+  /// after the task scans.
   void FinishPlan(const QueryPlan& plan, QueryResult* result) const override;
 
   /// Segment boundaries + models + outlier row ids: model-sized.

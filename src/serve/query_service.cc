@@ -308,19 +308,10 @@ QueryService::Admission QueryService::Admit(
     p->client_id = options.client_id;
   }
 
-  int64_t num_chunks;
-  if (p->plan->use_tasks) {
-    p->chunks = ChunkRangeTasks(
-        std::span<const RangeTask>(p->plan->tasks), options_.chunk_rows);
-    num_chunks = static_cast<int64_t>(p->chunks.size());
-    p->partials.resize(p->chunks.size());
-  } else {
-    // Passthrough plan (no plan-then-scan path): one chunk running the
-    // index's own ExecutePlan inline on a worker — still overlapped with
-    // other queries, just not decomposed within itself.
-    num_chunks = 1;
-    p->partials.resize(1);
-  }
+  p->chunks = ChunkRangeTasks(std::span<const RangeTask>(p->plan->tasks),
+                              options_.chunk_rows);
+  const int64_t num_chunks = static_cast<int64_t>(p->chunks.size());
+  p->partials.resize(p->chunks.size());
 
   // Reserve admission budget. The gauges are maintained for unbounded
   // services too (the stats are useful either way); only bounded ones can
@@ -345,7 +336,6 @@ QueryService::Admission QueryService::Admit(
   p->gauge_held.store(num_chunks, std::memory_order_relaxed);
 
   p->ctx.StartBatch();  // Deadline clock starts at admission.
-  const bool use_tasks = p->plan->use_tasks;
   // Shedding can stop any query in a bounded service, so the in-scan stop
   // probe is installed whenever a mid-flight stop is possible at all.
   const bool stoppable = p->ctx.Cancellable() || bounded();
@@ -358,7 +348,7 @@ QueryService::Admission QueryService::Admit(
   }
   p->job = scheduler_.Submit(
       num_chunks,
-      [this, p, use_tasks, stoppable](int64_t chunk, int /*worker*/) {
+      [this, p, stoppable](int64_t chunk, int /*worker*/) {
         // The budget tail is RAII: a chunk whose scan throws (the scheduler
         // swallows the exception and marks the job failed) must still
         // return its admission unit and, if it is the last chunk out,
@@ -390,7 +380,7 @@ QueryService::Admission QueryService::Admit(
           // Skipped outright: record it, so Await returns the identity
           // result even if a borrowed cancel flag is cleared again later.
           RecordStop(p, CauseOf(p->ctx));
-        } else if (use_tasks) {
+        } else {
           // One disjoint slice of the planned ranges. The stop probe rides
           // in the scan options so a deadline (or a shed) lands mid-chunk
           // too — and it records the cut on the Pending the instant it
@@ -412,15 +402,6 @@ QueryService::Admission QueryService::Admit(
           }
           p->target->store().ScanRanges(p->chunks[chunk], p->plan->query,
                                         &partial, scan);
-        } else {
-          ExecContext inline_ctx = p->ctx.Fork();
-          partial = p->target->ExecutePlan(*p->plan, inline_ctx);
-          // The passthrough executor checks the context internally; a stop
-          // it observed is still observable here (deadlines never
-          // un-expire, and a toggled flag closes an ~ns window at worst).
-          if (inline_ctx.ShouldStop()) {
-            RecordStop(p, CauseOf(inline_ctx));
-          }
         }
       },
       options.priority, std::move(then));
@@ -526,9 +507,6 @@ QueryResult QueryService::Await(Ticket ticket, AwaitInfo* info) {
   out.cancelled = false;
   out.outcome = QueryOutcome::kCompleted;
   completed_.fetch_add(1, std::memory_order_relaxed);
-  if (!pending->plan->use_tasks) {
-    return std::move(pending->partials[0]);
-  }
   // Merge: plan counters + every disjoint chunk partial + the target's
   // non-range epilogue — the FinishPlan contract that makes this equal to
   // Execute(query) bit for bit. Degradation (quarantined blocks skipped by

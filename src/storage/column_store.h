@@ -135,8 +135,8 @@ class ColumnStore {
   ZoneMaps zones_;
 };
 
-/// Executes `query` by scanning the full store; the reference answer used by
-/// the FullScan baseline and by tests.
+/// Executes `query` by scanning the full store (the scan FullScanIndex
+/// plans); the reference answer tests compare against.
 QueryResult ExecuteFullScan(const ColumnStore& store, const Query& query);
 
 }  // namespace tsunami

@@ -169,11 +169,14 @@ class EncodedColumn {
   /// block's first touch; a mismatch quarantines the block and returns
   /// false (the caller skips the block and flags its result degraded).
   bool EnsureReadable(int64_t b) const {
-    if (unverified_left_.v.load(std::memory_order_relaxed) == 0 &&
-        quarantined_.v.load(std::memory_order_relaxed) == 0) {
-      return true;
-    }
-    return EnsureReadableSlow(b);
+    return AllBlocksReadable() || EnsureReadableSlow(b);
+  }
+
+  /// True when every block is verified and none is quarantined, so every
+  /// EnsureReadable call returns true (until a scrub quarantines a block).
+  bool AllBlocksReadable() const {
+    return unverified_left_.v.load(std::memory_order_relaxed) == 0 &&
+           quarantined_.v.load(std::memory_order_relaxed) == 0;
   }
 
   bool IsQuarantined(int64_t b) const {

@@ -222,18 +222,19 @@ class ScanKernel {
   void ScanBatch(std::span<const RangeTask> tasks, const Query& query,
                  QueryResult* out, const ScanOptions& options = {}) const;
 
- private:
-  // Integrity gate: true when every column this query must read — filter
-  // dims for non-exact ranges, plus non-COUNT aggregate columns, each
-  // checked once — is readable (checksum-verified, not quarantined) in
-  // `block`. On failure the block is counted into out->quarantined_blocks
-  // and the result flagged degraded; the caller skips the block. Columns
-  // the query never reads (e.g. everything, for an exact COUNT) are not
-  // checked, so zone-map- or count-only answers stay exact even over a
-  // quarantined store.
+  /// Integrity gate: true when every column this query must read — filter
+  /// dims for non-exact ranges, plus non-COUNT aggregate columns, each
+  /// checked once — is readable (checksum-verified, not quarantined) in
+  /// `block`. On failure the block is counted into out->quarantined_blocks
+  /// and the result flagged degraded; the caller skips the block (or, for
+  /// a secondary index's row probe, the row). Columns the query never
+  /// reads (e.g. everything, for an exact COUNT) are not checked, so
+  /// zone-map- or count-only answers stay exact even over a quarantined
+  /// store.
   bool BlockReadable(int64_t block, const Query& query, bool exact,
                      QueryResult* out) const;
 
+ private:
   // Folds rows [begin, end) — all known to match — inside block `block`
   // into every aggregate accumulator: from the zone map when the rows span
   // the full block, else one unmasked fold per aggregated column. Leaves

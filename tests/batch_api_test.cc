@@ -306,8 +306,8 @@ TEST_F(BatchApiTest, DeadlineStopsBatchAndSurvivesForking) {
   EXPECT_LT(ctx.stats.queries, static_cast<int64_t>(workload_.size()));
   // Forked children inherit the *remaining* deadline — an expired parent
   // must hand out an immediately-expiring child, never 0 ("no deadline"),
-  // so forwarding layers (router sub-batches, engine statements, batch
-  // items on scheduler workers) cannot restart the clock.
+  // so forwarding layers (engine statements, batch items on scheduler
+  // workers) cannot restart the clock.
   EXPECT_TRUE(ctx.ShouldStop());
   ExecContext child = ctx.Fork();
   EXPECT_GT(child.deadline_seconds, 0.0);

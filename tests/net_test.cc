@@ -10,10 +10,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +26,7 @@
 #include "src/net/server.h"
 #include "src/net/wire.h"
 #include "src/serve/query_service.h"
+#include "tests/worker_jam.h"
 
 namespace tsunami {
 namespace {
@@ -331,52 +330,6 @@ class ServerHarness {
   std::unique_ptr<TsunamiServer> server_;
   std::thread thread_;
   bool started_ = false;
-};
-
-/// Answers like the index it wraps, but Execute parks on a gate until the
-/// test opens it, so a test decides how long its queries stay in flight.
-class GatedIndex : public MultiDimIndex {
- public:
-  explicit GatedIndex(const MultiDimIndex* inner) : inner_(inner) {}
-
-  std::string Name() const override { return "gated"; }
-  QueryResult Execute(const Query& query) const override {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      entered_ = true;
-      cv_.notify_all();
-      cv_.wait(lock, [this] { return open_; });
-    }
-    return inner_->Execute(query);
-  }
-  int64_t IndexSizeBytes() const override { return inner_->IndexSizeBytes(); }
-  const ColumnStore& store() const override { return inner_->store(); }
-
-  /// Blocks until some Execute is parked at the gate.
-  void WaitEntered() const {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return entered_; });
-  }
-  void Open() {
-    std::lock_guard<std::mutex> lock(mu_);
-    open_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  const MultiDimIndex* inner_;
-  mutable std::mutex mu_;
-  mutable std::condition_variable cv_;
-  mutable bool entered_ = false;
-  bool open_ = false;
-};
-
-/// Opens the gate when the test scope ends, on every exit path: the
-/// harness's stop and the service's destructor both wait for parked
-/// queries. Declare it after the harness so it runs first.
-struct OpenGateOnExit {
-  GatedIndex* gate;
-  ~OpenGateOnExit() { gate->Open(); }
 };
 
 // Also served by an inline (threads = 0) service, whose queries finish and
@@ -709,15 +662,16 @@ TEST_F(NetTest, BadVersionAndBadTypeAndBadMagic) {
 }
 
 TEST_F(NetTest, PerConnectionInflightCapReturnsClientBusy) {
-  // Unbounded service: isolate the cap. The gate holds the first two
-  // queries in flight, so every later frame of the burst finds the
+  // Unbounded service: isolate the cap. The jammed worker keeps the first
+  // two queries queued, so every later frame of the burst finds the
   // connection at its cap however the frames arrive.
-  GatedIndex gated(index_.get());
-  QueryService service(&gated);
+  ServiceOptions service_options;
+  service_options.threads = 1;
+  QueryService service(index_.get(), service_options);
   ServerOptions so;
   so.max_inflight_per_conn = 2;
   ServerHarness harness(&service, so);
-  OpenGateOnExit open_on_exit{&gated};
+  WorkerJam jam(&service.scheduler(), 1);
   TsunamiClient client(harness.ClientFor());
 
   const int kBurst = 16;
@@ -733,7 +687,7 @@ TEST_F(NetTest, PerConnectionInflightCapReturnsClientBusy) {
     EXPECT_EQ(r.error, WireError::kClientBusy)
         << "request " << i << ": " << net::ToString(r.error);
   }
-  gated.Open();
+  jam.Release();
   const QueryResult want = index_->Execute(Region());
   for (int i = 0; i < 2; ++i) {
     ClientResult r;
@@ -747,15 +701,15 @@ TEST_F(NetTest, PerConnectionInflightCapReturnsClientBusy) {
 }
 
 TEST_F(NetTest, QueueFullIsTypedAndRetryable) {
-  // The gate holds the one admitted query, so the rest of the burst
-  // overflows the one-query queue however the frames arrive.
-  GatedIndex gated(index_.get());
+  // The jammed worker keeps the one admitted query queued, so the rest of
+  // the burst overflows the one-query queue however the frames arrive.
   ServiceOptions service_options;
+  service_options.threads = 1;
   service_options.max_queued_queries = 1;
   service_options.low_priority_watermark = 1.0;
-  QueryService service(&gated, service_options);
+  QueryService service(index_.get(), service_options);
   ServerHarness harness(&service);
-  OpenGateOnExit open_on_exit{&gated};
+  WorkerJam jam(&service.scheduler(), 1);
   TsunamiClient client(harness.ClientFor());
 
   const int kBurst = 16;
@@ -772,7 +726,7 @@ TEST_F(NetTest, QueueFullIsTypedAndRetryable) {
         << "request " << i << ": " << net::ToString(r.error);
     EXPECT_TRUE(net::IsRetryable(r.error));
   }
-  gated.Open();
+  jam.Release();
   ClientResult first;
   ASSERT_TRUE(client.Await(ids[0], &first));
   ASSERT_TRUE(first.ok()) << net::ToString(first.error);
@@ -869,14 +823,13 @@ TEST_F(NetTest, StalledReaderIsEvicted) {
 // answer that instead waited for the next tick would outlast the client's
 // 5 s I/O timeout.
 TEST_F(NetTest, CompletionWakesSleepingLoop) {
-  GatedIndex gated(index_.get());
   ServiceOptions service_options;
   service_options.threads = 1;
-  QueryService service(&gated, service_options);
+  QueryService service(index_.get(), service_options);
   ServerOptions so;
   so.tick_seconds = 30.0;
   ServerHarness harness(&service, so);
-  OpenGateOnExit open_on_exit{&gated};
+  WorkerJam jam(&service.scheduler(), 1);
   ClientOptions copts = harness.ClientFor();
   copts.io_timeout_seconds = 5.0;
   copts.max_retries = 0;
@@ -886,9 +839,9 @@ TEST_F(NetTest, CompletionWakesSleepingLoop) {
   const Query q = Needle(rng);
   const uint64_t id = client.Submit(q);
   ASSERT_NE(id, 0u);
-  // The query is parked on the worker, and the loop has published its
-  // admission — the last thing an iteration does before epoll_wait.
-  gated.WaitEntered();
+  // The query is queued behind the jammed worker once the loop has
+  // published its admission — the last thing an iteration does before
+  // epoll_wait.
   Timer admit_timer;
   while (harness.server().stats().queries_admitted < 1 &&
          admit_timer.ElapsedSeconds() < 5.0) {
@@ -897,7 +850,7 @@ TEST_F(NetTest, CompletionWakesSleepingLoop) {
   ASSERT_EQ(harness.server().stats().queries_admitted, 1);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-  gated.Open();
+  jam.Release();
   Timer reply_timer;
   ClientResult got;
   ASSERT_TRUE(client.Await(id, &got)) << "the answer waited for the tick";

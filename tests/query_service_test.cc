@@ -23,6 +23,7 @@
 #include "src/baselines/full_scan.h"
 #include "src/common/fault_injection.h"
 #include "src/baselines/single_dim.h"
+#include "src/baselines/zm_index.h"
 #include "src/baselines/zorder.h"
 #include "src/common/random.h"
 #include "src/core/tsunami.h"
@@ -34,6 +35,7 @@
 #include "src/secondary/secondary_index.h"
 #include "src/serve/query_service.h"
 #include "tests/scan_oracle.h"
+#include "tests/worker_jam.h"
 
 namespace tsunami {
 namespace {
@@ -124,6 +126,7 @@ class QueryServiceTest : public ::testing::Test {
                                                         /*key_dim=*/2));
     xs.push_back(std::make_unique<CorrelationSecondaryIndex>(
         data_, /*host_dim=*/0, /*key_dim=*/1));
+    xs.push_back(std::make_unique<ZmIndex>(data_));
     return xs;
   }
 
@@ -131,42 +134,56 @@ class QueryServiceTest : public ::testing::Test {
   Workload workload_;
 };
 
+// The default chunk grain, and once the smallest grain, which cuts every
+// plan's tasks at every block boundary.
 TEST_F(QueryServiceTest, SubmitAwaitBitIdenticalToExecuteAndExecuteBatch) {
   std::vector<std::unique_ptr<MultiDimIndex>> roster = BuildRoster();
+  struct Config {
+    int threads;
+    SimdTier tier;
+    int64_t chunk_rows;
+  };
+  std::vector<Config> configs;
+  for (int threads : {0, 2, 4}) {
+    for (SimdTier tier : {SimdTier::kAuto, SimdTier::kNone}) {
+      configs.push_back({threads, tier, ServiceOptions().chunk_rows});
+    }
+  }
+  configs.push_back({2, SimdTier::kAuto, kScanBlockRows});
   Rng rng(92);
   for (const auto& index : roster) {
     Workload batch = SkewedBatch(rng, 24);
-    for (int threads : {0, 2, 4}) {
-      for (SimdTier tier : {SimdTier::kAuto, SimdTier::kNone}) {
-        ServiceOptions options;
-        options.threads = threads;
-        QueryService service(index.get(), options);
-        SubmitOptions sub;
-        sub.scan = ScanOptions{tier};
-        std::vector<QueryService::Admission> tickets =
-            service.SubmitBatch(std::span<const Query>(batch), sub);
-        ASSERT_EQ(tickets.size(), batch.size());
-        // Also the ExecuteBatch path, as the second reference.
-        TaskScheduler batch_scheduler(threads);
-        ExecContext ctx(&batch_scheduler, ScanOptions{tier});
-        std::vector<QueryResult> via_batch = index->ExecuteBatch(
-            std::span<const Query>(batch.data(), batch.size()), ctx);
-        for (size_t i = 0; i < batch.size(); ++i) {
-          bool cancelled = true;
-          QueryResult got = service.Await(tickets[i], &cancelled);
-          EXPECT_FALSE(cancelled);
-          std::string context = index->Name() + " query " +
-                                std::to_string(i) + " threads " +
-                                std::to_string(threads);
-          ExpectBitIdentical(got, index->Execute(batch[i]), context);
-          ExpectBitIdentical(got, via_batch[i], context + " (vs batch)");
-        }
-        ServiceStats stats = service.stats();
-        EXPECT_EQ(stats.submitted, static_cast<int64_t>(batch.size()));
-        EXPECT_EQ(stats.completed, static_cast<int64_t>(batch.size()));
-        EXPECT_EQ(stats.cancelled, 0);
-        EXPECT_EQ(stats.tickets_in_flight, 0);
+    for (const Config& config : configs) {
+      ServiceOptions options;
+      options.threads = config.threads;
+      options.chunk_rows = config.chunk_rows;
+      QueryService service(index.get(), options);
+      SubmitOptions sub;
+      sub.scan = ScanOptions{config.tier};
+      std::vector<QueryService::Admission> tickets =
+          service.SubmitBatch(std::span<const Query>(batch), sub);
+      ASSERT_EQ(tickets.size(), batch.size());
+      // Also the ExecuteBatch path, as the second reference.
+      TaskScheduler batch_scheduler(config.threads);
+      ExecContext ctx(&batch_scheduler, ScanOptions{config.tier});
+      std::vector<QueryResult> via_batch = index->ExecuteBatch(
+          std::span<const Query>(batch.data(), batch.size()), ctx);
+      for (size_t i = 0; i < batch.size(); ++i) {
+        bool cancelled = true;
+        QueryResult got = service.Await(tickets[i], &cancelled);
+        EXPECT_FALSE(cancelled);
+        std::string context = index->Name() + " query " + std::to_string(i) +
+                              " threads " + std::to_string(config.threads) +
+                              " chunk_rows " +
+                              std::to_string(config.chunk_rows);
+        ExpectBitIdentical(got, index->Execute(batch[i]), context);
+        ExpectBitIdentical(got, via_batch[i], context + " (vs batch)");
       }
+      ServiceStats stats = service.stats();
+      EXPECT_EQ(stats.submitted, static_cast<int64_t>(batch.size()));
+      EXPECT_EQ(stats.completed, static_cast<int64_t>(batch.size()));
+      EXPECT_EQ(stats.cancelled, 0);
+      EXPECT_EQ(stats.tickets_in_flight, 0);
     }
   }
 }
@@ -546,33 +563,9 @@ TEST_F(QueryServiceTest, CompletedQueryIsNotCancelledByLateAwait) {
 }
 
 // --- Overload robustness: bounded admission, shedding, degradation -------
-
-/// Occupies every worker of `scheduler` until Release() — the deterministic
-/// way to keep submitted queries *queued* while a test inspects admission.
-class WorkerJam {
- public:
-  WorkerJam(TaskScheduler* scheduler, int workers) : scheduler_(scheduler) {
-    job_ = scheduler_->Submit(workers, [this](int64_t, int) {
-      started_.fetch_add(1, std::memory_order_relaxed);
-      while (!release_.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-    });
-    while (started_.load(std::memory_order_relaxed) < workers) {
-      std::this_thread::yield();
-    }
-  }
-  void Release() {
-    release_.store(true, std::memory_order_release);
-    scheduler_->Wait(job_);
-  }
-
- private:
-  TaskScheduler* scheduler_;
-  TaskScheduler::JobRef job_;
-  std::atomic<int> started_{0};
-  std::atomic<bool> release_{false};
-};
+// WorkerJam (tests/worker_jam.h) occupies the service's workers: the
+// deterministic way to keep submitted queries *queued* while a test
+// inspects admission.
 
 TEST_F(QueryServiceTest, BoundedAdmissionRejectsAndReservesHeadroom) {
   FloodIndex index(data_, workload_);

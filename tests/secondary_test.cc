@@ -1,17 +1,20 @@
 // Tests for the secondary-index module (§1 motivation, §7 Correlation
 // Map / Hermit): the conventional sorted row-id index and the learned
-// correlation index must agree with a full scan, the learned index must
-// stay model-sized, and its outlier buffer must absorb rows that break
-// the correlation.
+// correlation index must agree with a full scan (over a store with a
+// quarantined block too), the learned index must stay model-sized, and its
+// outlier buffer must absorb rows that break the correlation.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/baselines/full_scan.h"
 #include "src/common/random.h"
 #include "src/common/types.h"
 #include "src/secondary/secondary_index.h"
+#include "src/serve/query_service.h"
 
 namespace tsunami {
 namespace {
@@ -120,6 +123,49 @@ TEST_P(SecondaryKindTest, EmptyAndTinyDatasets) {
   Query miss;
   miss.filters = {Predicate{1, 100, 200}};
   EXPECT_EQ(o->Execute(miss).matched, 0);
+}
+
+// A quarantined block is skipped and flagged by the row probes too, not
+// only by the host-range scans: Execute, ExecutePlan and a QueryService
+// answer all equal a full scan of the same store. The block holds a row
+// that matches the key filter but breaks the correlation, so BTree probes
+// it by row id and Hermit probes it as an outlier. Quarantining the key
+// column also hides the key Hermit reads to decide whether to probe.
+TEST_P(SecondaryKindTest, QuarantinedBlockIsSkippedByEveryPath) {
+  Dataset data = MakeShippingData(20000, 0.005, 51);
+  Query q;
+  q.filters = {Predicate{1, 1500, 1800}};
+  q.SetAggregates({{AggKind::kSum, 2}});
+  for (int column : {1, 2}) {
+    SCOPED_TRACE("quarantined column " + std::to_string(column));
+    std::unique_ptr<MultiDimIndex> index = Make(data);
+    const ColumnStore& store = index->store();
+    int64_t block = -1;
+    for (int64_t r = 0; r < store.size() && block < 0; ++r) {
+      const Value key = store.Get(r, 1);
+      if (key >= 1500 && key <= 1800 && key - store.Get(r, 0) > 100) {
+        block = r / kScanBlockRows;
+      }
+    }
+    ASSERT_GE(block, 0);
+    store.encoded(column).Quarantine(block);
+    const QueryResult want = ExecuteFullScan(store, q);
+    ASSERT_TRUE(want.degraded);
+
+    ExecContext ctx;
+    ServiceOptions options;
+    options.threads = 2;
+    QueryService service(index.get(), options);
+    const std::pair<std::string, QueryResult> paths[] = {
+        {"Execute", index->Execute(q)},
+        {"ExecutePlan", index->ExecutePlan(index->Prepare(q), ctx)},
+        {"QueryService", service.Run(q)}};
+    for (const auto& [path, got] : paths) {
+      EXPECT_EQ(got.agg, want.agg) << path;
+      EXPECT_EQ(got.matched, want.matched) << path;
+      EXPECT_EQ(got.degraded, want.degraded) << path;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, SecondaryKindTest, ::testing::Values(0, 1),
