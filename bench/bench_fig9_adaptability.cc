@@ -3,14 +3,14 @@
 // concurrent load. A writer thread ingests rows throughout, dashboard
 // queries keep flowing through the QueryService, and the re-organization
 // for the shifted workload is requested while both run: the grid rebuild
-// happens off to the side and swaps in via the epoch-snapshot mechanism
+// happens off to the side and swaps in as a new published snapshot
 // (src/ingest/), so the serving path is never blocked — the cost of
 // adapting shows up only as background CPU, not as a serving outage. The
 // bench measures query p50/p99 in four phases (optimized, shifted-degraded,
 // shifted *during* the reorg, recovered), the ingest rate sustained
-// throughout, the reorg wall time, and the epoch retirement lag, and emits
-// a provenance-stamped `concurrent_shift` record (hand-merged into
-// BENCH_query_service.json, which `bench_micro --overload` owns).
+// throughout, and the reorg wall time, and emits a provenance-stamped
+// `concurrent_shift` record (hand-merged into BENCH_query_service.json,
+// which `bench_micro --overload` owns).
 // (b) keeps the paper's index-creation-time breakdown (sort vs optimize).
 #include <atomic>
 #include <chrono>
@@ -154,10 +154,9 @@ void RunConcurrentShift(int64_t rows) {
       "reorg: %.2fs wall under load; during-reorg p99 is %.2fx the quiesced\n"
       "same-layout p99 (target: <2x — the rebuild must cost CPU, not locks).\n"
       "ingest: %lld rows at %.0f rows/s across all phases; store published\n"
-      "v%llu with max epoch retirement lag %llu.\n",
+      "v%llu.\n",
       reorg_seconds, p99_ratio, static_cast<long long>(ingested.load()),
-      ingest_rate, static_cast<unsigned long long>(st.version),
-      static_cast<unsigned long long>(st.epochs.max_retire_lag));
+      ingest_rate, static_cast<unsigned long long>(st.version));
   std::printf(
       "shape check: shifted traffic degrades on the old layout, keeps being\n"
       "answered (never blocked) while the grid rebuilds, and recovers once\n"
@@ -182,7 +181,6 @@ void RunConcurrentShift(int64_t rows) {
           .Int("ingest_rows", ingested.load())
           .Num("ingest_rows_per_sec", ingest_rate)
           .Int("store_version", st.version)
-          .Int("epoch_max_retire_lag", st.epochs.max_retire_lag)
           .Int("rng_seed", 4)  // MakeTpchBenchmark's default generator seed.
           .Finish());
   if (bench::WriteBenchJson("BENCH_concurrent_shift.json", "query_service",

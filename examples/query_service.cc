@@ -625,11 +625,10 @@ static bool RunIngestSoak(bool soak) {
       full, [&](const Query& q) { return service.Run(q); });
   std::printf(
       "ingest soak: quiesced store v%llu (%lld sorted rows, %lld delta), "
-      "epoch lag max %llu, %lld/32 replay mismatches\n",
+      "%lld/32 replay mismatches\n",
       static_cast<unsigned long long>(quiesced.version),
       static_cast<long long>(quiesced.store_rows),
       static_cast<long long>(quiesced.delta_rows),
-      static_cast<unsigned long long>(quiesced.epochs.max_retire_lag),
       static_cast<long long>(replay_mismatches));
 
   // Fail-closed floor: fault-free every read completes; under the fault

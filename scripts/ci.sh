@@ -17,10 +17,12 @@
 #     in the full-SIMD binary;
 #  5. a ThreadSanitizer build gating the concurrency suites (work-stealing
 #     scheduler, query service, the runner and parallel builds, the batch
-#     API, whose scheduler workers scan live delta chunks, and the network
+#     API, whose scheduler workers scan live delta chunks, the network
 #     front end, whose query completions cross from scheduler workers to
-#     the event-loop thread) — the serving path is lock-and-deque code and must
-#     stay race-clean, not just correct. Built with
+#     the event-loop thread, and the WAL and resource suites, whose fold
+#     hook, writers racing compaction and scrubber repair read and publish
+#     snapshots from other threads) — the serving path is lock-and-deque
+#     code and must stay race-clean, not just correct. Built with
 #     -DTSUNAMI_FAULT_INJECTION=ON so the fault-injection soaks (thrown
 #     chunks, flipped checksums, injected stalls, wire faults) run *under*
 #     TSan: the error paths must be as race-clean as the happy path;
@@ -51,7 +53,7 @@
 #  8. the concurrent-ingest path under the TSan+FI build: ingest_test rides
 #     in pass 5/6, and `query_service --soak --ingest` races writers,
 #     readers, and grid reorganization with the ingest fault sites
-#     (ingest.compact_throw, ingest.swap_delay) armed — epoch-based
+#     (ingest.compact_throw, ingest.swap_delay) armed — reference-counted
 #     snapshot publication must stay race-clean under injected aborts and
 #     widened swap windows, and the quiesced replay must be bit-identical;
 #  9. the durability path under the ASan+UBSan+FI build: wal_test (whose
@@ -97,15 +99,16 @@ cmake --build build -j"$(nproc)" --target \
 TSUNAMI_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure \
   -j"$(nproc)"
 
-# Fifth pass: ThreadSanitizer on the scheduler/service suites, fault
+# Fifth pass: ThreadSanitizer on the scheduler/service suites and on the
+# WAL and resource suites, whose threads read and publish snapshots, fault
 # injection compiled in so the injected-fault soaks run under TSan.
 cmake -B build-tsan -S . -DTSUNAMI_WERROR=ON -DTSUNAMI_SANITIZE=thread \
   -DTSUNAMI_FAULT_INJECTION=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j"$(nproc)" --target \
   task_scheduler_test query_service_test exec_test ingest_test net_test \
-  batch_api_test
+  batch_api_test wal_test resource_test
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" -R \
-  'task_scheduler_test|query_service_test|exec_test|ingest_test|net_test|batch_api_test'
+  'task_scheduler_test|query_service_test|exec_test|ingest_test|net_test|batch_api_test|wal_test|resource_test'
 
 # Sixth pass: ASan+UBSan on the robustness suites (storage integrity, file
 # error paths, scheduler exception-safety, service overload/degrade) and on

@@ -49,9 +49,9 @@ struct QueryPlan {
   /// AccessPathRouter::Prepare so replays skip re-routing. -1 = not routed.
   int routed_index = -1;
   /// Snapshot pin for versioned stores (src/ingest): an opaque owning
-  /// reference that keeps the store version the tasks address alive (and
-  /// its read epoch pinned) for the plan's lifetime; PlanTarget resolves
-  /// through it. Null for static indexes, which borrow nothing.
+  /// reference that keeps the store version the tasks address alive for
+  /// the plan's lifetime; PlanTarget resolves through it. Null for static
+  /// indexes, which borrow nothing.
   std::shared_ptr<const void> pin;
   /// The producing index's StoreVersion() at Prepare time. The plan cache
   /// treats a mismatch with the current version as a miss, so cached plans

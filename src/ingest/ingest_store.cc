@@ -51,11 +51,7 @@ IngestStore::IngestStore(const Dataset& data, const Workload& workload,
         SampleDataset(data, options_.index.sample_rows, &rng), workload,
         options_.monitor);
   }
-  if (options_.background_compaction) {
-    compactor_ = std::make_unique<Compactor>(this, options_.compact_poll_ms,
-                                             options_.background_nice);
-    compactor_->Start();
-  }
+  if (options_.background_compaction) StartBackground();
 }
 
 IngestStore::IngestStore(std::shared_ptr<const TsunamiIndex> index,
@@ -79,11 +75,7 @@ IngestStore::IngestStore(std::shared_ptr<const TsunamiIndex> index,
         SampleDataset(data, options_.index.sample_rows, &rng), workload,
         options_.monitor);
   }
-  if (options_.background_compaction) {
-    compactor_ = std::make_unique<Compactor>(this, options_.compact_poll_ms,
-                                             options_.background_nice);
-    compactor_->Start();
-  }
+  if (options_.background_compaction) StartBackground();
 }
 
 IngestStore::~IngestStore() { StopBackground(); }
@@ -105,16 +97,16 @@ void IngestStore::StopBackground() {
 
 QueryResult IngestStore::Execute(const Query& query) const {
   Observe(query);
-  return PinSnapshot()->Execute(query);
+  return snapshots_.Current()->Execute(query);
 }
 
 QueryPlan IngestStore::Prepare(const Query& query) const {
   Observe(query);
-  std::shared_ptr<const ColumnStoreSnapshot> snap = snapshots_.Pin();
+  std::shared_ptr<const ColumnStoreSnapshot> snap = snapshots_.Current();
   QueryPlan plan = snap->Prepare(query);
-  // The plan owns the pin: the snapshot (and its read epoch) stays alive
-  // until the last copy of the plan dies.
-  plan.pin = std::shared_ptr<const void>(snap, snap.get());
+  // The plan owns the pin: the snapshot stays alive until the last copy of
+  // the plan dies.
+  plan.pin = std::move(snap);
   return plan;
 }
 
@@ -438,8 +430,7 @@ IngestStore::Stats IngestStore::stats() const {
   {
     // Writers commit and count under this lock, so the count is exactly the
     // rows visible at this instant. Callers must hold no lock that writers
-    // take after write_mu_ (publish_mu_, the snapshot, epoch and listener
-    // locks).
+    // take after write_mu_ (publish_mu_, the snapshot and listener locks).
     std::lock_guard<std::mutex> lock(write_mu_);
     s.rows_ingested = rows_ingested_;
   }
@@ -454,7 +445,6 @@ IngestStore::Stats IngestStore::stats() const {
   s.delta_rows = cur->ChunkRows();
   s.store_rows = cur->index().store().size();
   s.version = cur->version();
-  s.epochs = snapshots_.epochs().stats();
   return s;
 }
 

@@ -21,10 +21,11 @@
 //     healed copy — a reader pinned on the old version never observes a
 //     half-repaired block.
 //
-// Queries pin one snapshot in Prepare (QueryPlan::pin holds it, epoch
-// pinned, until the plan dies); plans, zone maps, grid, and quarantine
-// state all resolve against the pinned version. StoreVersion() lets the
-// plan cache drop plans bound to superseded versions.
+// Queries pin one snapshot in Prepare (QueryPlan::pin holds it until the
+// plan dies); plans, zone maps, grid, and quarantine state all resolve
+// against the pinned version. A superseded version is freed when its last
+// holder drops it. StoreVersion() lets the plan cache drop plans bound to
+// superseded versions.
 //
 // Fault sites (TSUNAMI_FAULT_INJECTION builds): `ingest.compact_throw`
 // aborts a compaction after the fold set is chosen — the build fails closed
@@ -115,7 +116,6 @@ class IngestStore : public MultiDimIndex {
     int64_t delta_rows = 0;        // Committed rows not yet folded.
     int64_t store_rows = 0;        // Rows in the current sorted index.
     uint64_t version = 0;
-    EpochManager::Stats epochs;
   };
 
   IngestStore(const Dataset& data, const Workload& workload,
@@ -143,8 +143,8 @@ class IngestStore : public MultiDimIndex {
   uint64_t StoreVersion() const override { return snapshots_.version(); }
   int64_t IndexSizeBytes() const override;
   /// The *current* snapshot's store — stable only until the next fold or
-  /// reorg publishes. Concurrent readers must pin (PinSnapshot / Prepare)
-  /// instead.
+  /// reorg publishes. Concurrent readers must hold a snapshot
+  /// (CurrentSnapshot / Prepare) instead.
   const ColumnStore& store() const override;
 
   // --- Writers ---
@@ -182,16 +182,12 @@ class IngestStore : public MultiDimIndex {
   void Observe(const Query& query) const;
 
   // --- Introspection ---
-  std::shared_ptr<const ColumnStoreSnapshot> PinSnapshot() const {
-    return snapshots_.Pin();
-  }
   std::shared_ptr<const ColumnStoreSnapshot> CurrentSnapshot() const {
     return snapshots_.Current();
   }
   uint64_t version() const { return snapshots_.version(); }
   int64_t rows() const { return snapshots_.Current()->TotalRows(); }
   Stats stats() const;
-  EpochManager& epochs() const { return snapshots_.epochs(); }
   /// Registers a callback invoked (outside all store locks) with the new
   /// version after every publish — e.g. PlanCache::InvalidateIndex, so
   /// cached plans stop pinning a superseded snapshot promptly.

@@ -39,14 +39,15 @@ void Scrubber::Stop() {
 }
 
 int64_t Scrubber::ScrubSlice() {
-  const auto snap = store_->PinSnapshot();
+  const auto snap = store_->CurrentSnapshot();
   const ColumnStore& cs = snap->index().store();
   const int dims = cs.dims();
   if (dims == 0) return 0;
-  if (snap->version() != cursor_version_) {
-    // A fold/reorg published a new store; the old blocks no longer exist.
-    // Restart the sweep against the new version.
-    cursor_version_ = snap->version();
+  const std::shared_ptr<const TsunamiIndex>& index = snap->index_ptr();
+  if (cursor_index_.owner_before(index) || index.owner_before(cursor_index_)) {
+    // A fold, reorg or repair published a new sorted index; the old blocks
+    // no longer exist. Restart the sweep against the new index.
+    cursor_index_ = index;
     cursor_dim_ = 0;
     cursor_block_ = 0;
   }

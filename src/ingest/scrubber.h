@@ -13,8 +13,10 @@
 // which publishes a healed copy rebuilt from the fold backup).
 //
 // Sweeps are pace-limited (blocks_per_slice per wakeup) so scrubbing never
-// competes with serving for memory bandwidth; a fold/reorg publish restarts
-// the sweep against the new snapshot (the old blocks are gone).
+// competes with serving for memory bandwidth. A publish that replaces the
+// sorted index (fold, reorg, repair) restarts the sweep against the new
+// index (the old blocks are gone); a chunk roll keeps the index, and the
+// sweep carries on.
 //
 // Fault site (src/common/fault_injection.h): `scrub.corrupt_block` — the
 // scrubber's recomputed hash mismatches for the matching block index,
@@ -25,6 +27,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -77,9 +80,11 @@ class Scrubber {
   IngestStore* store_;
   ScrubberOptions options_;
 
-  // Sweep cursor; only meaningful while the pinned snapshot still has
-  // cursor_version_. Touched only by the scrub thread / ScrubSlice caller.
-  uint64_t cursor_version_ = 0;
+  // Sweep cursor over the blocks of `cursor_index_`, the sorted index the
+  // sweep runs against. Weak, so it never keeps a superseded index alive;
+  // compared by owner, so a new index at a reused address still restarts
+  // the sweep. Touched only by the scrub thread / ScrubSlice caller.
+  std::weak_ptr<const TsunamiIndex> cursor_index_;
   int cursor_dim_ = 0;
   int64_t cursor_block_ = 0;
 

@@ -53,44 +53,16 @@ std::shared_ptr<const ColumnStoreSnapshot> SnapshotStore::Current() const {
   return current_;
 }
 
-std::shared_ptr<const ColumnStoreSnapshot> SnapshotStore::Pin() const {
-  // Pin the epoch *before* loading the pointer: a publisher swaps the
-  // pointer before retiring, so whatever version this load observes cannot
-  // have been retired at an epoch newer than ours — the epoch manager keeps
-  // it un-reclaimed until we unpin (and the shared_ptr keeps the memory
-  // safe regardless).
-  struct PinHolder {
-    std::shared_ptr<const ColumnStoreSnapshot> snap;
-    EpochManager* epochs;
-    uint64_t epoch;
-    ~PinHolder() { epochs->Unpin(epoch); }
-  };
-  auto holder = std::make_shared<PinHolder>();
-  holder->epochs = &epochs_;
-  holder->epoch = epochs_.Pin();
-  {
-    std::lock_guard<std::mutex> lock(current_mu_);
-    holder->snap = current_;
-  }
-  // Aliasing: the returned pointer addresses the snapshot but owns the
-  // holder, so dropping the last copy unpins the epoch.
-  const ColumnStoreSnapshot* snap = holder->snap.get();
-  return std::shared_ptr<const ColumnStoreSnapshot>(std::move(holder), snap);
-}
-
 void SnapshotStore::Publish(std::shared_ptr<const ColumnStoreSnapshot> next) {
   assert(next->version() > version());
   version_.store(next->version(), std::memory_order_release);
-  std::shared_ptr<const ColumnStoreSnapshot> old;
   {
     std::lock_guard<std::mutex> lock(current_mu_);
-    old = std::move(current_);
-    current_ = std::move(next);
+    current_.swap(next);
   }
-  // Retire the superseded version: the reclaim callback drops our owning
-  // reference once every reader pinned on it has advanced. Readers that
-  // still hold it via their own shared_ptr remain safe either way.
-  epochs_.Retire([old]() mutable { old.reset(); });
+  // `next` now holds the superseded snapshot. Dropping it outside the leaf
+  // mutex frees it unless a reader still holds it; that reader then frees
+  // it when it lets go.
 }
 
 }  // namespace ingest

@@ -8,8 +8,9 @@
 // count, which is monotone and torn-read-free (release/acquire). Publishing
 // never mutates a live snapshot: writers roll chunks, the compactor folds
 // them into a new sorted index, and reorganization rebuilds the grid off to
-// the side — each publishes a *new* snapshot and retires the old one
-// through the epoch manager.
+// the side — each publishes a *new* snapshot. Each reader holds its
+// snapshot through its own shared_ptr, so a superseded version is freed by
+// whichever holder drops it last: the store itself when no reader has it.
 #pragma once
 
 #include <atomic>
@@ -22,7 +23,6 @@
 #include "src/common/index.h"
 #include "src/core/tsunami.h"
 #include "src/ingest/delta_chunk.h"
-#include "src/ingest/epoch.h"
 
 namespace tsunami {
 namespace ingest {
@@ -63,35 +63,28 @@ class ColumnStoreSnapshot : public MultiDimIndex {
   const std::vector<std::shared_ptr<const DeltaChunk>> chunks_;
 };
 
-// Holds the current snapshot behind an atomically-swapped shared_ptr and
-// owns the epoch manager that paces reclamation of superseded versions.
+// Holds the current snapshot behind an atomically-swapped shared_ptr.
 class SnapshotStore {
  public:
   explicit SnapshotStore(std::shared_ptr<const ColumnStoreSnapshot> initial);
 
-  // The current snapshot, un-pinned: safe to use because shared_ptr keeps
-  // it alive, but does not hold back epoch reclamation. For stats paths and
-  // quiesced callers.
+  // The current snapshot. The returned pointer keeps it alive, however many
+  // versions are published after it: queries hold one from Prepare until
+  // the last chunk finishes.
   std::shared_ptr<const ColumnStoreSnapshot> Current() const;
 
-  // The current snapshot with its read epoch pinned: the returned pointer
-  // unpins when the last copy drops. Queries hold one of these from Prepare
-  // until the last chunk finishes.
-  std::shared_ptr<const ColumnStoreSnapshot> Pin() const;
-
-  // Swaps `next` in and retires the superseded snapshot through the epoch
-  // manager. The caller serializes publishes (IngestStore's publish mutex)
-  // and must hand in a strictly newer version.
+  // Swaps `next` in and drops the store's reference to the superseded
+  // snapshot, which frees it here unless a reader still holds it. The
+  // caller serializes publishes (IngestStore's publish mutex) and must hand
+  // in a strictly newer version.
   void Publish(std::shared_ptr<const ColumnStoreSnapshot> next);
 
   uint64_t version() const { return version_.load(std::memory_order_acquire); }
-  EpochManager& epochs() const { return epochs_; }
 
  private:
-  mutable EpochManager epochs_;
   std::atomic<uint64_t> version_;
   // A leaf mutex held only for the pointer copy/swap — never across a
-  // build, a scan, or reclamation — so readers wait at most a few
+  // build, a scan, or a free — so readers wait at most a few
   // instructions behind a publisher, never behind a reorganization.
   // (std::atomic<shared_ptr> would be the natural fit, but libstdc++'s
   // lock-free _Sp_atomic releases its reader-side spinlock with a relaxed

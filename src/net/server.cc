@@ -98,7 +98,7 @@ std::string MissingColumn(const Query& query, int dims) {
 
 // The column count is read here, once: store() of a versioned index
 // returns a reference into its current snapshot, which a concurrent fold
-// may retire, so the serving loop never calls it.
+// may free, so the serving loop never calls it.
 TsunamiServer::TsunamiServer(QueryService* service,
                              const ServerOptions& options)
     : service_(service),

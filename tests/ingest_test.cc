@@ -1,8 +1,9 @@
-// Concurrent-ingest suite: EpochManager pin/retire/reclaim ordering,
-// DeltaChunk encoded-vs-raw and raw-vs-oracle bit identity,
-// IngestStore correctness against the full-scan reference across inserts /
-// folds / reorganizations / repairs, snapshot isolation for pinned readers,
-// plan-cache staleness, and a writers-vs-readers-vs-compaction stress run
+// Concurrent-ingest suite: DeltaChunk encoded-vs-raw and raw-vs-oracle bit
+// identity, IngestStore correctness against the full-scan reference across
+// inserts / folds / reorganizations / repairs, snapshot isolation for pinned
+// readers, reclamation (a superseded index is freed once its last reader
+// drops it, checked on the index itself through a weak_ptr), plan-cache
+// staleness, and a writers-vs-readers-vs-compaction stress run
 // whose invariants (no torn reads, monotone visibility, quiesced-replay bit
 // identity) are what the TSan CI pass checks for races. Fault-injection
 // builds additionally drive the ingest.compact_throw fail-closed path and
@@ -21,7 +22,6 @@
 #include "src/common/fault_injection.h"
 #include "src/common/random.h"
 #include "src/ingest/delta_chunk.h"
-#include "src/ingest/epoch.h"
 #include "src/ingest/ingest_store.h"
 #include "src/ingest/snapshot.h"
 #include "src/serve/query_service.h"
@@ -31,8 +31,6 @@ namespace tsunami {
 namespace {
 
 using ingest::DeltaChunk;
-using ingest::EpochManager;
-using ingest::EpochPin;
 using ingest::IngestOptions;
 using ingest::IngestStore;
 
@@ -62,74 +60,6 @@ void ExpectSameAnswer(const QueryResult& got, const QueryResult& want) {
   EXPECT_EQ(got.agg, want.agg);
   EXPECT_EQ(got.matched, want.matched);
   EXPECT_EQ(got.extra, want.extra);
-}
-
-// ---- EpochManager ---------------------------------------------------------
-
-TEST(EpochManagerTest, RetireWithNoReadersReclaimsImmediately) {
-  EpochManager epochs;
-  int reclaimed = 0;
-  epochs.Retire([&] { ++reclaimed; });
-  EXPECT_EQ(reclaimed, 1);
-  const EpochManager::Stats stats = epochs.stats();
-  EXPECT_EQ(stats.retired, 1);
-  EXPECT_EQ(stats.reclaimed, 1);
-  EXPECT_EQ(stats.pending, 0);
-}
-
-TEST(EpochManagerTest, PinnedReaderHoldsBackReclaim) {
-  EpochManager epochs;
-  const uint64_t reader = epochs.Pin();
-  int reclaimed = 0;
-  epochs.Retire([&] { ++reclaimed; });
-  // The reader pinned at (or before) the retire point: not reclaimable.
-  EXPECT_EQ(reclaimed, 0);
-  EXPECT_EQ(epochs.stats().pending, 1);
-  // A *new* reader pins the post-retire epoch and does not hold it back.
-  const uint64_t late = epochs.Pin();
-  epochs.Unpin(late);
-  EXPECT_EQ(reclaimed, 0);
-  epochs.Unpin(reader);
-  EXPECT_EQ(reclaimed, 1);
-  EXPECT_EQ(epochs.stats().pending, 0);
-}
-
-TEST(EpochManagerTest, RetirementIsMonotone) {
-  // Several versions retired behind one slow reader reclaim in retirement
-  // order the moment the reader advances, and the lag statistic records how
-  // far it dragged.
-  EpochManager epochs;
-  const uint64_t slow = epochs.Pin();
-  std::vector<int> order;
-  for (int i = 0; i < 4; ++i) {
-    epochs.Retire([&order, i] { order.push_back(i); });
-  }
-  EXPECT_TRUE(order.empty());
-  epochs.Unpin(slow);
-  ASSERT_EQ(order.size(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(order[i], i);
-  const EpochManager::Stats stats = epochs.stats();
-  EXPECT_EQ(stats.reclaimed, 4);
-  // The first retirement waited through three more epochs before the
-  // reader moved: lag is at least the epoch distance it was dragged.
-  EXPECT_GE(stats.max_retire_lag, 4u);
-  EXPECT_EQ(stats.current_epoch, stats.oldest_pinned);
-}
-
-TEST(EpochManagerTest, RaiiPinReleasesOnce) {
-  EpochManager epochs;
-  int reclaimed = 0;
-  {
-    EpochPin pin(&epochs);
-    EXPECT_TRUE(pin.held());
-    EpochPin moved = std::move(pin);
-    EXPECT_FALSE(pin.held());  // NOLINT(bugprone-use-after-move)
-    EXPECT_TRUE(moved.held());
-    epochs.Retire([&] { ++reclaimed; });
-    EXPECT_EQ(reclaimed, 0);
-  }
-  EXPECT_EQ(reclaimed, 1);
-  EXPECT_EQ(epochs.stats().pinned, 0);
 }
 
 // ---- DeltaChunk -----------------------------------------------------------
@@ -402,10 +332,10 @@ TEST(IngestStoreTest, PinnedSnapshotIsUntouchedByFold) {
   options.chunk_capacity = 256;
   IngestStore store(fx.data, fx.workload, options);
 
-  auto pinned = store.PinSnapshot();
+  auto pinned = store.CurrentSnapshot();
   const uint64_t pinned_version = pinned->version();
   const int64_t pinned_store_rows = pinned->index().store().size();
-  EXPECT_GE(store.stats().epochs.pinned, 1);
+  const std::weak_ptr<const TsunamiIndex> pinned_index = pinned->index_ptr();
 
   for (int i = 0; i < 1000; ++i) store.Insert(fx.RandomRow());
   store.ForceRoll();
@@ -418,13 +348,55 @@ TEST(IngestStoreTest, PinnedSnapshotIsUntouchedByFold) {
   EXPECT_GT(store.CurrentSnapshot()->index().store().size(),
             pinned_store_rows);
 
-  // The superseded versions stay un-reclaimed while the pin lives, and
-  // reclaim the moment it drops.
-  EXPECT_GE(store.stats().epochs.pending, 1);
+  // The superseded index stays alive while the pin lives, and is freed the
+  // moment it drops.
+  EXPECT_FALSE(pinned_index.expired());
   pinned.reset();
-  const EpochManager::Stats epochs = store.stats().epochs;
-  EXPECT_EQ(epochs.pending, 0);
-  EXPECT_GE(epochs.reclaimed, 1);
+  EXPECT_TRUE(pinned_index.expired());
+}
+
+// Each superseded index lives exactly as long as the plans that read it. A
+// plan held across several folds keeps its own snapshot alive, and nothing
+// published after it: the middle index is freed as soon as its only plan
+// drops, while the older plan still executes against its version.
+TEST(IngestStoreTest, SupersededSnapshotIsFreedByItsLastReader) {
+  IngestFixture fx(3000);
+  IngestOptions options = SmallIngestOptions();
+  options.chunk_capacity = 256;
+  IngestStore store(fx.data, fx.workload, options);
+  const Query q = RangeCount(0, 10000, 60000);
+  ExecContext ctx;
+
+  // Fills the open chunk and folds it into a new sorted index. Returns the
+  // store's answer just before the fold, over every row inserted so far.
+  auto fill_then_fold = [&] {
+    for (int64_t i = 0; i < options.chunk_capacity; ++i) {
+      store.Insert(fx.RandomRow());
+    }
+    const QueryResult before_fold = store.Execute(q);
+    const uint64_t v = store.version();
+    store.ForceRoll();
+    EXPECT_GT(store.CompactNow(), v);
+    return before_fold;
+  };
+
+  const std::weak_ptr<const TsunamiIndex> first =
+      store.CurrentSnapshot()->index_ptr();
+  const QueryPlan a = store.Prepare(q);
+  // A's snapshot holds the index and the chunk the first fold consumes, so
+  // it answers over exactly the rows that fold saw.
+  const QueryResult a_want = fill_then_fold();
+
+  const std::weak_ptr<const TsunamiIndex> middle =
+      store.CurrentSnapshot()->index_ptr();
+  auto b = std::make_unique<QueryPlan>(store.Prepare(q));
+  fill_then_fold();
+  EXPECT_FALSE(middle.expired());
+  b.reset();
+
+  EXPECT_TRUE(middle.expired());
+  EXPECT_FALSE(first.expired());
+  ExpectSameAnswer(store.ExecutePlan(a, ctx), a_want);
 }
 
 TEST(IngestStoreTest, ReorganizeRetargetsGridWithoutChangingAnswers) {
@@ -523,7 +495,7 @@ TEST(IngestStoreTest, RepairPublishesHealedVersionOldPinStaysDegraded) {
   EXPECT_FALSE(want.degraded);
 
   // Quarantine the wholly-insert-origin blocks on the current version, then
-  // pin it: this reader is stuck on the corrupt snapshot.
+  // hold it: this reader is stuck on the corrupt snapshot.
   const ColumnStore& cur_store = store.store();
   std::vector<int64_t> delta_blocks;
   for (int64_t b = 0; b * kScanBlockRows < cur_store.size(); ++b) {
@@ -541,7 +513,7 @@ TEST(IngestStoreTest, RepairPublishesHealedVersionOldPinStaysDegraded) {
     cur_store.encoded(1).Quarantine(b);
   }
   const int64_t quarantined = static_cast<int64_t>(delta_blocks.size()) * 2;
-  auto pinned = store.PinSnapshot();
+  auto pinned = store.CurrentSnapshot();
   const QueryResult degraded = pinned->Execute(over_new);
   EXPECT_TRUE(degraded.degraded);
   EXPECT_LT(degraded.matched, want.matched);
@@ -622,6 +594,17 @@ TEST(IngestServiceTest, PublishListenerInvalidatesEagerly) {
   store.ForceRoll();
   EXPECT_EQ(service.plan_cache().stats().size, 0);
   EXPECT_GE(service.plan_cache().stats().stale, 2);
+
+  // A fold publishes a new sorted index. Once the listener has dropped the
+  // plan cached on the old one, nothing holds the old index any more.
+  const std::weak_ptr<const TsunamiIndex> before_fold =
+      store.CurrentSnapshot()->index_ptr();
+  (void)service.Run(RangeCount(0, 0, 50000));
+  EXPECT_EQ(service.plan_cache().stats().size, 1);
+  const uint64_t v = store.version();
+  ASSERT_GT(store.CompactNow(), v);
+  EXPECT_EQ(service.plan_cache().stats().size, 0);
+  EXPECT_TRUE(before_fold.expired());
 }
 
 // ---- Concurrency stress ---------------------------------------------------

@@ -1,7 +1,8 @@
 // Resource-governance suite (PR 10): ResourceGovernor accounting and
 // budgets, ingest backpressure determinism under concurrent writers,
 // byte-bounded plan caching, WAL segment-size rotation with forward-scan
-// recovery, and group-commit latency shaping. Fault-injection builds
+// recovery, group-commit latency shaping, and the scrubber's sweep cursor
+// (a chunk roll keeps its place, a fold restarts it). Fault-injection builds
 // additionally sweep `fs.enospc` across every filesystem call site (WAL
 // write, WAL fsync, checkpoint rename, manifest write) — reads must keep
 // serving, acks must fail closed, and the store must re-arm and recover
@@ -478,6 +479,59 @@ TEST(CommitDelayTest, DelayCoalescesGroupsAndStillAcks) {
   EXPECT_EQ(stats.durable_acks, kThreads * kBatches);
   EXPECT_LE(stats.wal.group_commits, stats.wal.appends);
   ExpectMatchesReference(store->store(), expect, fx.CheckQueries());
+}
+
+// ---- Scrubber sweep cursor -------------------------------------------------
+
+/// Encoded blocks, across every column, of the current sorted index.
+int64_t SortedBlocks(const IngestStore& store) {
+  const ColumnStore& cs = store.CurrentSnapshot()->index().store();
+  int64_t blocks = 0;
+  for (int d = 0; d < cs.dims(); ++d) blocks += cs.encoded(d).num_blocks();
+  return blocks;
+}
+
+// A chunk roll publishes a new version over the same sorted index, so it
+// must not restart the sweep: under steady ingest a roll lands inside every
+// sweep, and a sweep that restarted at each one would never reach the last
+// columns. A fold publishes a new index, and the sweep starts over on it.
+TEST(ScrubberTest, ChunkRollsDoNotRestartTheSweep) {
+  Fixture fx(8000);
+  IngestStore store(fx.data, fx.workload, SmallIngestOptions());
+  const int64_t blocks = SortedBlocks(store);
+  ASSERT_GT(blocks, 2);
+
+  ScrubberOptions sopts;
+  sopts.blocks_per_slice = 2;
+  Scrubber scrubber(&store, sopts);
+  int64_t slices = 0;
+  while (slices < blocks && scrubber.stats().sweeps == 0) {
+    scrubber.ScrubSlice();
+    ++slices;
+    store.InsertBatch(fx.RandomBatch(1));
+    store.ForceRoll();
+  }
+  // A roll followed every slice, and the sweep still finished within as
+  // many slices as the store has blocks, scrubbing each block once.
+  EXPECT_EQ(store.stats().chunk_rolls, slices);
+  EXPECT_EQ(scrubber.stats().sweeps, 1);
+  EXPECT_EQ(scrubber.stats().blocks_scrubbed, blocks);
+
+  // Fold partway through the next sweep: the sweep restarts on the folded
+  // index and scrubs each of its blocks exactly once.
+  ASSERT_EQ(scrubber.ScrubSlice(), 2);
+  store.InsertBatch(fx.RandomBatch(2 * static_cast<int>(kScanBlockRows)));
+  store.ForceRoll();
+  const uint64_t v = store.version();
+  ASSERT_GT(store.CompactNow(), v);
+  const int64_t folded_blocks = SortedBlocks(store);
+  ASSERT_GT(folded_blocks, blocks);
+  const int64_t before = scrubber.stats().blocks_scrubbed;
+  for (int64_t i = 0; i < folded_blocks && scrubber.stats().sweeps == 1; ++i) {
+    scrubber.ScrubSlice();
+  }
+  EXPECT_EQ(scrubber.stats().sweeps, 2);
+  EXPECT_EQ(scrubber.stats().blocks_scrubbed - before, folded_blocks);
 }
 
 #if defined(TSUNAMI_FAULT_INJECTION)
